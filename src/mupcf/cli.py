@@ -29,7 +29,7 @@ _CATEGORY = {
 
 
 def _default_fuel():
-    raw = os.environ.get("MUPCF_FUEL", "10000")
+    raw = os.environ.get("MUPCF_FUEL", "1000000")
     try:
         return int(raw)
     except ValueError:
@@ -217,7 +217,7 @@ def _build_parser():
                        default="text", help="output mode")
         if cmd in ("eval", "extract"):
             s.add_argument("--fuel", type=int, default=None,
-                           help="step budget (default: MUPCF_FUEL or 10000)")
+                           help="step budget (default: MUPCF_FUEL or 1000000)")
         if cmd == "extract":
             s.add_argument("--inputs", default="0..10",
                            help="inclusive input range a..b (default 0..10)")

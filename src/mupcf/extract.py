@@ -19,9 +19,9 @@ from .lambdamu import (
 )
 from .logic import (
     Atom, BaseSort, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
-    IVar, Id, Imp, ImpElim, ImpIntro, Individual, KAPPA, Sequent, Sort, SUCC,
-    ZERO, _fresh_name, check_proof, collect_names, f_not, formula_str,
-    ind_free_vars, ind_subst, infer_sort, sort_str,
+    IVar, Id, Imp, ImpElim, ImpIntro, Individual, KAPPA, Sequent, Sort,
+    _fresh_name, check_proof, collect_names, f_not, formula_str,
+    ind_free_vars, infer_sort, sort_str,
 )
 from .relativize import rel_proof
 
@@ -160,11 +160,14 @@ def extract_program(proof, theory, goal):
     return e
 
 
-def individual_to_term(t):
-    """Embed a closed individual as a program of its sort's evidence type."""
+def individual_to_term(t, evidence=None):
+    """Embed an individual as a program of its sort's evidence type. Its free
+    variables must be bound to evidence terms in the evidence mapping."""
     match t:
         case IVar(name, _):
-            raise UserError(f"individual has a free variable: {name}")
+            if evidence is None or name not in evidence:
+                raise UserError(f"individual has a free variable: {name}")
+            return evidence[name]
         case IConst("0", ()):
             return Num(0)
         case IConst("S", ()):
@@ -180,27 +183,22 @@ def individual_to_term(t):
         case IConst("rec", (a,)):
             return mk_rec(rel_type(a))
         case IApp(fn, arg):
-            return LApp(individual_to_term(fn), individual_to_term(arg))
+            return LApp(individual_to_term(fn, evidence),
+                        individual_to_term(arg, evidence))
     raise InternalError(f"bad individual {t!r}")
-
-
-def numeral_individual(n):
-    out = ZERO
-    for _ in range(n):
-        out = IApp(SUCC, out)
-    return out
 
 
 def verify_witness(goal, n, m, fuel):
     """Check an input/witness pair against the goal equation by evaluating
-    both sides.  Higher-sort equations are not decided and come back
+    both sides with the numerals n and m as the evidence for the input and
+    the witness.  Higher-sort equations are not decided and come back
     unverifiable."""
     if goal.eq_sort != IOTA:
         return UNVERIFIABLE
-    sub = {goal.x: numeral_individual(n), goal.y: numeral_individual(m)}
+    evidence = {goal.x: Num(n), goal.y: Num(m)}
     try:
-        vl, _ = eval_nat(individual_to_term(ind_subst(goal.lhs, sub)), fuel)
-        vr, _ = eval_nat(individual_to_term(ind_subst(goal.rhs, sub)), fuel)
+        vl, _ = eval_nat(individual_to_term(goal.lhs, evidence), fuel)
+        vr, _ = eval_nat(individual_to_term(goal.rhs, evidence), fuel)
     except FuelExhausted:
         return TIMEOUT
     return PASS if vl == vr else FAIL

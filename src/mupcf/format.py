@@ -77,31 +77,24 @@ def _tokenize(src):
 
 
 def _read_all(src):
-    toks = _tokenize(src)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(toks):
-            raise UserError("unexpected end of input")
-        text, line, col = toks[pos]
-        pos += 1
-        if text == "(":
-            items = []
-            while True:
-                if pos >= len(toks):
-                    raise UserError(f"{line}:{col}: unclosed parenthesis")
-                if toks[pos][0] == ")":
-                    pos += 1
-                    return _List(tuple(items), line, col)
-                items.append(read())
-        if text == ")":
-            raise UserError(f"{line}:{col}: unmatched closing parenthesis")
-        return _Atom(text, line, col)
-
     nodes = []
-    while pos < len(toks):
-        nodes.append(read())
+    # items, line and column of each list still open, innermost last
+    open_lists = []
+    for text, line, col in _tokenize(src):
+        if text == "(":
+            open_lists.append(([], line, col))
+            continue
+        if text == ")":
+            if not open_lists:
+                raise UserError(f"{line}:{col}: unmatched closing parenthesis")
+            items, line, col = open_lists.pop()
+            node = _List(tuple(items), line, col)
+        else:
+            node = _Atom(text, line, col)
+        (open_lists[-1][0] if open_lists else nodes).append(node)
+    if open_lists:
+        _, line, col = open_lists[-1]
+        raise UserError(f"{line}:{col}: unclosed parenthesis")
     return nodes
 
 

@@ -2,8 +2,11 @@
 
 The calculus has nat, an empty type, arrows and products, plus mu-bound
 labels: mu a:A. M captures its context at A, [a] M throws M to the label a.
-Reduction is deterministic weak-head reduction; the control rules keep the
-mu binder and retype it as the surrounding frame is absorbed.
+eval_nat runs closed programs on an environment machine with lexically
+bound labels. whnf_step is the reference small-step semantics the machine is
+tested against: deterministic weak-head reduction by substitution, whose
+control rules keep the mu binder and retype it as the surrounding frame is
+absorbed.
 """
 
 import sys
@@ -405,7 +408,7 @@ def retarget(t, old, new, wrap, pay_fv, pay_fl):
     return go(t)
 
 
-# ---------- reduction ----------
+# ---------- reference small-step semantics ----------
 
 
 def _absorb(mu, wrap, payload_terms, new_ty):
@@ -499,20 +502,118 @@ def whnf_step(t):
     return None
 
 
+# ---------- evaluation ----------
+
+# eval_nat runs a Krivine-style environment machine (Krivine, "A call-by-name
+# lambda-calculus machine", 2007) with the control rules of de Groote's
+# machine for the lambda-mu-calculus (1998). Nothing is substituted: a state
+# is a term, the environment its free names are looked up in, and a stack.
+#
+# An environment is an immutable chain of (name, payload, env, parent)
+# nodes. A variable node binds the closure (payload, env); a label node binds
+# the captured stack payload and has env _LABEL. Lookup walks outwards from
+# the innermost binder, so variables and labels are both lexically scoped.
+#
+# A stack is an immutable chain of strict frames, each a tuple whose last
+# field is the rest of the stack:
+#   (_ARG, term, env, rest)               apply to the closure (term, env)
+#   (_SUCC, rest), (_PRED, rest)          successor, predecessor
+#   (_IFZ, then, env, else, env, rest)    branch on a numeral
+#   (_PROJ, i, rest)                      project from a pair
+# The stack of the whole run is None; a numeral reaching it is the answer.
+# The body of a mu runs on _VOID, an empty stack nothing can return to.
+
+_ARG, _SUCC, _PRED, _IFZ, _PROJ = range(5)
+_LABEL = object()
+_VOID = (None,)
+
+
+def _stuck(t):
+    return InternalError(f"evaluation stuck at {term_str(t)}")
+
+
 def eval_nat(t, fuel):
-    """Reduce a closed nat-typed term to a numeral. Returns (value, steps).
-    Raises FuelExhausted past the step budget, InternalError when stuck."""
+    """Reduce a closed nat-typed term to a numeral by call-by-name evaluation.
+    Returns (value, steps), where steps counts machine transitions. Raises
+    FuelExhausted past the step budget, InternalError when stuck."""
+    env = stack = None
     steps = 0
     while True:
-        if isinstance(t, Num):
+        cls = t.__class__
+        if cls is Num and stack is None:
             return t.value, steps
         if steps >= fuel:
             raise FuelExhausted(f"no numeral after {fuel} steps", steps)
-        s = whnf_step(t)
-        if s is None:
-            raise InternalError(f"stuck non-numeral term: {term_str(t)}")
-        t = s
         steps += 1
+        if cls is LApp:
+            stack = (_ARG, t.arg, env, stack)
+            t = t.fn
+        elif cls is LVar:
+            name, e = t.name, env
+            while e is not None and (e[0] != name or e[2] is _LABEL):
+                e = e[3]
+            if e is None:
+                raise InternalError(f"unbound variable {name}")
+            t, env = e[1], e[2]
+        elif cls is Lam:
+            if stack is None or stack[0] != _ARG:
+                raise _stuck(t)
+            env = (t.var, stack[1], stack[2], env)
+            stack = stack[3]
+            t = t.body
+        elif cls is Num:
+            tag = stack[0]
+            if tag == _SUCC:
+                t = Num(t.value + 1)
+            elif tag == _PRED:
+                t = Num(t.value - 1) if t.value else t
+            elif tag == _IFZ:
+                t, env = (stack[1], stack[2]) if t.value == 0 \
+                    else (stack[3], stack[4])
+            else:
+                raise _stuck(t)
+            stack = stack[-1]
+        elif cls is Prim:
+            # every primitive waits for its arguments on the stack
+            args = []
+            s = stack
+            while len(args) < (3 if t.op == "ifz" else 1):
+                if s is None or s[0] != _ARG:
+                    raise _stuck(t)
+                args.append(s)
+                s = s[3]
+            m, env = args[0][1], args[0][2]
+            if t.op == "fix":
+                # fix m: enter m with the unfolding fix m as its argument
+                stack = (_ARG, LApp(t, m), env, s)
+            elif t.op == "ifz":
+                stack = (_IFZ, args[1][1], args[1][2], args[2][1],
+                         args[2][2], s)
+            else:
+                stack = (_SUCC if t.op == "succ" else _PRED, s)
+            t = m
+        elif cls is Mu:
+            env = (t.label, stack, _LABEL, env)
+            stack = _VOID
+            t = t.body
+        elif cls is Named:
+            name, e = t.label, env
+            while e is not None and (e[0] != name or e[2] is not _LABEL):
+                e = e[3]
+            if e is None:
+                raise InternalError(f"unbound label {name}")
+            stack = e[1]
+            t = t.body
+        elif cls is Proj:
+            stack = (_PROJ, t.index, stack)
+            t = t.body
+        elif cls is Pair:
+            if stack is None or stack[0] != _PROJ:
+                raise _stuck(t)
+            t = t.left if stack[1] == 1 else t.right
+            stack = stack[2]
+        else:
+            raise InternalError(f"bad term {t!r}")
 
 
 # ---------- standard programs ----------

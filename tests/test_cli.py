@@ -219,6 +219,25 @@ def test_extract_timeout_exit_code(capsys):
     assert "verdict=fail-with-timeout" in out
 
 
+def test_extract_add0_at_default_fuel(capsys, monkeypatch):
+    monkeypatch.delenv("MUPCF_FUEL", raising=False)
+    code, out, _ = _run(
+        capsys,
+        ["extract", str(CORPUS / "add0-total.proof"), "--inputs", "60..60"])
+    assert code == 0
+    assert "input=60 witness=60 verdict=pass" in out
+
+
+def test_extract_checks_large_witnesses(capsys):
+    code, payload = _run_json(
+        capsys,
+        ["extract", str(CORPUS / "succ-total.proof"),
+         "--inputs", "60000..60000"])
+    assert code == 0
+    assert payload["rows"][0]["witness"] == 60001
+    assert payload["rows"][0]["verdict"] == "pass"
+
+
 def test_extract_rejects_non_pi02_goal(capsys):
     code, _, err = _run(capsys, ["extract", str(CORPUS / "dne.proof")])
     assert code == 1

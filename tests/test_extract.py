@@ -4,8 +4,7 @@ from mupcf import corpus
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
-    numeral_individual, pi02_goal, prepare_goal, run_extraction,
-    verify_witness,
+    pi02_goal, prepare_goal, run_extraction, verify_witness,
 )
 from mupcf.interp import rel_type
 from mupcf.lambdamu import LApp, NAT, Num, TArr, TBOT, eval_nat, typecheck
@@ -95,7 +94,7 @@ def test_prepare_goal_rejects_wrong_shapes():
 # ---------------------------------------------------- individual embedding
 
 def test_individuals_run_as_programs():
-    two = numeral_individual(2)
+    two = IApp(SUCC, IApp(SUCC, ZERO))
     assert eval_nat(individual_to_term(two), 100)[0] == 2
     # k 0 (S 0) comes back to 0
     k = IConst("k", (IOTA, IOTA))
@@ -104,7 +103,7 @@ def test_individuals_run_as_programs():
     # rec 0 (k S) n is the identity on numerals
     rec = IConst("rec", (IOTA,))
     ks = IApp(IConst("k", (arrow(IOTA, IOTA), IOTA)), SUCC)
-    prog = iapp(rec, ZERO, ks, numeral_individual(3))
+    prog = iapp(rec, ZERO, ks, IApp(SUCC, two))
     assert eval_nat(individual_to_term(prog), 1000)[0] == 3
 
 
@@ -124,6 +123,13 @@ def test_individual_embedding_respects_sorts():
 def test_individual_embedding_rejects_open_terms():
     with pytest.raises(UserError, match="free variable"):
         individual_to_term(IVar("x", IOTA))
+    with pytest.raises(UserError, match="free variable"):
+        individual_to_term(IVar("x", IOTA), {"y": Num(1)})
+
+
+def test_individual_embedding_takes_evidence_for_variables():
+    t = iapp(IConst("k", (IOTA, IOTA)), IApp(SUCC, IVar("x", IOTA)), ZERO)
+    assert eval_nat(individual_to_term(t, {"x": Num(41)}), 100)[0] == 42
 
 
 # ------------------------------------------------------------- programs

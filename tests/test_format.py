@@ -1,12 +1,14 @@
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
 from mupcf import corpus
 from mupcf.errors import UserError
 from mupcf.format import (
-    formula_sexp, ind_sexp, parse_source, proof_decl, proof_sexp, sort_sexp,
-    term_decl, term_sexp, type_sexp,
+    formula_sexp, ind_sexp, parse_file, parse_source, proof_decl, proof_sexp,
+    sort_sexp, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import NAT, mk_omega, typecheck
 from mupcf.logic import (
@@ -106,6 +108,24 @@ def test_unclosed_and_unmatched_parens():
         parse_source("(theory paw")
     with pytest.raises(UserError, match="unmatched"):
         parse_source("(theory paw))")
+
+
+def test_paren_errors_point_at_the_innermost_culprit():
+    with pytest.raises(UserError, match=r"^2:3: unclosed parenthesis"):
+        parse_source("(term a\n  (app succ 0\n")
+    with pytest.raises(UserError, match=r"^1:13: unmatched closing"):
+        parse_source("(theory paw))")
+
+
+def test_parse_leaves_no_reference_cycles():
+    corpus_dir = Path(__file__).resolve().parent.parent / "corpus"
+    gc.collect()
+    gc.disable()
+    try:
+        parse_file(str(corpus_dir / "add0-total.proof"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_duplicate_and_unknown_declarations():

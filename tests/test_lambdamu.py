@@ -166,8 +166,9 @@ def test_normal_forms_have_no_step():
 
 
 def test_omega_exhausts_fuel():
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted) as info:
         eval_nat(mk_omega(NAT), 200)
+    assert info.value.steps == 200
 
 
 def test_eval_deterministic():
@@ -248,3 +249,41 @@ def test_subject_reduction_smoke():
                 break
             assert typecheck(s) == ty, f"type changed stepping {cur}"
             cur = s
+
+
+# ---------- machine against the reference stepper ----------
+
+def _reference_value(t, fuel):
+    """Iterate whnf_step to a numeral; None when fuel runs out first."""
+    for _ in range(fuel):
+        if isinstance(t, Num):
+            return t.value
+        t = whnf_step(t)
+        assert t is not None, "reference stepper stuck on a well-typed term"
+    return None
+
+
+def test_machine_agrees_with_reference_stepper():
+    compared, mismatches = 0, []
+    for seed in range(400):
+        t = gen_term(random.Random(seed), NAT, depth=6)
+        want = _reference_value(t, 200)
+        if want is None:
+            continue
+        got, _ = eval_nat(t, 10 ** 6)
+        compared += 1
+        if got != want:
+            mismatches.append((seed, want, got))
+    assert mismatches == []
+    assert compared > 150
+
+
+def test_machine_binds_labels_lexically():
+    # The throw to a inside f must reach the mu that was in scope where f
+    # was written, not the inner mu a that is active when f is called.
+    f = Lam("u", NAT, Mu("b", NAT, Named("a", Num(1))))
+    inner = Mu("a", NAT, Named("a", LApp(SUCC_T, LApp(LVar("f"), Num(0)))))
+    t = Mu("a", NAT, Named("a", LApp(Lam("f", TArr(NAT, NAT),
+                                          LApp(SUCC_T, inner)), f)))
+    assert typecheck(t) == NAT
+    assert ev(t) == _reference_value(t, 100) == 1
