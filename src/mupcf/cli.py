@@ -243,6 +243,11 @@ def main(argv=None):
         if args.theory:
             ws.theory_name = args.theory
         return _COMMANDS[args.command](ws, args)
+    except RecursionError:
+        # the reader, the checker and the translations recurse once per
+        # nesting level of the object they walk
+        _report_error(args, "user-error", "input nests too deeply")
+        return 1
     except MupcfError as ex:
         for klass, (category, code) in _CATEGORY.items():
             if isinstance(ex, klass):

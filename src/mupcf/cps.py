@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import InternalError, UserError
 from .lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot,
-    TNat, TProd, prim_type, typecheck,
+    TNat, TProd, freshen, prim_type, typecheck,
 )
 
 
@@ -361,15 +361,6 @@ def g_free_vars(t):
     raise InternalError(f"bad term {t!r}")
 
 
-def _g_fresh(base, avoid):
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def g_subst(t, mapping):
     """Capture-avoiding substitution of variables."""
     if not mapping:
@@ -385,7 +376,7 @@ def g_subst(t, mapping):
                 return t
             captured = set().union(*(g_free_vars(v) for v in m.values()))
             if x in captured:
-                nx = _g_fresh(x, captured | g_free_vars(b) | set(m))
+                nx = freshen(x, captured | g_free_vars(b) | set(m))
                 b = g_subst(b, {x: GVar(nx)})
                 x = nx
             return GLam(x, ty, g_subst(b, m))
@@ -404,8 +395,8 @@ def g_subst(t, mapping):
                 return GCase(s2, x, l, r)
             captured = set().union(*(g_free_vars(v) for v in m.values()))
             if x in captured:
-                nx = _g_fresh(x, captured | g_free_vars(l) | g_free_vars(r)
-                              | set(m))
+                nx = freshen(x, captured | g_free_vars(l) | g_free_vars(r)
+                             | set(m))
                 l = g_subst(l, {x: GVar(nx)})
                 r = g_subst(r, {x: GVar(nx)})
                 x = nx

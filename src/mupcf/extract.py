@@ -18,10 +18,10 @@ from .lambdamu import (
     free_vars, freshen, lams, mk_rec, typecheck,
 )
 from .logic import (
-    Atom, BaseSort, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
-    IVar, Id, Imp, ImpElim, ImpIntro, Individual, KAPPA, Sequent, Sort,
-    _fresh_name, check_proof, collect_names, f_not, formula_str,
-    ind_free_vars, infer_sort, sort_str,
+    Atom, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id,
+    Imp, ImpElim, ImpIntro, Individual, KAPPA, Sequent, Sort, check_proof,
+    collect_names, f_not, formula_sexp, ind_free_vars, ind_sexp, infer_sort,
+    sort_sexp,
 )
 from .relativize import rel_proof
 
@@ -76,12 +76,12 @@ def pi02_goal(concl):
         case _:
             raise UserError(
                 f"conclusion is not of the shape {shape}: "
-                f"{formula_str(concl)}"
+                f"{formula_sexp(concl)}"
             )
     if ys != IOTA:
         raise UserError(
-            f"witness variable {y} must range over {sort_str(IOTA)}, "
-            f"got {sort_str(ys)}"
+            f"witness variable {y} must range over {sort_sexp(IOTA)}, "
+            f"got {sort_sexp(ys)}"
         )
     if x == y:
         raise UserError("input and witness variables must be distinct")
@@ -93,15 +93,15 @@ def pi02_goal(concl):
         case _:
             raise UserError(
                 f"conclusion is not of the shape {shape}: the matrix "
-                f"{formula_str(body)} is not an equation"
+                f"{formula_sexp(body)} is not an equation"
             )
     allowed = {x: xs, y: IOTA}
     for side in (lhs, rhs):
         for n, s in ind_free_vars(side).items():
             if n not in allowed or allowed[n] != s:
                 raise UserError(
-                    f"equation side {formula_str(Atom('neq', (lhs, rhs)))} "
-                    f"mentions {n}, which is not the input or the witness"
+                    f"equation side {ind_sexp(side)} mentions {n}, which is "
+                    f"not the input or the witness"
                 )
     eq_sort = infer_sort(lhs)
     if infer_sort(rhs) != eq_sort:
@@ -118,8 +118,8 @@ def prepare_goal(proof, goal):
         return proof, goal
     neq = Atom("neq", (g.lhs, g.rhs))
     avoid = collect_names(proof) | {g.x, g.y}
-    h = _fresh_name("h", avoid)
-    nn = _fresh_name("g", avoid | {h})
+    h = freshen("h", avoid)
+    nn = freshen("g", avoid | {h})
     xv, yv = IVar(g.x, g.x_sort), IVar(g.y, IOTA)
     # For each y, turn a hypothetical t != u into the doubly negated matrix
     # the original proof expects.
@@ -213,7 +213,7 @@ def run_extraction(proof, theory, goal, inputs, fuel):
     if g.x_sort != IOTA:
         raise UserError(
             "can only run extraction for inputs at the base sort; "
-            f"got {sort_str(g.x_sort)}"
+            f"got {sort_sexp(g.x_sort)}"
         )
     e = extract_program(proof, theory, goal)
     records = []

@@ -9,7 +9,10 @@ A file is a sequence of declarations:
 
 The grammar document FORMAT.md in the repository root is the normative
 reference.  Printing any parsed object and re-parsing it yields a structurally
-equal object.
+equal object.  The printers of sorts, individuals and formulas live in logic,
+those of types and programs in lambdamu, so that diagnostics there can quote
+objects in this syntax; this module re-exports them next to the reader, the
+proof printer and the declaration printers.
 """
 
 from dataclasses import dataclass, field
@@ -17,12 +20,13 @@ from dataclasses import dataclass, field
 from .errors import InternalError, UserError
 from .lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBOT,
-    TNat, TBot, TProd,
+    TProd, term_sexp, type_sexp,
 )
 from .logic import (
-    And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, Bot, BotElim, BotIntro,
+    And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, BotElim, BotIntro,
     Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, SArrow, Sequent, SUCC, THEORIES, ZERO,
+    ImpElim, ImpIntro, SArrow, Sequent, SUCC, THEORIES, ZERO, formula_sexp,
+    ind_sexp, sort_sexp,
 )
 
 # ---------------------------------------------------------------- reader
@@ -129,15 +133,6 @@ def parse_sort(node):
     _err(node, "expected a sort")
 
 
-def sort_sexp(s):
-    match s:
-        case BaseSort(name):
-            return name
-        case SArrow(a, b):
-            return f"(-> {sort_sexp(a)} {sort_sexp(b)})"
-    raise InternalError(f"bad sort {s!r}")
-
-
 # ----------------------------------------------------------- individuals
 
 _CONST_SORT_ARITY = {"k": 2, "s": 3, "rec": 1}
@@ -173,24 +168,6 @@ def parse_individual(node, scope):
                 out = IApp(out, parse_individual(a, scope))
             return out
     _err(node, "expected an individual")
-
-
-def ind_sexp(t):
-    match t:
-        case IVar(name, _):
-            return name
-        case IConst(name, ()):
-            return name
-        case IConst(name, sorts):
-            return "(" + " ".join([name] + [sort_sexp(s) for s in sorts]) + ")"
-        case IApp():
-            head, args = t, []
-            while isinstance(head, IApp):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            return "(" + " ".join(ind_sexp(x) for x in [head] + args) + ")"
-    raise InternalError(f"bad individual {t!r}")
 
 
 # -------------------------------------------------------------- formulas
@@ -255,21 +232,6 @@ def parse_formula(node, scope):
                     return Forall(name, sort, body)
                 return Imp(Forall(name, sort, Imp(body, BOT)), BOT)
     _err(node, "expected a formula")
-
-
-def formula_sexp(f):
-    match f:
-        case Bot():
-            return "bot"
-        case Atom(pred, args):
-            return "(" + " ".join([pred] + [ind_sexp(t) for t in args]) + ")"
-        case Imp(a, b):
-            return f"(-> {formula_sexp(a)} {formula_sexp(b)})"
-        case And(a, b):
-            return f"(/\\ {formula_sexp(a)} {formula_sexp(b)})"
-        case Forall(x, s, b):
-            return f"(all ({x} {sort_sexp(s)}) {formula_sexp(b)})"
-    raise InternalError(f"bad formula {f!r}")
 
 
 # ---------------------------------------------------------------- proofs
@@ -440,19 +402,6 @@ def parse_type(node):
     _err(node, "expected a type")
 
 
-def type_sexp(t):
-    match t:
-        case TNat():
-            return "nat"
-        case TBot():
-            return "bot"
-        case TArr(a, b):
-            return f"(-> {type_sexp(a)} {type_sexp(b)})"
-        case TProd(a, b):
-            return f"(* {type_sexp(a)} {type_sexp(b)})"
-    raise InternalError(f"bad type {t!r}")
-
-
 def parse_term(node):
     match node:
         case _Atom(text) if text.isdigit():
@@ -514,31 +463,6 @@ def _parse_term_binder(node):
     if name in _RESERVED_TERM_NAMES or name.isdigit():
         _err(node.items[0], f"{name} is reserved and cannot be bound")
     return name, parse_type(node.items[1])
-
-
-def term_sexp(t):
-    match t:
-        case LVar(name):
-            return name
-        case Num(v):
-            return str(v)
-        case Prim(op, None):
-            return op
-        case Prim(op, ty):
-            return f"({op} {type_sexp(ty)})"
-        case Lam(x, ty, b):
-            return f"(lam ({x} {type_sexp(ty)}) {term_sexp(b)})"
-        case LApp(f, a):
-            return f"(app {term_sexp(f)} {term_sexp(a)})"
-        case Pair(a, b):
-            return f"(pair {term_sexp(a)} {term_sexp(b)})"
-        case Proj(i, b):
-            return f"(proj {i} {term_sexp(b)})"
-        case Mu(lab, ty, b):
-            return f"(mu ({lab} {type_sexp(ty)}) {term_sexp(b)})"
-        case Named(lab, b):
-            return f"(named {lab} {term_sexp(b)})"
-    raise InternalError(f"bad term {t!r}")
 
 
 # ------------------------------------------------------------ toplevel

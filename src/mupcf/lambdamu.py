@@ -6,7 +6,7 @@ eval_nat runs closed programs on an environment machine with lexically
 bound labels. whnf_step is the reference small-step semantics the machine is
 tested against: deterministic weak-head reduction by substitution, whose
 control rules keep the mu binder and retype it as the surrounding frame is
-absorbed.
+absorbed. Types and terms print in the surface syntax of FORMAT.md.
 """
 
 import sys
@@ -64,16 +64,16 @@ def t_list(a):
     return TProd(NAT, TArr(NAT, a))
 
 
-def type_str(t):
+def type_sexp(t):
     match t:
         case TNat():
             return "nat"
         case TBot():
             return "bot"
         case TArr(a, b):
-            return f"({type_str(a)} -> {type_str(b)})"
+            return f"(-> {type_sexp(a)} {type_sexp(b)})"
         case TProd(a, b):
-            return f"({type_str(a)} * {type_str(b)})"
+            return f"(* {type_sexp(a)} {type_sexp(b)})"
     raise InternalError(f"bad type {t!r}")
 
 
@@ -165,33 +165,28 @@ def lams(binders, body):
     return out
 
 
-def term_str(t):
+def term_sexp(t):
     match t:
-        case LVar(n):
-            return n
+        case LVar(name):
+            return name
         case Num(v):
             return str(v)
         case Prim(op, None):
             return op
         case Prim(op, ty):
-            return f"{op}[{type_str(ty)}]"
+            return f"({op} {type_sexp(ty)})"
         case Lam(x, ty, b):
-            return f"(\\{x}:{type_str(ty)}. {term_str(b)})"
-        case LApp():
-            head, args = t, []
-            while isinstance(head, LApp):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            return "(" + " ".join(term_str(x) for x in [head] + args) + ")"
+            return f"(lam ({x} {type_sexp(ty)}) {term_sexp(b)})"
+        case LApp(f, a):
+            return f"(app {term_sexp(f)} {term_sexp(a)})"
         case Pair(a, b):
-            return f"<{term_str(a)}, {term_str(b)}>"
+            return f"(pair {term_sexp(a)} {term_sexp(b)})"
         case Proj(i, b):
-            return f"p{i} {term_str(b)}"
-        case Mu(l, ty, b):
-            return f"(mu {l}:{type_str(ty)}. {term_str(b)})"
-        case Named(l, b):
-            return f"[{l}] {term_str(b)}"
+            return f"(proj {i} {term_sexp(b)})"
+        case Mu(lab, ty, b):
+            return f"(mu ({lab} {type_sexp(ty)}) {term_sexp(b)})"
+        case Named(lab, b):
+            return f"(named {lab} {term_sexp(b)})"
     raise InternalError(f"bad term {t!r}")
 
 
@@ -206,7 +201,7 @@ def prim_type(p):
             return tarr(NAT, a, a, a)
         case Prim("fix", a) if a is not None:
             return TArr(TArr(a, a), a)
-    raise UserError(f"bad primitive {p!r}")
+    raise UserError(f"bad primitive {term_sexp(p)}")
 
 
 def typecheck(t, env=None, lenv=None):
@@ -230,12 +225,12 @@ def typecheck(t, env=None, lenv=None):
         case LApp(f, a):
             ft = typecheck(f, env, lenv)
             if not isinstance(ft, TArr):
-                raise UserError(f"applied non-function {term_str(f)}")
+                raise UserError(f"applied non-function {term_sexp(f)}")
             at = typecheck(a, env, lenv)
             if at != ft.left:
                 raise UserError(
-                    f"argument {term_str(a)} : {type_str(at)} does not match "
-                    f"{type_str(ft.left)}")
+                    f"argument {term_sexp(a)} : {type_sexp(at)} does not "
+                    f"match {type_sexp(ft.left)}")
             return ft.right
         case Pair(a, b):
             return TProd(typecheck(a, env, lenv), typecheck(b, env, lenv))
@@ -244,7 +239,7 @@ def typecheck(t, env=None, lenv=None):
                 raise UserError("projection index must be 1 or 2")
             bt = typecheck(b, env, lenv)
             if not isinstance(bt, TProd):
-                raise UserError(f"projected non-pair {term_str(b)}")
+                raise UserError(f"projected non-pair {term_sexp(b)}")
             return bt.left if i == 1 else bt.right
         case Mu(l, ty, b):
             bt = typecheck(b, env, {**lenv, l: ty})
@@ -257,7 +252,8 @@ def typecheck(t, env=None, lenv=None):
             bt = typecheck(b, env, lenv)
             if bt != lenv[l]:
                 raise UserError(
-                    f"label {l} expects {type_str(lenv[l])}, got {type_str(bt)}")
+                    f"label {l} expects {type_sexp(lenv[l])}, "
+                    f"got {type_sexp(bt)}")
             return TBOT
     raise InternalError(f"bad term {t!r}")
 
@@ -529,7 +525,7 @@ _VOID = (None,)
 
 
 def _stuck(t):
-    return InternalError(f"evaluation stuck at {term_str(t)}")
+    return InternalError(f"evaluation stuck at {term_sexp(t)}")
 
 
 def eval_nat(t, fuel):
@@ -731,4 +727,4 @@ def zero_term(a):
             return Lam("u", left, zero_term(right))
         case TProd(left, right):
             return Pair(zero_term(left), zero_term(right))
-    raise InternalError(f"no default inhabitant at {type_str(a)}")
+    raise InternalError(f"no default inhabitant at {type_sexp(a)}")

@@ -1,8 +1,8 @@
 """Multisorted classical first-order logic over arithmetic in finite types.
 
-Syntax (sorts, individuals, formulas), sequents with named hypotheses and
-named right-hand labels, the polarity grammars, built-in theories, and the
-proof checker.
+Syntax (sorts, individuals, formulas) and its printers in the surface syntax
+of FORMAT.md, sequents with named hypotheses and named right-hand labels, the
+polarity grammars, built-in theories, and the proof checker.
 
 Connective inventory is deliberately small: bot, implication, conjunction,
 universal quantification, and two atom families (inequality at every sort,
@@ -13,6 +13,7 @@ Negation, disjunction, existentials and equality are derived and never stored.
 from dataclasses import dataclass, field
 
 from .errors import InternalError, UserError
+from .lambdamu import freshen
 
 # ---------- sorts ----------
 
@@ -46,12 +47,12 @@ def arrow(*sorts):
     return out
 
 
-def sort_str(s):
+def sort_sexp(s):
     match s:
         case BaseSort(name):
             return name
         case SArrow(a, b):
-            return f"({sort_str(a)} -> {sort_str(b)})"
+            return f"(-> {sort_sexp(a)} {sort_sexp(b)})"
     raise InternalError(f"bad sort {s!r}")
 
 
@@ -105,7 +106,7 @@ def const_sort(c):
             return arrow(arrow(a, b, c), arrow(a, b), a, c)
         case IConst("rec", (a,)):
             return arrow(a, arrow(IOTA, a, a), IOTA, a)
-    raise UserError(f"unknown constant {c!r}")
+    raise UserError(f"unknown constant {ind_sexp(c)}")
 
 
 def infer_sort(t, env=None):
@@ -115,8 +116,8 @@ def infer_sort(t, env=None):
         case IVar(name, sort):
             if env is not None and name in env and env[name] != sort:
                 raise UserError(
-                    f"variable {name} used at {sort_str(sort)} but declared "
-                    f"at {sort_str(env[name])}"
+                    f"variable {name} used at {sort_sexp(sort)} but declared "
+                    f"at {sort_sexp(env[name])}"
                 )
             return sort
         case IConst():
@@ -124,12 +125,14 @@ def infer_sort(t, env=None):
         case IApp(fn, arg):
             fs = infer_sort(fn, env)
             if not isinstance(fs, SArrow):
-                raise UserError(f"applied non-function individual {ind_str(fn)}")
+                raise UserError(
+                    f"applied non-function individual {ind_sexp(fn)}")
             ags = infer_sort(arg, env)
             if ags != fs.left:
                 raise UserError(
-                    f"sort mismatch: {ind_str(fn)} expects {sort_str(fs.left)}, "
-                    f"got {ind_str(arg)} : {sort_str(ags)}"
+                    f"sort mismatch: {ind_sexp(fn)} expects "
+                    f"{sort_sexp(fs.left)}, got {ind_sexp(arg)} : "
+                    f"{sort_sexp(ags)}"
                 )
             return fs.right
     raise InternalError(f"bad individual {t!r}")
@@ -163,21 +166,21 @@ def ind_subst(t, mapping):
     raise InternalError(f"bad individual {t!r}")
 
 
-def ind_str(t):
+def ind_sexp(t):
     match t:
         case IVar(name, _):
             return name
         case IConst(name, ()):
             return name
-        case IConst(name, args):
-            return f"{name}[{','.join(sort_str(a) for a in args)}]"
+        case IConst(name, sorts):
+            return "(" + " ".join([name] + [sort_sexp(s) for s in sorts]) + ")"
         case IApp():
             head, args = t, []
             while isinstance(head, IApp):
                 args.append(head.arg)
                 head = head.fn
             args.reverse()
-            return "(" + " ".join(ind_str(x) for x in [head] + args) + ")"
+            return "(" + " ".join(ind_sexp(x) for x in [head] + args) + ")"
     raise InternalError(f"bad individual {t!r}")
 
 
@@ -303,15 +306,6 @@ def fv_formula(f):
     return out
 
 
-def _fresh_name(base, avoid):
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def subst_formula(f, mapping):
     """Capture-avoiding substitution of individuals for free variable names."""
     mapping = {n: t for n, t in mapping.items()}
@@ -335,7 +329,7 @@ def subst_formula(f, mapping):
                 clash |= ind_free_vars(t).keys()
             if x in clash:
                 avoid = clash | fv_formula(body).keys() | set(inner)
-                x2 = _fresh_name(x, avoid)
+                x2 = freshen(x, avoid)
                 body = subst_formula(body, {x: IVar(x2, sort)})
                 x = x2
             return Forall(x, sort, subst_formula(body, inner))
@@ -464,28 +458,24 @@ def rel_pred(t, sort):
             return f_rel(t)
         case SArrow(a, b):
             avoid = set(ind_free_vars(t))
-            x = _fresh_name("v", avoid)
+            x = freshen("v", avoid)
             xv = IVar(x, a)
             return Forall(x, a, Imp(rel_pred(xv, a), rel_pred(IApp(t, xv), b)))
     raise InternalError(f"bad sort {sort!r}")
 
 
-def formula_str(f):
+def formula_sexp(f):
     match f:
         case Bot():
-            return "_|_"
-        case Atom("neq", (t, u)):
-            return f"{ind_str(t)} != {ind_str(u)}"
-        case Atom("rel", (t,)):
-            return f"r({ind_str(t)})"
-        case Atom(p, args):
-            return f"{p}({', '.join(ind_str(t) for t in args)})"
+            return "bot"
+        case Atom(pred, args):
+            return "(" + " ".join([pred] + [ind_sexp(t) for t in args]) + ")"
         case Imp(a, b):
-            return f"({formula_str(a)} -> {formula_str(b)})"
+            return f"(-> {formula_sexp(a)} {formula_sexp(b)})"
         case And(a, b):
-            return f"({formula_str(a)} /\\ {formula_str(b)})"
+            return f"(/\\ {formula_sexp(a)} {formula_sexp(b)})"
         case Forall(x, s, b):
-            return f"(all {x}:{sort_str(s)}. {formula_str(b)})"
+            return f"(all ({x} {sort_sexp(s)}) {formula_sexp(b)})"
     raise InternalError(f"bad formula {f!r}")
 
 
@@ -798,7 +788,7 @@ def _ax_dc_plain(th, args):
     b, x, y, z, params = _dc_vars(th, args, "dc")
     sigma = y.sort
     avoid = set(fv_formula(b)) | {n for n, _ in params} | {x.name, y.name, z.name}
-    w = IVar(_fresh_name("w", avoid), arrow(IOTA, sigma))
+    w = IVar(freshen("w", avoid), arrow(IOTA, sigma))
     # forall x forall y exists z B
     p1 = Forall(x.name, IOTA, Forall(y.name, sigma,
                                      f_exists(z.name, sigma, b)))
@@ -814,8 +804,8 @@ def _ax_dc_rel(th, args):
           "dc: instance formula must be a conjunction whose first component "
           "is the realizability predicate of the third variable")
     avoid = set(fv_formula(a)) | {n for n, _ in params} | {x.name, y.name, z.name}
-    w = IVar(_fresh_name("w", avoid), arrow(IOTA, sigma))
-    xp = IVar(_fresh_name("x'", avoid | {w.name}), IOTA)
+    w = IVar(freshen("w", avoid), arrow(IOTA, sigma))
+    xp = IVar(freshen("x'", avoid | {w.name}), IOTA)
     diag = subst_formula(a, {x.name: xp, z.name: y})
     arg1 = Forall(
         x.name, IOTA,
@@ -873,7 +863,7 @@ def _check_label_formula(f, has_rel):
     wf_formula(f, has_rel)
     if polarity(f) == "positive":
         raise UserError(
-            f"label formula must be negative, got positive: {formula_str(f)}")
+            f"label formula must be negative, got positive: {formula_sexp(f)}")
 
 
 def check_proof(proof, theory, goal):
@@ -897,8 +887,8 @@ def check_proof(proof, theory, goal):
     concl, _, _ = _check_node(proof, theory, gamma, delta)
     if not alpha_eq(concl, goal.concl):
         raise UserError(
-            "proof concludes " + formula_str(concl)
-            + " but the goal is " + formula_str(goal.concl))
+            "proof concludes " + formula_sexp(concl)
+            + " but the goal is " + formula_sexp(goal.concl))
     return goal
 
 
@@ -920,11 +910,12 @@ def _check_node(p, theory, gamma, delta):
             cf, uh1, ul1 = _check_node(fn, theory, gamma, delta)
             ca, uh2, ul2 = _check_node(arg, theory, gamma, delta)
             if not isinstance(cf, Imp):
-                raise UserError("implication elimination on " + formula_str(cf))
+                raise UserError(
+                    "implication elimination on " + formula_sexp(cf))
             if not alpha_eq(cf.left, ca):
                 raise UserError(
-                    "argument proves " + formula_str(ca)
-                    + " but " + formula_str(cf.left) + " is required")
+                    "argument proves " + formula_sexp(ca)
+                    + " but " + formula_sexp(cf.left) + " is required")
             return cf.right, uh1 | uh2, ul1 | ul2
         case AndIntro(l, r):
             cl, uh1, ul1 = _check_node(l, theory, gamma, delta)
@@ -935,7 +926,8 @@ def _check_node(p, theory, gamma, delta):
                 raise UserError("projection index must be 1 or 2")
             c, uh, ul = _check_node(body, theory, gamma, delta)
             if not isinstance(c, And):
-                raise UserError("conjunction elimination on " + formula_str(c))
+                raise UserError(
+                    "conjunction elimination on " + formula_sexp(c))
             return (c.left if i == 1 else c.right), uh, ul
         case ForallIntro(x, sort, body):
             c, uh, ul = _check_node(body, theory, gamma, delta)
@@ -953,12 +945,12 @@ def _check_node(p, theory, gamma, delta):
         case ForallElim(body, t):
             c, uh, ul = _check_node(body, theory, gamma, delta)
             if not isinstance(c, Forall):
-                raise UserError("quantifier elimination on " + formula_str(c))
+                raise UserError("quantifier elimination on " + formula_sexp(c))
             ts = infer_sort(t)
             if ts != c.sort:
                 raise UserError(
-                    f"instantiating a {sort_str(c.sort)} quantifier with "
-                    f"{ind_str(t)} : {sort_str(ts)}")
+                    f"instantiating a {sort_sexp(c.sort)} quantifier with "
+                    f"{ind_sexp(t)} : {sort_sexp(ts)}")
             return subst_formula(c.body, {c.var: t}), uh, ul
         case BotIntro(label, body):
             if label not in delta:
@@ -966,8 +958,8 @@ def _check_node(p, theory, gamma, delta):
             c, uh, ul = _check_node(body, theory, gamma, delta)
             if not alpha_eq(c, delta[label]):
                 raise UserError(
-                    "label " + label + " expects " + formula_str(delta[label])
-                    + " but the subproof gives " + formula_str(c))
+                    "label " + label + " expects " + formula_sexp(delta[label])
+                    + " but the subproof gives " + formula_sexp(c))
             return BOT, uh, ul | {label}
         case BotElim(label, f, body):
             if label in delta or label == KAPPA:
@@ -977,6 +969,6 @@ def _check_node(p, theory, gamma, delta):
             if not isinstance(c, Bot):
                 raise UserError(
                     "activation requires a proof of absurdity, got "
-                    + formula_str(c))
+                    + formula_sexp(c))
             return f, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")

@@ -12,11 +12,12 @@ canonical instance at the root instead.
 """
 
 from .errors import InternalError, UserError
+from .lambdamu import freshen
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, Forall,
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, KAPPA, Sequent, THEORIES, _fresh_name, _scheme_params,
-    alpha_eq, check_proof, collect_names, f_rel, formula_str, fv_formula,
+    ImpElim, ImpIntro, KAPPA, Sequent, THEORIES, _scheme_params, alpha_eq,
+    check_proof, collect_names, f_rel, formula_sexp, fv_formula,
     ind_free_vars, infer_sort, rel_pred, relativized_counterpart,
     subst_formula, zero_ind,
 )
@@ -47,7 +48,7 @@ class _Relativizer:
         self.dummies = {}  # var name -> (sort, hypothesis name)
 
     def fresh(self, base):
-        n = _fresh_name(base, self.avoid)
+        n = freshen(base, self.avoid)
         self.avoid.add(n)
         return n
 
@@ -103,7 +104,7 @@ class _Relativizer:
                 return ForallIntro(x, sort, ImpIntro(self.fresh(f"r_{x}"),
                                                      guard, inner))
         raise InternalError(
-            "axiom replay failed at " + formula_str(goal))
+            "axiom replay failed at " + formula_sexp(goal))
 
     def wrap_axiom(self, name, args):
         if name == "dc":

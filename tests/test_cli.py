@@ -83,6 +83,23 @@ def test_structured_errors_go_to_stdout(capsys, tmp_path):
     assert "message" in payload["error"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_deep_nesting_is_a_user_error(capsys, tmp_path, fmt):
+    depth = 60000
+    deep = tmp_path / "deep.term"
+    deep.write_text("(term t " + "(app succ " * depth + "0" + ")" * depth
+                    + ")\n")
+    code, out, err = _run(capsys, ["eval", str(deep), "--format", fmt])
+    assert code == 1
+    if fmt == "text":
+        assert out == ""
+        assert err == "error[user-error]: input nests too deeply\n"
+    else:
+        assert err == ""
+        assert json.loads(out) == {"error": {
+            "category": "user-error", "message": "input nests too deeply"}}
+
+
 # ------------------------------------------------------- name selection
 
 def test_name_picks_one_declaration(capsys, tmp_path):

@@ -1,19 +1,25 @@
 import gc
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from mupcf import corpus
+from mupcf import cli, corpus
 from mupcf.errors import UserError
 from mupcf.format import (
-    formula_sexp, ind_sexp, parse_file, parse_source, proof_decl, proof_sexp,
-    sort_sexp, term_decl, term_sexp, type_sexp,
+    _read_all, formula_sexp, ind_sexp, parse_file, parse_formula,
+    parse_individual, parse_sort, parse_source, parse_term, parse_type,
+    proof_decl, proof_sexp, sort_sexp, term_decl, term_sexp, type_sexp,
 )
-from mupcf.lambdamu import NAT, mk_omega, typecheck
+from mupcf.lambdamu import (
+    LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
+    typecheck,
+)
 from mupcf.logic import (
-    And, Atom, BOT, Forall, IApp, IConst, IOTA, IVar, Imp, SUCC, ZERO, arrow,
-    f_eq, f_exists, f_not, f_neq, iapp,
+    And, Atom, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
+    IVar, Id, Imp, ImpIntro, SUCC, Sequent, THEORIES, ZERO, arrow,
+    check_proof, f_eq, f_exists, f_not, f_neq, iapp,
 )
 
 from termgen import gen_term, rand_type
@@ -27,6 +33,9 @@ def _parse_formula(src):
 
 def _parse_term(src):
     return parse_source(f"(term t {src})").terms["t"]
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 # ------------------------------------------------------------ round trips
@@ -171,3 +180,79 @@ def test_minimal_file_parses():
 def test_comments_are_ignored():
     ws = parse_source("; a comment\n(term t 3) ; trailing\n")
     assert ws.terms["t"].value == 3
+
+
+# ----------------------------------------------------------- diagnostics
+
+# Readers for the objects a diagnostic quotes; closed objects only.
+_READ = {
+    "sort": parse_sort,
+    "individual": lambda node: parse_individual(node, {}),
+    "formula": lambda node: parse_formula(node, {}),
+    "type": parse_type,
+    "term": parse_term,
+}
+# Tokens that belong to no FORMAT.md syntax: _|_, x:iota., \x:, !=, k[...].
+_INTERNAL = re.compile(r"_\|_|\w:\w|\\\w|!=|\w\[")
+
+
+def _message(fn, *args):
+    with pytest.raises(UserError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _conclusion_mismatch(_capsys):
+    x = IVar("x", IOTA)
+    hyp = f_neq(IApp(SUCC, x), ZERO)
+    goal = Sequent(concl=Forall("x", IOTA, Imp(hyp, f_neq(x, ZERO))))
+    proof = ForallIntro("x", IOTA, ImpIntro("h", hyp, Id("h")))
+    msg = _message(check_proof, proof, THEORIES["paw"], goal)
+    pattern = r"^proof concludes (.+) but the goal is (.+)$"
+    concl = Forall("x", IOTA, Imp(hyp, hyp))
+    return msg, pattern, [("formula", concl), ("formula", goal.concl)]
+
+
+def _instantiation_mismatch(_capsys):
+    k = IConst("k", (IOTA, IOTA))
+    proof = ForallElim(Ax("refl", (IOTA,)), k)
+    msg = _message(check_proof, proof, THEORIES["paw"], Sequent())
+    pattern = r"^instantiating a (.+) quantifier with (.+) : (.+)$"
+    return msg, pattern, [
+        ("sort", IOTA), ("individual", k), ("sort", arrow(IOTA, IOTA, IOTA))]
+
+
+def _argument_mismatch(_capsys):
+    want = TArr(NAT, TBOT)
+    pair = TProd(NAT, NAT)
+    arg = Lam("x", NAT, Mu("a", pair, Named("a", Pair(LVar("x"), LVar("x")))))
+    t = LApp(Lam("f", want, LApp(LVar("f"), LVar("y"))), arg)
+    msg = _message(typecheck, t, {"y": NAT})
+    pattern = r"^argument (.+) : (.+) does not match (.+)$"
+    got = TArr(NAT, pair)
+    return msg, pattern, [("term", arg), ("type", got), ("type", want)]
+
+
+def _extract_shape(capsys):
+    path = CORPUS / "dc-diag.proof"
+    assert cli.main(["extract", str(path)]) == 1
+    msg = capsys.readouterr().err
+    pattern = (r"^error\[user-error\]: "
+               r"conclusion is not of the shape .+?\): (.+)$")
+    goal, _ = parse_file(path).proofs["dc-diag"]
+    return msg.rstrip("\n"), pattern, [("formula", goal.concl)]
+
+
+@pytest.mark.parametrize("case", [
+    _conclusion_mismatch, _instantiation_mismatch, _argument_mismatch,
+    _extract_shape,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_diagnostics_quote_objects_in_surface_syntax(capsys, case):
+    msg, pattern, quoted = case(capsys)
+    m = re.match(pattern, msg)
+    assert m, msg
+    assert len(m.groups()) == len(quoted)
+    for text, (kind, obj) in zip(m.groups(), quoted):
+        (node,) = _read_all(text)
+        assert _READ[kind](node) == obj, text
+    assert not _INTERNAL.search(re.sub(r"^error\[[\w-]+\]: ", "", msg)), msg

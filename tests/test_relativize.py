@@ -9,7 +9,7 @@ from mupcf.errors import UserError
 from mupcf.logic import (
     And, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IOTA, IVar, Imp,
     SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, f_eq, f_neq,
-    f_rel, formula_str, fv_formula, iapp, polarity, rel_pred, subst_formula,
+    f_rel, formula_sexp, fv_formula, iapp, polarity, rel_pred, subst_formula,
 )
 from mupcf.corpus import entries
 from mupcf.relativize import rel_formula, rel_individual_proof, rel_proof
@@ -73,7 +73,7 @@ def test_rel_commutes_with_substitution():
         t = IApp(SUCC, IApp(SUCC, ZERO))
         lhs = rel_formula(subst_formula(f, {"a": t}))
         rhs = subst_formula(rel_formula(f), {"a": t})
-        assert alpha_eq(lhs, rhs), formula_str(f)
+        assert alpha_eq(lhs, rhs), formula_sexp(f)
 
 
 def test_rel_preserves_negative_polarity():
