@@ -18,8 +18,10 @@ from .format import (
 )
 from .interp import interp_envs, interp_proof
 from .lambdamu import eval_nat, typecheck
-from .logic import THEORIES, check_proof
+from .logic import check_proof
 from .relativize import rel_proof
+
+_RECURSION_LIMIT = 50000
 
 _CATEGORY = {
     UserError: ("user-error", 1),
@@ -234,6 +236,9 @@ def _report_error(args, category, message):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # deep inputs need a higher limit; the caller's is restored on return
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     try:
         if getattr(args, "fuel", None) is None and hasattr(args, "fuel"):
             args.fuel = _default_fuel()
@@ -248,12 +253,17 @@ def main(argv=None):
         # nesting level of the object they walk
         _report_error(args, "user-error", "input nests too deeply")
         return 1
+    except MemoryError:
+        _report_error(args, "user-error", "input is too large (out of memory)")
+        return 1
     except MupcfError as ex:
         for klass, (category, code) in _CATEGORY.items():
             if isinstance(ex, klass):
                 _report_error(args, category, str(ex))
                 return code
         raise
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

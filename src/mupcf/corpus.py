@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .logic import (
     And, AndElim, AndIntro, Ax, BOT, BotElim, BotIntro, Forall, ForallElim,
     ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp, ImpElim, ImpIntro,
-    Proof, SUCC, Sequent, ZERO, arrow, closure, f_eq, f_exists, f_neq, f_not,
+    Proof, SUCC, Sequent, ZERO, arrow, f_eq, f_exists, f_neq, f_not,
     f_rel, forallelims, fv_formula, iapp, impelims, subst_formula,
 )
 

@@ -115,13 +115,17 @@ def interp_proof(proof, theory, goal):
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
     check_proof(proof, theory, goal)
+    realizers = {}  # (name, args) -> realizer term, for this call only
 
     def go(p):
         match p:
             case Id(h):
                 return LVar(h)
             case Ax(name, args):
-                return axiom_realizer(theory, name, args)
+                key = (name, args)
+                if key not in realizers:
+                    realizers[key] = axiom_realizer(theory, name, args)
+                return realizers[key]
             case ImpIntro(h, f, b):
                 return Lam(h, interp_type(f), go(b))
             case ImpElim(fn, arg):

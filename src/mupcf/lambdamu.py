@@ -9,13 +9,9 @@ control rules keep the mu binder and retype it as the surrounding frame is
 absorbed. Types and terms print in the surface syntax of FORMAT.md.
 """
 
-import sys
-
 from dataclasses import dataclass
 
 from .errors import FuelExhausted, InternalError, UserError
-
-sys.setrecursionlimit(10 ** 4 * 5)
 
 
 # ---------- types ----------

@@ -91,6 +91,7 @@ def iapp(fn, *args):
 
 ZERO = IConst("0")
 SUCC = IConst("S")
+_SUCC_SORT = SArrow(IOTA, IOTA)
 
 
 def const_sort(c):
@@ -99,7 +100,7 @@ def const_sort(c):
         case IConst("0", ()):
             return IOTA
         case IConst("S", ()):
-            return SArrow(IOTA, IOTA)
+            return _SUCC_SORT
         case IConst("k", (a, b)):
             return arrow(a, b, a)
         case IConst("s", (a, b, c)):
@@ -162,7 +163,10 @@ def ind_subst(t, mapping):
         case IConst():
             return t
         case IApp(fn, arg):
-            return IApp(ind_subst(fn, mapping), ind_subst(arg, mapping))
+            fn2, arg2 = ind_subst(fn, mapping), ind_subst(arg, mapping)
+            if fn2 is fn and arg2 is arg:
+                return t
+            return IApp(fn2, arg2)
     raise InternalError(f"bad individual {t!r}")
 
 
@@ -308,36 +312,38 @@ def fv_formula(f):
 
 def subst_formula(f, mapping):
     """Capture-avoiding substitution of individuals for free variable names."""
-    mapping = {n: t for n, t in mapping.items()}
     if not mapping:
         return f
     match f:
         case Bot():
             return f
         case Atom(p, args):
-            return Atom(p, tuple(ind_subst(t, mapping) for t in args))
+            return Atom(p, tuple([ind_subst(t, mapping) for t in args]))
         case Imp(a, b):
             return Imp(subst_formula(a, mapping), subst_formula(b, mapping))
         case And(a, b):
             return And(subst_formula(a, mapping), subst_formula(b, mapping))
         case Forall(x, sort, body):
-            inner = {n: t for n, t in mapping.items() if n != x}
-            if not inner:
-                return Forall(x, sort, body)
+            if x in mapping:
+                mapping = {n: t for n, t in mapping.items() if n != x}
+                if not mapping:
+                    return f
             clash = set()
-            for t in inner.values():
+            for t in mapping.values():
                 clash |= ind_free_vars(t).keys()
             if x in clash:
-                avoid = clash | fv_formula(body).keys() | set(inner)
+                avoid = clash | fv_formula(body).keys() | set(mapping)
                 x2 = freshen(x, avoid)
                 body = subst_formula(body, {x: IVar(x2, sort)})
                 x = x2
-            return Forall(x, sort, subst_formula(body, inner))
+            return Forall(x, sort, subst_formula(body, mapping))
     raise InternalError(f"bad formula {f!r}")
 
 
 def alpha_eq(f, g):
     """Alpha equivalence of formulas (individuals compare structurally)."""
+    if f == g:
+        return True
 
     def go(f, g, fb, gb):
         match f, g:
@@ -377,7 +383,8 @@ def alpha_eq(f, g):
 
 
 def wf_formula(f, has_rel, env=None):
-    """Check predicate signatures and sort consistency; raises UserError."""
+    """Check predicate signatures and sort consistency; raises UserError.
+    Returns the free variables, as fv_formula does."""
     env = dict(env) if env else {}
 
     def go(f, env):
@@ -405,8 +412,9 @@ def wf_formula(f, has_rel, env=None):
             case _:
                 raise InternalError(f"bad formula {f!r}")
 
-    fv_formula(f)  # rejects one name at two sorts among frees
+    fv = fv_formula(f)  # rejects one name at two sorts among frees
     go(f, env)
+    return fv
 
 
 def polarity(f):
@@ -624,9 +632,8 @@ class Theory:
         if fn is None:
             raise UserError(f"theory {self.name} has no axiom {ax_name}")
         f = fn(self, args)
-        if fv_formula(f):
+        if wf_formula(f, self.has_rel):
             raise InternalError(f"axiom instance of {ax_name} not closed")
-        wf_formula(f, self.has_rel)
         return f
 
 
@@ -656,9 +663,8 @@ def _ax_leib(th, args):
     a, x, y = args
     _need(isinstance(a, Formula) and isinstance(x, IVar) and isinstance(y, IVar),
           "axiom leib takes a formula and two variables")
-    wf_formula(a, th.has_rel)
+    fv = wf_formula(a, th.has_rel)
     _need(x.sort == y.sort, "leib variables must share a sort")
-    fv = fv_formula(a)
     _need(y.name not in fv and y.name != x.name, "leib replacement variable must be fresh")
     _need(fv.get(x.name, x.sort) == x.sort, "leib variable sort mismatch")
     params = _scheme_params(a, {x.name})
@@ -685,8 +691,7 @@ def _ind_parts(th, args):
     _need(isinstance(a, Formula) and isinstance(x, IVar),
           "axiom ind takes a formula and a variable")
     _need(x.sort == IOTA, "induction variable must be base-sorted")
-    wf_formula(a, th.has_rel)
-    fv = fv_formula(a)
+    fv = wf_formula(a, th.has_rel)
     _need(fv.get(x.name, IOTA) == IOTA, "induction variable sort mismatch")
     base = subst_formula(a, {x.name: ZERO})
     step_concl = subst_formula(a, {x.name: IApp(SUCC, x)})
@@ -776,8 +781,7 @@ def _dc_vars(th, args, name):
     _need(x.sort == IOTA, f"{name}: first variable must be base-sorted")
     _need(y.sort == z.sort, f"{name}: choice variables must share a sort")
     _need(len({x.name, y.name, z.name}) == 3, f"{name}: variables must be distinct")
-    wf_formula(b, th.has_rel)
-    fv = fv_formula(b)
+    fv = wf_formula(b, th.has_rel)
     for v in (x, y, z):
         _need(fv.get(v.name, v.sort) == v.sort, f"{name}: variable sort mismatch")
     params = _scheme_params(b, {x.name, y.name, z.name})
@@ -884,7 +888,8 @@ def check_proof(proof, theory, goal):
         delta[name] = f
     wf_formula(goal.concl, theory.has_rel)
 
-    concl, _, _ = _check_node(proof, theory, gamma, delta)
+    # each distinct axiom instance is built and validated once per check
+    concl, _, _ = _check_node(proof, theory, gamma, delta, {})
     if not alpha_eq(concl, goal.concl):
         raise UserError(
             "proof concludes " + formula_sexp(concl)
@@ -892,23 +897,29 @@ def check_proof(proof, theory, goal):
     return goal
 
 
-def _check_node(p, theory, gamma, delta):
+def _check_node(p, theory, gamma, delta, instances):
+    """Conclusion of p and the hypotheses and labels it uses. instances maps
+    (name, args) to the axiom instances built so far in this check."""
     match p:
         case Id(h):
             if h not in gamma:
                 raise UserError(f"unknown hypothesis {h}")
             return gamma[h], {h}, set()
         case Ax(name, args):
-            return theory.instantiate(name, args), set(), set()
+            key = (name, args)
+            if key not in instances:
+                instances[key] = theory.instantiate(name, args)
+            return instances[key], set(), set()
         case ImpIntro(h, f, body):
             if h in gamma:
                 raise UserError(f"hypothesis name {h} shadows an existing one")
             wf_formula(f, theory.has_rel)
-            c, uh, ul = _check_node(body, theory, {**gamma, h: f}, delta)
+            c, uh, ul = _check_node(body, theory, {**gamma, h: f}, delta,
+                                    instances)
             return Imp(f, c), uh - {h}, ul
         case ImpElim(fn, arg):
-            cf, uh1, ul1 = _check_node(fn, theory, gamma, delta)
-            ca, uh2, ul2 = _check_node(arg, theory, gamma, delta)
+            cf, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
+            ca, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
             if not isinstance(cf, Imp):
                 raise UserError(
                     "implication elimination on " + formula_sexp(cf))
@@ -918,19 +929,19 @@ def _check_node(p, theory, gamma, delta):
                     + " but " + formula_sexp(cf.left) + " is required")
             return cf.right, uh1 | uh2, ul1 | ul2
         case AndIntro(l, r):
-            cl, uh1, ul1 = _check_node(l, theory, gamma, delta)
-            cr, uh2, ul2 = _check_node(r, theory, gamma, delta)
+            cl, uh1, ul1 = _check_node(l, theory, gamma, delta, instances)
+            cr, uh2, ul2 = _check_node(r, theory, gamma, delta, instances)
             return And(cl, cr), uh1 | uh2, ul1 | ul2
         case AndElim(i, body):
             if i not in (1, 2):
                 raise UserError("projection index must be 1 or 2")
-            c, uh, ul = _check_node(body, theory, gamma, delta)
+            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
             if not isinstance(c, And):
                 raise UserError(
                     "conjunction elimination on " + formula_sexp(c))
             return (c.left if i == 1 else c.right), uh, ul
         case ForallIntro(x, sort, body):
-            c, uh, ul = _check_node(body, theory, gamma, delta)
+            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
             for h in uh:
                 if x in fv_formula(gamma[h]):
                     raise UserError(
@@ -943,7 +954,7 @@ def _check_node(p, theory, gamma, delta):
             wf_formula(f, theory.has_rel)
             return f, uh, ul
         case ForallElim(body, t):
-            c, uh, ul = _check_node(body, theory, gamma, delta)
+            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
             if not isinstance(c, Forall):
                 raise UserError("quantifier elimination on " + formula_sexp(c))
             ts = infer_sort(t)
@@ -955,7 +966,7 @@ def _check_node(p, theory, gamma, delta):
         case BotIntro(label, body):
             if label not in delta:
                 raise UserError(f"unknown label {label}")
-            c, uh, ul = _check_node(body, theory, gamma, delta)
+            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
             if not alpha_eq(c, delta[label]):
                 raise UserError(
                     "label " + label + " expects " + formula_sexp(delta[label])
@@ -965,7 +976,8 @@ def _check_node(p, theory, gamma, delta):
             if label in delta or label == KAPPA:
                 raise UserError(f"bad label name {label}")
             _check_label_formula(f, theory.has_rel)
-            c, uh, ul = _check_node(body, theory, gamma, {**delta, label: f})
+            c, uh, ul = _check_node(body, theory, gamma, {**delta, label: f},
+                                    instances)
             if not isinstance(c, Bot):
                 raise UserError(
                     "activation requires a proof of absurdity, got "

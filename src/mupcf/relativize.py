@@ -46,6 +46,15 @@ class _Relativizer:
         self.rtheory = relativized_counterpart(theory)
         self.avoid = collect_names(proof) | {KAPPA}
         self.dummies = {}  # var name -> (sort, hypothesis name)
+        # (theory name, axiom name, args) -> instance. The instances are
+        # pure; the replayed subproofs are not kept, as they draw fresh names
+        self.instances = {}
+
+    def instance(self, theory, name, args):
+        key = (theory.name, name, args)
+        if key not in self.instances:
+            self.instances[key] = theory.instantiate(name, args)
+        return self.instances[key]
 
     def fresh(self, base):
         n = freshen(base, self.avoid)
@@ -109,11 +118,10 @@ class _Relativizer:
     def wrap_axiom(self, name, args):
         if name == "dc":
             return self._wrap_dc(args)
-        inst = self.theory.instantiate(name, args)
-        target = rel_formula(inst)
+        target = rel_formula(self.instance(self.theory, name, args))
         args_r = tuple(
             rel_formula(a) if isinstance(a, Formula) else a for a in args)
-        src = self.rtheory.instantiate(name, args_r)
+        src = self.instance(self.rtheory, name, args_r)
         return self._derive_closure(target, src, Ax(name, args_r))
 
     def _wrap_dc(self, args):
@@ -127,9 +135,8 @@ class _Relativizer:
                         And(rel_pred(IVar(y.name, sigma), sigma), b_r))
         args_r = (a_guarded, x, y, z)
 
-        inst = self.theory.instantiate("dc", args)
-        target = rel_formula(inst)
-        cawr_inst = self.rtheory.instantiate("dc", args_r)
+        target = rel_formula(self.instance(self.theory, "dc", args))
+        cawr_inst = self.instance(self.rtheory, "dc", args_r)
         params = _scheme_params(b, {x.name, y.name, z.name})
 
         # peel the parameter closures off both statements in lockstep

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mupcf
 from mupcf import cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -98,6 +102,63 @@ def test_deep_nesting_is_a_user_error(capsys, tmp_path, fmt):
         assert err == ""
         assert json.loads(out) == {"error": {
             "category": "user-error", "message": "input nests too deeply"}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_memory_error_is_a_user_error(capsys, monkeypatch, fmt):
+    def exhaust(ws, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "check", exhaust)
+    limit = sys.getrecursionlimit()
+    code, out, err = _run(capsys, ["check", str(CORPUS / "dne.proof"),
+                                   "--format", fmt])
+    assert code == 1
+    assert sys.getrecursionlimit() == limit
+    message = "input is too large (out of memory)"
+    if fmt == "text":
+        assert out == ""
+        assert err == f"error[user-error]: {message}\n"
+    else:
+        assert err == ""
+        assert json.loads(out) == {"error": {
+            "category": "user-error", "message": message}}
+
+
+def test_main_raises_the_recursion_limit_and_restores_it(capsys,
+                                                         monkeypatch):
+    seen = []
+    check = cli._COMMANDS["check"]
+
+    def spy(ws, args):
+        seen.append(sys.getrecursionlimit())
+        return check(ws, args)
+
+    monkeypatch.setitem(cli._COMMANDS, "check", spy)
+    limit = sys.getrecursionlimit()
+    assert _run(capsys, ["check", str(CORPUS / "dne.proof")])[0] == 0
+    assert seen == [max(limit, 50000)]
+    assert sys.getrecursionlimit() == limit
+
+
+def test_importing_mupcf_leaves_the_recursion_limit_alone():
+    script = f"""
+import importlib, pkgutil, sys
+limit = sys.getrecursionlimit()
+import mupcf
+for m in pkgutil.iter_modules(mupcf.__path__):
+    importlib.import_module("mupcf." + m.name)
+assert sys.getrecursionlimit() == limit, "import"
+from mupcf import cli
+assert cli.main(["check", {str(CORPUS / "dne.proof")!r}]) == 0
+assert sys.getrecursionlimit() == limit, "cli.main"
+"""
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "dne: ok\n"
 
 
 # ------------------------------------------------------- name selection
@@ -259,6 +320,40 @@ def test_extract_rejects_non_pi02_goal(capsys):
     code, _, err = _run(capsys, ["extract", str(CORPUS / "dne.proof")])
     assert code == 1
     assert err.startswith("error[user-error]:")
+
+
+_SUCC_HYP = "(all (y iota) (-> (-> (neq y (S x)) bot) bot))"
+_SUCC_GOAL = f"(all (x iota) (-> {_SUCC_HYP} bot))"
+_SUCC_USE = "(forall-elim (id h) (S x))"
+_SUCC_REFL = "(forall-elim (ax refl iota) (S x))"
+
+
+@pytest.mark.parametrize("goal,use,refl,message", [
+    (_SUCC_GOAL, "(forall-elim (id g) (S x))", _SUCC_REFL,
+     "unknown hypothesis g"),
+    (_SUCC_GOAL, _SUCC_USE,
+     "(forall-elim (ax leib (neq a 0) (a iota) (b (-> iota iota))) (S x))",
+     "leib variables must share a sort"),
+    (_SUCC_GOAL, "(forall-elim (forall-elim (forall-intro (x iota) (id h)) "
+                 "x) (S x))", _SUCC_REFL,
+     "eigenvariable x is free in used hypothesis h"),
+    # a proof of succ-total against the goal of ident-total
+    ("(all (x iota) (-> (all (y iota) (-> (-> (neq y x) bot) bot)) bot))",
+     _SUCC_USE, _SUCC_REFL,
+     "argument proves (all (y iota) (-> (-> (neq y x) bot) bot)) but "
+     "(all (y iota) (-> (-> (neq y (S x)) bot) bot)) is required"),
+], ids=["unknown-hypothesis", "bad-axiom-argument", "eigenvariable",
+        "wrong-conclusion"])
+def test_extract_reports_errors_in_the_input_proof(capsys, tmp_path, goal,
+                                                   use, refl, message):
+    bad = tmp_path / "bad.proof"
+    bad.write_text(
+        f"(proof bad (goal {goal}) (forall-intro (x iota) "
+        f"(imp-intro (h {_SUCC_HYP}) (imp-elim {use} {refl}))))\n")
+    code, out, err = _run(capsys, ["extract", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error[user-error]: {message}\n"
 
 
 def test_bad_inputs_flag(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from mupcf import corpus
 from mupcf.cps import (
-    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr, LNAT,
+    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GVar, LArr, LNAT,
     LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term, cps_type,
     g_alpha_eq, lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
 )

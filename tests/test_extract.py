@@ -1,13 +1,15 @@
+from collections import Counter
+
 import pytest
 
-from mupcf import corpus
+from mupcf import corpus, extract, interp, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
     pi02_goal, prepare_goal, run_extraction, verify_witness,
 )
 from mupcf.interp import rel_type
-from mupcf.lambdamu import LApp, NAT, Num, TArr, TBOT, eval_nat, typecheck
+from mupcf.lambdamu import LApp, NAT, Num, TArr, eval_nat, typecheck
 from mupcf.logic import (
     Ax, BOT, BotElim, BotIntro, Forall, ForallElim, ForallIntro, IApp,
     IConst, IOTA, IVar, Id, ImpElim, ImpIntro, SUCC, Sequent, THEORIES, ZERO,
@@ -133,6 +135,49 @@ def test_individual_embedding_takes_evidence_for_variables():
 
 
 # ------------------------------------------------------------- programs
+
+def test_extraction_checks_each_proof_once_per_role(monkeypatch):
+    """The input proof is checked once (by rel_proof, on the stripped proof)
+    and the relativized proof once (by interp_proof), and each pass builds
+    every distinct axiom instance once."""
+    entered = []  # passes in the order they start
+    running = []  # the passes running, innermost last
+    built = []    # (pass, theory, axiom, args) per Theory.instantiate call
+
+    def tagged(tag, fn):
+        def run(*args):
+            entered.append(tag)
+            running.append(tag)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
+        return run
+
+    for mod in (extract, relativize, interp):
+        monkeypatch.setattr(mod, "check_proof",
+                            tagged(f"check in {mod.__name__}", check_proof))
+    monkeypatch.setattr(extract, "rel_proof",
+                        tagged("relativize", extract.rel_proof))
+    monkeypatch.setattr(extract, "interp_proof",
+                        tagged("interp", extract.interp_proof))
+    instantiate = type(PAW).instantiate
+
+    def counted(theory, name, args):
+        built.append((running[-1], theory.name, name, args))
+        return instantiate(theory, name, args)
+
+    monkeypatch.setattr(type(PAW), "instantiate", counted)
+    for name in PI02:
+        entered.clear()
+        built.clear()
+        extract_program(*_entry(name))
+        assert entered == [
+            "relativize", "check in mupcf.relativize",
+            "interp", "check in mupcf.interp"], name
+        assert {p for p, *_ in built} == set(entered), name
+        assert max(Counter(built).values()) == 1, name
+
 
 @pytest.mark.parametrize("name", PI02)
 def test_extracted_programs_typecheck_at_nat_to_nat(name):

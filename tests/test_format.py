@@ -8,16 +8,16 @@ import pytest
 from mupcf import cli, corpus
 from mupcf.errors import UserError
 from mupcf.format import (
-    _read_all, formula_sexp, ind_sexp, parse_file, parse_formula,
+    _read_all, formula_sexp, parse_file, parse_formula,
     parse_individual, parse_sort, parse_source, parse_term, parse_type,
-    proof_decl, proof_sexp, sort_sexp, term_decl, term_sexp, type_sexp,
+    proof_decl, sort_sexp, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
     typecheck,
 )
 from mupcf.logic import (
-    And, Atom, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
+    Atom, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
     IVar, Id, Imp, ImpIntro, SUCC, Sequent, THEORIES, ZERO, arrow,
     check_proof, f_eq, f_exists, f_not, f_neq, iapp,
 )

@@ -7,8 +7,7 @@ from mupcf.lambdamu import (
     typecheck,
 )
 from mupcf.logic import (
-    And, Forall, IOTA, IVar, Imp, SArrow, THEORIES, ZERO, arrow, f_eq, f_neq,
-    f_not, f_rel,
+    And, Forall, IOTA, IVar, Imp, THEORIES, ZERO, arrow, f_eq, f_neq, f_rel,
 )
 
 PAW = THEORIES["paw"]
