@@ -33,10 +33,13 @@ _CATEGORY = {
 def _default_fuel():
     raw = os.environ.get("MUPCF_FUEL", "1000000")
     try:
-        return int(raw)
+        fuel = int(raw)
     except ValueError:
         raise UserError(f"MUPCF_FUEL must be an integer, got {raw!r}") \
             from None
+    if fuel < 0:
+        raise UserError(f"MUPCF_FUEL must be non-negative, got {raw!r}")
+    return fuel
 
 
 def _parse_inputs(text):
@@ -219,7 +222,8 @@ def _build_parser():
                        default="text", help="output mode")
         if cmd in ("eval", "extract"):
             s.add_argument("--fuel", type=int, default=None,
-                           help="step budget (default: MUPCF_FUEL or 1000000)")
+                           help="non-negative step budget "
+                                "(default: MUPCF_FUEL or 1000000)")
         if cmd == "extract":
             s.add_argument("--inputs", default="0..10",
                            help="inclusive input range a..b (default 0..10)")
@@ -240,8 +244,12 @@ def main(argv=None):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     try:
-        if getattr(args, "fuel", None) is None and hasattr(args, "fuel"):
-            args.fuel = _default_fuel()
+        if hasattr(args, "fuel"):
+            if args.fuel is None:
+                args.fuel = _default_fuel()
+            elif args.fuel < 0:
+                raise UserError(
+                    f"--fuel must be non-negative, got {args.fuel}")
         if hasattr(args, "inputs"):
             args.inputs = _parse_inputs(args.inputs)
         ws = parse_file(args.file)

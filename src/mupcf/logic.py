@@ -11,6 +11,7 @@ Negation, disjunction, existentials and equality are derived and never stored.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InternalError, UserError
 from .lambdamu import freshen
@@ -91,52 +92,56 @@ def iapp(fn, *args):
 
 ZERO = IConst("0")
 SUCC = IConst("S")
-_SUCC_SORT = SArrow(IOTA, IOTA)
 
 
 def const_sort(c):
-    """Sort of a constant instance; combinator families carry sort arguments."""
-    match c:
-        case IConst("0", ()):
+    """Sort of a constant instance; combinator families carry sort arguments.
+    Every instance of one constant shares one sort object."""
+    s = _const_sort(c.name, c.sort_args)
+    if s is None:
+        raise UserError(f"unknown constant {ind_sexp(c)}")
+    return s
+
+
+@lru_cache(maxsize=256)
+def _const_sort(name, sort_args):
+    # a bounded pure memo: sorts are immutable, so sharing them is safe
+    match name, sort_args:
+        case "0", ():
             return IOTA
-        case IConst("S", ()):
-            return _SUCC_SORT
-        case IConst("k", (a, b)):
+        case "S", ():
+            return SArrow(IOTA, IOTA)
+        case "k", (a, b):
             return arrow(a, b, a)
-        case IConst("s", (a, b, c)):
+        case "s", (a, b, c):
             return arrow(arrow(a, b, c), arrow(a, b), a, c)
-        case IConst("rec", (a,)):
+        case "rec", (a,):
             return arrow(a, arrow(IOTA, a, a), IOTA, a)
-    raise UserError(f"unknown constant {ind_sexp(c)}")
+    return None
 
 
-def infer_sort(t, env=None):
-    """Sort of an individual. env maps free-variable names to sorts and is
-    cross-checked when present; the inline sort on IVar is authoritative."""
+def infer_sort(t):
+    """Sort of an individual; the inline sort on IVar is authoritative."""
     match t:
-        case IVar(name, sort):
-            if env is not None and name in env and env[name] != sort:
-                raise UserError(
-                    f"variable {name} used at {sort_sexp(sort)} but declared "
-                    f"at {sort_sexp(env[name])}"
-                )
+        case IVar(_, sort):
             return sort
         case IConst():
             return const_sort(t)
         case IApp(fn, arg):
-            fs = infer_sort(fn, env)
+            fs = infer_sort(fn)
             if not isinstance(fs, SArrow):
                 raise UserError(
                     f"applied non-function individual {ind_sexp(fn)}")
-            ags = infer_sort(arg, env)
+            ags = infer_sort(arg)
             if ags != fs.left:
-                raise UserError(
-                    f"sort mismatch: {ind_sexp(fn)} expects "
-                    f"{sort_sexp(fs.left)}, got {ind_sexp(arg)} : "
-                    f"{sort_sexp(ags)}"
-                )
+                raise UserError(_sort_mismatch(fn, fs, arg, ags))
             return fs.right
     raise InternalError(f"bad individual {t!r}")
+
+
+def _sort_mismatch(fn, fs, arg, ags):
+    return (f"sort mismatch: {ind_sexp(fn)} expects {sort_sexp(fs.left)}, "
+            f"got {ind_sexp(arg)} : {sort_sexp(ags)}")
 
 
 def ind_free_vars(t):
@@ -311,32 +316,59 @@ def fv_formula(f):
 
 
 def subst_formula(f, mapping):
-    """Capture-avoiding substitution of individuals for free variable names."""
+    """Capture-avoiding simultaneous substitution of individuals for free
+    variable names.
+
+    The free names of the substituted individuals are collected once per
+    call, at the first binder, and again only below a binder that drops a
+    mapped name. A binder whose variable is among them is renamed, whether or
+    not a mapped name occurs in its body. Subformulas the substitution leaves
+    unchanged are returned as they are, so f itself comes back when nothing
+    changes."""
     if not mapping:
         return f
+    return _subst(f, mapping, [None])
+
+
+def _subst(f, mapping, captured):
+    """captured is a one-element list: the free names of mapping's
+    individuals, or None until a binder first needs them."""
     match f:
         case Bot():
             return f
         case Atom(p, args):
-            return Atom(p, tuple([ind_subst(t, mapping) for t in args]))
-        case Imp(a, b):
-            return Imp(subst_formula(a, mapping), subst_formula(b, mapping))
-        case And(a, b):
-            return And(subst_formula(a, mapping), subst_formula(b, mapping))
+            new = [ind_subst(t, mapping) for t in args]
+            for t, u in zip(new, args):
+                if t is not u:
+                    return Atom(p, tuple(new))
+            return f
+        case Imp(a, b) | And(a, b):
+            a2 = _subst(a, mapping, captured)
+            b2 = _subst(b, mapping, captured)
+            if a2 is a and b2 is b:
+                return f
+            return type(f)(a2, b2)
         case Forall(x, sort, body):
             if x in mapping:
                 mapping = {n: t for n, t in mapping.items() if n != x}
                 if not mapping:
                     return f
-            clash = set()
-            for t in mapping.values():
-                clash |= ind_free_vars(t).keys()
-            if x in clash:
-                avoid = clash | fv_formula(body).keys() | set(mapping)
+                captured = [None]
+            if captured[0] is None:
+                names = set()
+                for t in mapping.values():
+                    names |= ind_free_vars(t).keys()
+                captured[0] = names
+            names = captured[0]
+            if x in names:
+                avoid = names | fv_formula(body).keys() | set(mapping)
                 x2 = freshen(x, avoid)
                 body = subst_formula(body, {x: IVar(x2, sort)})
-                x = x2
-            return Forall(x, sort, subst_formula(body, mapping))
+                return Forall(x2, sort, _subst(body, mapping, captured))
+            body2 = _subst(body, mapping, captured)
+            if body2 is body:
+                return f
+            return Forall(x, sort, body2)
     raise InternalError(f"bad formula {f!r}")
 
 
@@ -382,39 +414,98 @@ def alpha_eq(f, g):
     return go(f, g, {}, {})
 
 
-def wf_formula(f, has_rel, env=None):
+def wf_formula(f, has_rel):
     """Check predicate signatures and sort consistency; raises UserError.
-    Returns the free variables, as fv_formula does."""
-    env = dict(env) if env else {}
+    Returns the free variables, as fv_formula does.
 
-    def go(f, env):
+    One walk infers the sorts and collects the free variables. A variable
+    used at two sorts anywhere in f is reported first; otherwise the first
+    error met left to right is. So the walk raises a clash at once, keeps
+    the first other error, and raises that only once the walk is done."""
+    out = {}
+    first_error = None
+
+    def fail(msg):
+        nonlocal first_error
+        if first_error is None:
+            first_error = msg
+
+    def ind(t, bound):
+        """Sort of t (None after an error) and its free variables, in the
+        order and with the clash checks of ind_free_vars."""
+        cls = t.__class__  # class dispatch: the checker's hottest walk
+        if cls is IVar:
+            name, sort = t.name, t.sort
+            declared = bound.get(name)
+            if declared is not None and declared != sort:
+                fail(f"variable {name} used at {sort_sexp(sort)} but "
+                     f"declared at {sort_sexp(declared)}")
+            return sort, {name: sort}
+        if cls is IConst:
+            try:
+                return const_sort(t), {}
+            except UserError as ex:
+                fail(str(ex))
+                return None, {}
+        if cls is not IApp:
+            raise InternalError(f"bad individual {t!r}")
+        fn, arg = t.fn, t.arg
+        fs, fv = ind(fn, bound)
+        if fs is not None and not isinstance(fs, SArrow):
+            fail(f"applied non-function individual {ind_sexp(fn)}")
+            fs = None
+        ags, av = ind(arg, bound)
+        if not fv:
+            fv = av
+        else:
+            for n, s in av.items():
+                if fv.setdefault(n, s) != s:
+                    raise UserError(f"variable {n} used at two sorts")
+        if fs is None or ags is None:
+            return None, fv
+        if ags != fs.left:
+            fail(_sort_mismatch(fn, fs, arg, ags))
+            return None, fv
+        return fs.right, fv
+
+    def go(f, bound):
         match f:
             case Bot():
                 pass
             case Atom(p, args):
                 if p not in PREDICATES:
-                    raise UserError(f"unknown predicate {p}")
-                if p == "rel" and not has_rel:
-                    raise UserError("rel atom outside a relativized signature")
-                _, arity = PREDICATES[p]
-                if len(args) != arity:
-                    raise UserError(f"{p} expects {arity} argument(s)")
-                sorts = [infer_sort(t, env) for t in args]
+                    fail(f"unknown predicate {p}")
+                elif p == "rel" and not has_rel:
+                    fail("rel atom outside a relativized signature")
+                elif len(args) != PREDICATES[p][1]:
+                    fail(f"{p} expects {PREDICATES[p][1]} argument(s)")
+                sorts = []
+                for t in args:
+                    sort, names = ind(t, bound)
+                    sorts.append(sort)
+                    for n, s in names.items():
+                        if n in bound:
+                            continue
+                        if out.setdefault(n, s) != s:
+                            raise UserError(f"variable {n} used at two sorts")
+                if first_error is not None:
+                    return
                 if p == "neq" and sorts[0] != sorts[1]:
-                    raise UserError("inequality between different sorts")
+                    fail("inequality between different sorts")
                 if p == "rel" and sorts[0] != IOTA:
-                    raise UserError("rel atom takes a base-sort individual")
+                    fail("rel atom takes a base-sort individual")
             case Imp(a, b) | And(a, b):
-                go(a, env)
-                go(b, env)
+                go(a, bound)
+                go(b, bound)
             case Forall(x, sort, body):
-                go(body, {**env, x: sort})
+                go(body, {**bound, x: sort})
             case _:
                 raise InternalError(f"bad formula {f!r}")
 
-    fv = fv_formula(f)  # rejects one name at two sorts among frees
-    go(f, env)
-    return fv
+    go(f, {})
+    if first_error is not None:
+        raise UserError(first_error)
+    return out
 
 
 def polarity(f):
@@ -907,9 +998,10 @@ def _check_node(p, theory, gamma, delta, instances):
             return gamma[h], {h}, set()
         case Ax(name, args):
             key = (name, args)
-            if key not in instances:
-                instances[key] = theory.instantiate(name, args)
-            return instances[key], set(), set()
+            f = instances.get(key)
+            if f is None:
+                f = instances[key] = theory.instantiate(name, args)
+            return f, set(), set()
         case ImpIntro(h, f, body):
             if h in gamma:
                 raise UserError(f"hypothesis name {h} shadows an existing one")

@@ -258,6 +258,29 @@ def test_eval_fuel_env_default(capsys, monkeypatch):
     assert "MUPCF_FUEL" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("source,message", [
+    ("flag", "--fuel must be non-negative, got -5"),
+    ("env", "MUPCF_FUEL must be non-negative, got '-3'"),
+], ids=["flag", "env"])
+def test_negative_fuel_is_a_user_error(capsys, monkeypatch, source, message,
+                                       fmt):
+    argv = ["eval", str(CORPUS / "omega.term"), "--format", fmt]
+    if source == "flag":
+        argv += ["--fuel", "-5"]
+    else:
+        monkeypatch.setenv("MUPCF_FUEL", "-3")
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    if fmt == "text":
+        assert out == ""
+        assert err == f"error[user-error]: {message}\n"
+    else:
+        assert err == ""
+        assert json.loads(out) == {
+            "error": {"category": "user-error", "message": message}}
+
+
 def test_eval_rejects_proof_declarations(capsys):
     code, _, err = _run(capsys, ["eval", str(CORPUS / "dne.proof")])
     assert code == 1

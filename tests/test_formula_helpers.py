@@ -1,0 +1,363 @@
+"""The checker's one-pass formula helpers against two-pass references.
+
+The references below are the straightforward versions of `wf_formula` and
+`subst_formula`: well-formedness as a free-variable pass followed by a sort
+pass, and substitution that recomputes its capture set at every binder. The
+tests compare the two on generated formulas, with clashes, ill-sorted
+applications, unknown predicates and constants, `rel` atoms outside a
+relativized signature and wrong arities.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mupcf
+from mupcf.errors import InternalError, UserError
+from mupcf.lambdamu import freshen
+from mupcf.logic import (
+    And, AndIntro, Atom, Ax, BOT, Bot, Forall, ForallIntro, IApp, IConst,
+    IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SUCC, Sequent,
+    THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
+    fv_formula, ind_free_vars, ind_sexp, ind_subst, sort_sexp, subst_formula,
+    wf_formula,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# ---------------------------------------------------------------- references
+
+
+def _ref_infer_sort(t, env):
+    match t:
+        case IVar(name, sort):
+            if name in env and env[name] != sort:
+                raise UserError(
+                    f"variable {name} used at {sort_sexp(sort)} but declared "
+                    f"at {sort_sexp(env[name])}")
+            return sort
+        case IConst():
+            return const_sort(t)
+        case IApp(fn, arg):
+            fs = _ref_infer_sort(fn, env)
+            if not isinstance(fs, SArrow):
+                raise UserError(
+                    f"applied non-function individual {ind_sexp(fn)}")
+            ags = _ref_infer_sort(arg, env)
+            if ags != fs.left:
+                raise UserError(
+                    f"sort mismatch: {ind_sexp(fn)} expects "
+                    f"{sort_sexp(fs.left)}, got {ind_sexp(arg)} : "
+                    f"{sort_sexp(ags)}")
+            return fs.right
+    raise InternalError(f"bad individual {t!r}")
+
+
+def _ref_sort_pass(f, has_rel, env):
+    match f:
+        case Bot():
+            pass
+        case Atom(p, args):
+            if p not in PREDICATES:
+                raise UserError(f"unknown predicate {p}")
+            if p == "rel" and not has_rel:
+                raise UserError("rel atom outside a relativized signature")
+            _, arity = PREDICATES[p]
+            if len(args) != arity:
+                raise UserError(f"{p} expects {arity} argument(s)")
+            sorts = [_ref_infer_sort(t, env) for t in args]
+            if p == "neq" and sorts[0] != sorts[1]:
+                raise UserError("inequality between different sorts")
+            if p == "rel" and sorts[0] != IOTA:
+                raise UserError("rel atom takes a base-sort individual")
+        case Imp(a, b) | And(a, b):
+            _ref_sort_pass(a, has_rel, env)
+            _ref_sort_pass(b, has_rel, env)
+        case Forall(x, sort, body):
+            _ref_sort_pass(body, has_rel, {**env, x: sort})
+        case _:
+            raise InternalError(f"bad formula {f!r}")
+
+
+def _ref_wf_formula(f, has_rel):
+    fv = fv_formula(f)  # rejects one name at two sorts among frees
+    _ref_sort_pass(f, has_rel, {})
+    return fv
+
+
+def _ref_subst_formula(f, mapping):
+    if not mapping:
+        return f
+    match f:
+        case Bot():
+            return f
+        case Atom(p, args):
+            return Atom(p, tuple([ind_subst(t, mapping) for t in args]))
+        case Imp(a, b):
+            return Imp(_ref_subst_formula(a, mapping),
+                       _ref_subst_formula(b, mapping))
+        case And(a, b):
+            return And(_ref_subst_formula(a, mapping),
+                       _ref_subst_formula(b, mapping))
+        case Forall(x, sort, body):
+            if x in mapping:
+                mapping = {n: t for n, t in mapping.items() if n != x}
+                if not mapping:
+                    return f
+            clash = set()
+            for t in mapping.values():
+                clash |= ind_free_vars(t).keys()
+            if x in clash:
+                avoid = clash | fv_formula(body).keys() | set(mapping)
+                x2 = freshen(x, avoid)
+                body = _ref_subst_formula(body, {x: IVar(x2, sort)})
+                x = x2
+            return Forall(x, sort, _ref_subst_formula(body, mapping))
+    raise InternalError(f"bad formula {f!r}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (UserError, InternalError) as ex:
+        return type(ex).__name__, str(ex)
+
+
+# ---------------------------------------------------------------- generators
+
+_NAMES = ["x", "y", "z"]
+_SORTS = [IOTA, arrow(IOTA, IOTA), arrow(arrow(IOTA, IOTA), IOTA)]
+
+
+def _bad_const(rng):
+    return rng.choice([IConst("q"), IConst("k", (IOTA,)), IConst("rec")])
+
+
+def _ind(rng, sort, scope, depth, bad):
+    """An individual of the given sort over scope (name -> sort); with
+    probability bad at each node, something arbitrary instead."""
+    if rng.random() < bad:
+        r = rng.randrange(4)
+        if r == 0:
+            return IVar(rng.choice(_NAMES), rng.choice(_SORTS))
+        if r == 1:
+            return _bad_const(rng)
+        if r == 2 and depth > 0:
+            return IApp(_ind(rng, rng.choice(_SORTS), scope, depth - 1, bad),
+                        _ind(rng, rng.choice(_SORTS), scope, depth - 1, bad))
+        return rng.choice([ZERO, SUCC])
+    vs = [IVar(n, s) for n, s in scope.items() if s == sort]
+    if vs and (depth == 0 or rng.random() < 0.4):
+        return rng.choice(vs)
+    if sort == IOTA:
+        if depth == 0 or rng.random() < 0.2:
+            return ZERO
+        r = rng.randrange(3)
+        if r == 0:
+            return IApp(SUCC, _ind(rng, IOTA, scope, depth - 1, bad))
+        if r == 1:  # rec a x y n : a, at a = iota
+            step = arrow(IOTA, IOTA, IOTA)
+            return IApp(IApp(IApp(IConst("rec", (IOTA,)),
+                                  _ind(rng, IOTA, scope, depth - 1, bad)),
+                             _ind(rng, step, scope, depth - 1, bad)),
+                        _ind(rng, IOTA, scope, depth - 1, bad))
+        fn_sort = rng.choice(_SORTS[1:])
+        return IApp(_ind(rng, arrow(fn_sort.left, IOTA), scope, depth - 1,
+                         bad),
+                    _ind(rng, fn_sort.left, scope, depth - 1, bad))
+    if sort == arrow(IOTA, IOTA) and rng.random() < 0.3:
+        return SUCC
+    # k b a t : a -> b for t : b
+    b = sort.right
+    return IApp(IConst("k", (b, sort.left)),
+                _ind(rng, b, scope, max(depth - 1, 0), bad))
+
+
+def _atom(rng, scope, has_rel, bad):
+    if rng.random() < bad:
+        r = rng.randrange(5)
+        t = _ind(rng, rng.choice(_SORTS), scope, 2, bad)
+        if r == 0:
+            return Atom("eq", (t, t))
+        if r == 1:
+            return Atom("neq", (t,) * rng.choice([1, 3]))
+        if r == 2:
+            return Atom("rel", (t, t))
+        if r == 3:
+            return Atom("rel", (t,))
+        return Atom("neq", (t, _ind(rng, rng.choice(_SORTS), scope, 2, bad)))
+    r = rng.randrange(5)
+    if r == 0:
+        return BOT
+    if r == 1 and (has_rel or rng.random() < 0.2):
+        return f_rel(_ind(rng, IOTA, scope, 3, bad))
+    s = rng.choice(_SORTS)
+    return f_neq(_ind(rng, s, scope, 3, bad), _ind(rng, s, scope, 3, bad))
+
+
+def _formula(rng, scope, depth, has_rel, bad):
+    if depth == 0 or rng.random() < 0.25:
+        return _atom(rng, scope, has_rel, bad)
+    r = rng.randrange(3)
+    if r == 0:
+        return Imp(_formula(rng, scope, depth - 1, has_rel, bad),
+                   _formula(rng, scope, depth - 1, has_rel, bad))
+    if r == 1:
+        return And(_formula(rng, scope, depth - 1, has_rel, bad),
+                   _formula(rng, scope, depth - 1, has_rel, bad))
+    x, s = rng.choice(_NAMES), rng.choice(_SORTS)
+    return Forall(x, s, _formula(rng, {**scope, x: s}, depth - 1, has_rel,
+                                 bad))
+
+
+def _case(seed):
+    rng = random.Random(seed)
+    frees = {n: rng.choice(_SORTS) for n in _NAMES if rng.random() < 0.6}
+    has_rel = rng.random() < 0.5
+    bad = rng.choice([0.0, 0.02, 0.08, 0.2])
+    return _formula(rng, frees, 4, has_rel, bad), has_rel, rng, frees
+
+
+# ---------------------------------------------------------------- wf_formula
+
+_WF_MESSAGES = [
+    "used at two sorts", "unknown predicate", "rel atom outside",
+    "expects 2 argument(s)", "expects 1 argument(s)", "sort mismatch",
+    "applied non-function", "unknown constant", "but declared at",
+    "inequality between different sorts", "rel atom takes",
+]
+
+
+def _printed(outcome):
+    kind, value = outcome
+    if kind == "ok":
+        return kind, [(n, sort_sexp(s)) for n, s in value.items()]
+    return outcome
+
+
+def test_wf_formula_agrees_with_two_pass_reference():
+    seen = dict.fromkeys(_WF_MESSAGES, 0)
+    ok = precedence = 0
+    for seed in range(2500):
+        f, has_rel, _, _ = _case(seed)
+        want = _printed(_outcome(_ref_wf_formula, f, has_rel))
+        got = _printed(_outcome(wf_formula, f, has_rel))
+        assert got == want, (seed, f)
+        if want[0] == "ok":
+            ok += 1
+            continue
+        for m in seen:
+            seen[m] += m in want[1]
+        if "two sorts" in want[1] and _outcome(
+                _ref_sort_pass, f, has_rel, {})[0] != "ok":
+            precedence += 1  # a clash reported ahead of a sort error
+    assert ok >= 800
+    assert precedence >= 50
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+# ------------------------------------------------------------- subst_formula
+
+
+def _mapping(rng, frees):
+    names = rng.sample(_NAMES + ["w"], rng.choice([1, 1, 2]))
+    out = {}
+    for n in names:
+        scope = {m: s for m, s in frees.items() if rng.random() < 0.7}
+        if rng.random() < 0.1:  # an individual with a clash in it
+            out[n] = IApp(IVar("y", arrow(IOTA, IOTA)), IVar("y", IOTA))
+        else:
+            out[n] = _ind(rng, frees.get(n, IOTA), scope, 2, 0.0)
+    return out
+
+
+def test_subst_formula_agrees_with_per_binder_reference():
+    unchanged = renamed = 0
+    for seed in range(2500):
+        f, _, rng, frees = _case(seed)
+        mapping = _mapping(rng, frees)
+        want = _outcome(_ref_subst_formula, f, mapping)
+        got = _outcome(subst_formula, f, mapping)
+        assert got == want, (seed, f, mapping)
+        free = _outcome(_ref_wf_formula, f, True)
+        if (want[0] != "ok" or free[0] != "ok"
+                or free[1].keys() & mapping.keys()):
+            continue
+        # f is well formed and no mapped name occurs free in it: f itself
+        # comes back, unless a binder is renamed away from a free name of the
+        # substituted individuals
+        assert alpha_eq(got[1], f)
+        if want[1] == f:
+            unchanged += 1
+            assert got[1] is f, (seed, f, mapping)
+        else:
+            renamed += 1
+    assert unchanged >= 500 and renamed >= 50, (unchanged, renamed)
+
+
+def test_subst_formula_returns_unchanged_subformulas_as_they_are():
+    x, y = IVar("x", IOTA), IVar("y", IOTA)
+    left = Forall("z", IOTA, f_neq(IVar("z", IOTA), y))
+    f = And(left, f_neq(x, ZERO))
+    g = subst_formula(f, {"x": IApp(SUCC, ZERO)})
+    assert g == And(left, f_neq(IApp(SUCC, ZERO), ZERO))
+    assert g.left is left
+
+
+# ---------------------------------------------------- checker diagnostics
+
+_FN = arrow(IOTA, IOTA)
+
+
+@pytest.mark.parametrize("proof,message", [
+    # the body concludes a formula about x : iota, bound at iota -> iota
+    (ForallIntro("x", _FN, ImpIntro("h", f_neq(IVar("x", IOTA), ZERO),
+                                    Id("h"))),
+     "variable x used at iota but declared at (-> iota iota)"),
+    # the conjunction uses x at two sorts and y against its binder; the
+    # clash is reported although the binder error comes first
+    (ForallIntro("y", IOTA, AndIntro(
+        ImpIntro("h", f_neq(IApp(IVar("y", _FN), IVar("x", IOTA)), ZERO),
+                 Id("h")),
+        ImpIntro("g", f_neq(IVar("x", _FN), SUCC), Id("g")))),
+     "variable x used at two sorts"),
+    (Ax("leib", (f_neq(IApp(ZERO, IVar("a", IOTA)), ZERO), IVar("a", IOTA),
+                 IVar("b", IOTA))),
+     "applied non-function individual 0"),
+], ids=["forall-intro-wrong-sort", "and-intro-clash", "bad-leib-formula"])
+def test_check_messages_through_well_formedness(proof, message):
+    with pytest.raises(UserError) as ex:
+        check_proof(proof, THEORIES["paw"], Sequent(concl=BOT))
+    assert str(ex.value) == message
+
+
+# ------------------------------------------------------ constant sorts
+
+
+def test_first_extraction_builds_few_arrow_sorts():
+    """Every constant instance shares one sort object, so a fresh process
+    builds few arrow sorts even on its first extraction."""
+    script = f"""
+from mupcf import extract, logic
+from mupcf.format import parse_file
+ws = parse_file({str(CORPUS / "add0-total.proof")!r})
+goal, proof = next(iter(ws.proofs.values()))
+built = []
+init = logic.SArrow.__init__
+def counting(self, *args):
+    built.append(1)
+    init(self, *args)
+logic.SArrow.__init__ = counting
+extract.extract_program(proof, ws.theory, goal)
+print(len(built))
+"""
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 60
