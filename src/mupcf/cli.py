@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, relativize, interp, eval, cps, extract.  Exit codes:
-0 success, 1 bad input, 2 fuel exhausted, 3 internal invariant breach.
+0 success, 1 bad input (a malformed command line included), 2 fuel
+exhausted, 3 internal invariant breach.
 """
 
 import argparse
@@ -196,8 +197,25 @@ _COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """A malformed command line, with the usage line of the parser that
+    rejected it."""
+
+    def __init__(self, usage, message):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a user error (exit 1) rather
+    than exiting 2, which is the fuel-exhausted code."""
+
+    def error(self, message):
+        raise _UsageError(self.format_usage(), message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mupcf",
         description="Check sequent proofs of classical arithmetic, "
                     "relativize them, compile them to control terms, and "
@@ -230,16 +248,29 @@ def _build_parser():
     return p
 
 
-def _report_error(args, category, message):
-    if getattr(args, "format", "text") == "structured":
+def _report_error(fmt, category, message):
+    if fmt == "structured":
         print(json.dumps({"error": {"category": category,
                                     "message": message}}))
     else:
         print(f"error[{category}]: {message}", file=sys.stderr)
 
 
+def _wants_structured(argv):
+    return "--format=structured" in argv or any(
+        a == "--format" and b == "structured" for a, b in zip(argv, argv[1:]))
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as ex:
+        fmt = "structured" if _wants_structured(argv) else "text"
+        if fmt == "text":
+            sys.stderr.write(ex.usage)
+        _report_error(fmt, "user-error", str(ex))
+        return 1
     # deep inputs need a higher limit; the caller's is restored on return
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
@@ -259,15 +290,16 @@ def main(argv=None):
     except RecursionError:
         # the reader, the checker and the translations recurse once per
         # nesting level of the object they walk
-        _report_error(args, "user-error", "input nests too deeply")
+        _report_error(args.format, "user-error", "input nests too deeply")
         return 1
     except MemoryError:
-        _report_error(args, "user-error", "input is too large (out of memory)")
+        _report_error(args.format, "user-error",
+                      "input is too large (out of memory)")
         return 1
     except MupcfError as ex:
         for klass, (category, code) in _CATEGORY.items():
             if isinstance(ex, klass):
-                _report_error(args, category, str(ex))
+                _report_error(args.format, category, str(ex))
                 return code
         raise
     finally:

@@ -15,6 +15,7 @@ objects in this syntax; this module re-exports them next to the reader, the
 proof printer and the declaration printers.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import InternalError, UserError
@@ -32,104 +33,98 @@ from .logic import (
 # ---------------------------------------------------------------- reader
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Atom:
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _List:
-    items: tuple
+    items: list
     line: int
     col: int
+
+
+# A token within one line that has had its comment cut off: a parenthesis
+# or an atom.  Space, tab and CR separate tokens; LF ends the line.
+_TOKEN = re.compile(r"[()]|[^ \t\r();]+")
 
 
 def _err(node, msg):
     raise UserError(f"{node.line}:{node.col}: {msg}")
 
 
-def _tokenize(src):
-    line, col = 1, 1
-    i, n = 0, len(src)
-    out = []
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append((c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and src[j] not in " \t\r\n();":
-                j += 1
-            out.append((src[i:j], line, col))
-            col += j - i
-            i = j
-    return out
-
-
 def _read_all(src):
-    nodes = []
-    # items, line and column of each list still open, innermost last
+    nodes = items = []
+    # the enclosing items and the position of each list still open,
+    # innermost last
     open_lists = []
-    for text, line, col in _tokenize(src):
-        if text == "(":
-            open_lists.append(([], line, col))
-            continue
-        if text == ")":
-            if not open_lists:
-                raise UserError(f"{line}:{col}: unmatched closing parenthesis")
-            items, line, col = open_lists.pop()
-            node = _List(tuple(items), line, col)
-        else:
-            node = _Atom(text, line, col)
-        (open_lists[-1][0] if open_lists else nodes).append(node)
+    for line, text in enumerate(src.split("\n"), 1):
+        cut = text.find(";")
+        for m in _TOKEN.finditer(text, 0, len(text) if cut < 0 else cut):
+            tok = m[0]
+            if tok == "(":
+                open_lists.append((items, line, m.start() + 1))
+                items = []
+            elif tok == ")":
+                if not open_lists:
+                    raise UserError(f"{line}:{m.start() + 1}: "
+                                    f"unmatched closing parenthesis")
+                outer, at_line, at_col = open_lists.pop()
+                outer.append(_List(items, at_line, at_col))
+                items = outer
+            else:
+                items.append(_Atom(tok, line, m.start() + 1))
     if open_lists:
         _, line, col = open_lists[-1]
         raise UserError(f"{line}:{col}: unclosed parenthesis")
     return nodes
 
 
+def _is_numeral(text):
+    return text.isascii() and text.isdigit()
+
+
 def _head(node, what):
-    if not isinstance(node, _List) or not node.items \
-            or not isinstance(node.items[0], _Atom):
+    if node.__class__ is not _List or not node.items \
+            or node.items[0].__class__ is not _Atom:
         _err(node, f"expected a parenthesized {what}")
     return node.items[0].text
 
 
 def _sym(node, what):
-    if not isinstance(node, _Atom):
+    if node.__class__ is not _Atom:
         _err(node, f"expected {what}")
     return node.text
 
+
+def _arity(node, n):
+    if len(node.items) != n + 1:
+        _err(node, f"{node.items[0].text} takes {n} argument(s)")
+
+
+# The parse functions below recurse once per nesting level of the input, and
+# no deeper: the command line turns the RecursionError of an input nested
+# too deeply into a user error.
 
 # ----------------------------------------------------------------- sorts
 
 
 def parse_sort(node):
-    match node:
-        case _Atom("iota"):
+    if node.__class__ is _Atom:
+        if node.text == "iota":
             return IOTA
-        case _List((first, *rest)) if isinstance(first, _Atom) \
-                and first.text == "->":
-            if len(rest) < 2:
-                _err(node, "sort arrow needs at least two arguments")
-            out = parse_sort(rest[-1])
-            for a in reversed(rest[:-1]):
-                out = SArrow(parse_sort(a), out)
-            return out
+    elif node.items and node.items[0].__class__ is _Atom \
+            and node.items[0].text == "->":
+        items = node.items
+        if len(items) < 3:
+            _err(node, "sort arrow needs at least two arguments")
+        out = parse_sort(items[-1])
+        for a in reversed(items[1:-1]):
+            out = SArrow(parse_sort(a), out)
+        return out
     _err(node, "expected a sort")
 
 
@@ -139,35 +134,36 @@ _CONST_SORT_ARITY = {"k": 2, "s": 3, "rec": 1}
 
 
 def parse_individual(node, scope):
-    match node:
-        case _Atom("0"):
+    if node.__class__ is _Atom:
+        text = node.text
+        if text == "0":
             return ZERO
-        case _Atom("S"):
+        if text == "S":
             return SUCC
-        case _Atom(text) if text.isdigit():
+        if _is_numeral(text):
             out = ZERO
             for _ in range(int(text)):
                 out = IApp(SUCC, out)
             return out
-        case _Atom(text):
-            if text not in scope:
-                _err(node, f"unknown identifier {text}")
-            return IVar(text, scope[text])
-        case _List((first, *rest)) if isinstance(first, _Atom) \
-                and first.text in _CONST_SORT_ARITY:
-            want = _CONST_SORT_ARITY[first.text]
-            if len(rest) != want:
-                _err(node, f"constant {first.text} takes {want} sort "
-                           f"argument(s)")
-            return IConst(first.text, tuple(parse_sort(a) for a in rest))
-        case _List((first, *rest)):
-            if not rest:
-                _err(node, "empty application")
-            out = parse_individual(first, scope)
-            for a in rest:
-                out = IApp(out, parse_individual(a, scope))
-            return out
-    _err(node, "expected an individual")
+        if text not in scope:
+            _err(node, f"unknown identifier {text}")
+        return IVar(text, scope[text])
+    items = node.items
+    if not items:
+        _err(node, "expected an individual")
+    first = items[0]
+    if first.__class__ is _Atom and first.text in _CONST_SORT_ARITY:
+        want = _CONST_SORT_ARITY[first.text]
+        if len(items) != want + 1:
+            _err(node, f"constant {first.text} takes {want} sort "
+                       f"argument(s)")
+        return IConst(first.text, tuple([parse_sort(a) for a in items[1:]]))
+    if len(items) == 1:
+        _err(node, "empty application")
+    out = parse_individual(first, scope)
+    for a in items[1:]:
+        out = IApp(out, parse_individual(a, scope))
+    return out
 
 
 # -------------------------------------------------------------- formulas
@@ -178,59 +174,61 @@ _RESERVED_IND_NAMES = {"0", "S", "k", "s", "rec"}
 
 def _parse_binder(node, what):
     """(name <sort>) pairs used by all binding constructs."""
-    if not (isinstance(node, _List) and len(node.items) == 2):
+    if node.__class__ is not _List or len(node.items) != 2:
         _err(node, f"expected a (name sort) binder for {what}")
     name = _sym(node.items[0], "a variable name")
-    if name in _RESERVED_IND_NAMES or name.isdigit():
+    if name in _RESERVED_IND_NAMES or _is_numeral(name):
         _err(node.items[0], f"{name} is reserved and cannot be bound")
     return name, parse_sort(node.items[1])
 
 
 def parse_formula(node, scope):
-    match node:
-        case _Atom("bot"):
+    if node.__class__ is _Atom:
+        if node.text == "bot":
             return BOT
-        case _List((first, *rest)) if isinstance(first, _Atom):
-            head = first.text
-            if head == "neq":
-                if len(rest) != 2:
-                    _err(node, "neq takes two individuals")
-                return Atom("neq", (parse_individual(rest[0], scope),
-                                    parse_individual(rest[1], scope)))
-            if head == "=":
-                if len(rest) != 2:
-                    _err(node, "= takes two individuals")
-                return Imp(Atom("neq", (parse_individual(rest[0], scope),
-                                        parse_individual(rest[1], scope))),
-                           BOT)
-            if head == "rel":
-                if len(rest) != 1:
-                    _err(node, "rel takes one individual")
-                return Atom("rel", (parse_individual(rest[0], scope),))
-            if head == "->":
-                if len(rest) < 2:
-                    _err(node, "formula arrow needs at least two arguments")
-                out = parse_formula(rest[-1], scope)
-                for a in reversed(rest[:-1]):
-                    out = Imp(parse_formula(a, scope), out)
-                return out
-            if head == "not":
-                if len(rest) != 1:
-                    _err(node, "not takes one formula")
-                return Imp(parse_formula(rest[0], scope), BOT)
-            if head == "/\\":
-                if len(rest) != 2:
-                    _err(node, "/\\ takes two formulas")
-                return And(parse_formula(rest[0], scope),
-                           parse_formula(rest[1], scope))
-            if head in ("all", "exists"):
-                if len(rest) != 2:
-                    _err(node, f"{head} takes a binder and a body")
-                name, sort = _parse_binder(rest[0], head)
-                body = parse_formula(rest[1], {**scope, name: sort})
-                if head == "all":
-                    return Forall(name, sort, body)
-                return Imp(Forall(name, sort, Imp(body, BOT)), BOT)
+    elif node.items and node.items[0].__class__ is _Atom:
+        items = node.items
+        head = items[0].text
+        n = len(items) - 1
+        if head == "neq":
+            if n != 2:
+                _err(node, "neq takes two individuals")
+            return Atom("neq", (parse_individual(items[1], scope),
+                                parse_individual(items[2], scope)))
+        if head == "=":
+            if n != 2:
+                _err(node, "= takes two individuals")
+            return Imp(Atom("neq", (parse_individual(items[1], scope),
+                                    parse_individual(items[2], scope))),
+                       BOT)
+        if head == "rel":
+            if n != 1:
+                _err(node, "rel takes one individual")
+            return Atom("rel", (parse_individual(items[1], scope),))
+        if head == "->":
+            if n < 2:
+                _err(node, "formula arrow needs at least two arguments")
+            out = parse_formula(items[-1], scope)
+            for a in reversed(items[1:-1]):
+                out = Imp(parse_formula(a, scope), out)
+            return out
+        if head == "not":
+            if n != 1:
+                _err(node, "not takes one formula")
+            return Imp(parse_formula(items[1], scope), BOT)
+        if head == "/\\":
+            if n != 2:
+                _err(node, "/\\ takes two formulas")
+            return And(parse_formula(items[1], scope),
+                       parse_formula(items[2], scope))
+        if head == "all" or head == "exists":
+            if n != 2:
+                _err(node, f"{head} takes a binder and a body")
+            name, sort = _parse_binder(items[1], head)
+            body = parse_formula(items[2], {**scope, name: sort})
+            if head == "all":
+                return Forall(name, sort, body)
+            return Imp(Forall(name, sort, Imp(body, BOT)), BOT)
     _err(node, "expected a formula")
 
 
@@ -256,14 +254,14 @@ _AX_KINDS = {
 
 
 def _parse_ax(node, scope):
-    rest = node.items[1:]
-    if not rest:
+    items = node.items
+    if len(items) < 2:
         _err(node, "ax needs a scheme name")
-    name = _sym(rest[0], "an axiom scheme name")
+    name = _sym(items[1], "an axiom scheme name")
     kinds = _AX_KINDS.get(name)
     if kinds is None:
-        _err(rest[0], f"unknown axiom scheme {name}")
-    argnodes = rest[1:]
+        _err(items[1], f"unknown axiom scheme {name}")
+    argnodes = items[2:]
     if len(argnodes) != len(kinds):
         _err(node, f"axiom {name} takes {len(kinds)} argument(s)")
     # Variable arguments extend the scope the formula arguments read.
@@ -287,59 +285,56 @@ def _parse_ax(node, scope):
 
 def parse_proof(node, scope):
     head = _head(node, "proof")
-    rest = node.items[1:]
-
-    def arity(n):
-        if len(rest) != n:
-            _err(node, f"{head} takes {n} argument(s)")
-
+    items = node.items
     match head:
         case "id":
-            arity(1)
-            return Id(_sym(rest[0], "a hypothesis name"))
+            _arity(node, 1)
+            return Id(_sym(items[1], "a hypothesis name"))
         case "ax":
             return _parse_ax(node, scope)
         case "imp-intro":
-            arity(2)
-            if not (isinstance(rest[0], _List) and len(rest[0].items) == 2):
-                _err(rest[0], "expected a (name formula) binder")
-            h = _sym(rest[0].items[0], "a hypothesis name")
-            f = parse_formula(rest[0].items[1], scope)
-            return ImpIntro(h, f, parse_proof(rest[1], scope))
+            _arity(node, 2)
+            b = items[1]
+            if b.__class__ is not _List or len(b.items) != 2:
+                _err(b, "expected a (name formula) binder")
+            h = _sym(b.items[0], "a hypothesis name")
+            f = parse_formula(b.items[1], scope)
+            return ImpIntro(h, f, parse_proof(items[2], scope))
         case "imp-elim":
-            arity(2)
-            return ImpElim(parse_proof(rest[0], scope),
-                           parse_proof(rest[1], scope))
+            _arity(node, 2)
+            return ImpElim(parse_proof(items[1], scope),
+                           parse_proof(items[2], scope))
         case "and-intro":
-            arity(2)
-            return AndIntro(parse_proof(rest[0], scope),
-                            parse_proof(rest[1], scope))
+            _arity(node, 2)
+            return AndIntro(parse_proof(items[1], scope),
+                            parse_proof(items[2], scope))
         case "and-elim":
-            arity(2)
-            i = _sym(rest[0], "a projection index")
+            _arity(node, 2)
+            i = _sym(items[1], "a projection index")
             if i not in ("1", "2"):
-                _err(rest[0], "and-elim index must be 1 or 2")
-            return AndElim(int(i), parse_proof(rest[1], scope))
+                _err(items[1], "and-elim index must be 1 or 2")
+            return AndElim(int(i), parse_proof(items[2], scope))
         case "forall-intro":
-            arity(2)
-            name, sort = _parse_binder(rest[0], "forall-intro")
-            body = parse_proof(rest[1], {**scope, name: sort})
+            _arity(node, 2)
+            name, sort = _parse_binder(items[1], "forall-intro")
+            body = parse_proof(items[2], {**scope, name: sort})
             return ForallIntro(name, sort, body)
         case "forall-elim":
-            arity(2)
-            return ForallElim(parse_proof(rest[0], scope),
-                              parse_individual(rest[1], scope))
+            _arity(node, 2)
+            return ForallElim(parse_proof(items[1], scope),
+                              parse_individual(items[2], scope))
         case "bot-intro":
-            arity(2)
-            return BotIntro(_sym(rest[0], "a label name"),
-                            parse_proof(rest[1], scope))
+            _arity(node, 2)
+            return BotIntro(_sym(items[1], "a label name"),
+                            parse_proof(items[2], scope))
         case "bot-elim":
-            arity(2)
-            if not (isinstance(rest[0], _List) and len(rest[0].items) == 2):
-                _err(rest[0], "expected a (label formula) binder")
-            lab = _sym(rest[0].items[0], "a label name")
-            f = parse_formula(rest[0].items[1], scope)
-            return BotElim(lab, f, parse_proof(rest[1], scope))
+            _arity(node, 2)
+            b = items[1]
+            if b.__class__ is not _List or len(b.items) != 2:
+                _err(b, "expected a (label formula) binder")
+            lab = _sym(b.items[0], "a label name")
+            f = parse_formula(b.items[1], scope)
+            return BotElim(lab, f, parse_proof(items[2], scope))
     _err(node, f"unknown proof form {head}")
 
 
@@ -382,85 +377,78 @@ _RESERVED_TERM_NAMES = {"succ", "pred", "star"}
 
 
 def parse_type(node):
-    match node:
-        case _Atom("nat"):
+    if node.__class__ is _Atom:
+        if node.text == "nat":
             return NAT
-        case _Atom("bot"):
+        if node.text == "bot":
             return TBOT
-        case _List((first, *rest)) if isinstance(first, _Atom):
-            if first.text == "->":
-                if len(rest) < 2:
-                    _err(node, "type arrow needs at least two arguments")
-                out = parse_type(rest[-1])
-                for a in reversed(rest[:-1]):
-                    out = TArr(parse_type(a), out)
-                return out
-            if first.text == "*":
-                if len(rest) != 2:
-                    _err(node, "* takes two types")
-                return TProd(parse_type(rest[0]), parse_type(rest[1]))
+    elif node.items and node.items[0].__class__ is _Atom:
+        items = node.items
+        head = items[0].text
+        if head == "->":
+            if len(items) < 3:
+                _err(node, "type arrow needs at least two arguments")
+            out = parse_type(items[-1])
+            for a in reversed(items[1:-1]):
+                out = TArr(parse_type(a), out)
+            return out
+        if head == "*":
+            if len(items) != 3:
+                _err(node, "* takes two types")
+            return TProd(parse_type(items[1]), parse_type(items[2]))
     _err(node, "expected a type")
 
 
 def parse_term(node):
-    match node:
-        case _Atom(text) if text.isdigit():
+    if node.__class__ is _Atom:
+        text = node.text
+        if _is_numeral(text):
             return Num(int(text))
-        case _Atom("succ"):
-            return Prim("succ")
-        case _Atom("pred"):
-            return Prim("pred")
-        case _Atom(text):
-            return LVar(text)
-        case _List((first, *rest)) if isinstance(first, _Atom):
-            head = first.text
-
-            def arity(n):
-                if len(rest) != n:
-                    _err(node, f"{head} takes {n} argument(s)")
-
-            if head == "ifz":
-                arity(1)
-                return Prim("ifz", parse_type(rest[0]))
-            if head == "fix":
-                arity(1)
-                return Prim("fix", parse_type(rest[0]))
-            if head == "lam":
-                arity(2)
-                name, ty = _parse_term_binder(rest[0])
-                return Lam(name, ty, parse_term(rest[1]))
-            if head == "app":
-                if len(rest) < 2:
-                    _err(node, "app needs a function and arguments")
-                out = parse_term(rest[0])
-                for a in rest[1:]:
-                    out = LApp(out, parse_term(a))
-                return out
-            if head == "pair":
-                arity(2)
-                return Pair(parse_term(rest[0]), parse_term(rest[1]))
-            if head == "proj":
-                arity(2)
-                i = _sym(rest[0], "a projection index")
-                if i not in ("1", "2"):
-                    _err(rest[0], "proj index must be 1 or 2")
-                return Proj(int(i), parse_term(rest[1]))
-            if head == "mu":
-                arity(2)
-                name, ty = _parse_term_binder(rest[0])
-                return Mu(name, ty, parse_term(rest[1]))
-            if head == "named":
-                arity(2)
-                return Named(_sym(rest[0], "a label name"),
-                             parse_term(rest[1]))
+        if text == "succ" or text == "pred":
+            return Prim(text)
+        return LVar(text)
+    items = node.items
+    if items and items[0].__class__ is _Atom:
+        head = items[0].text
+        if head == "app":
+            if len(items) < 3:
+                _err(node, "app needs a function and arguments")
+            out = parse_term(items[1])
+            for a in items[2:]:
+                out = LApp(out, parse_term(a))
+            return out
+        if head == "lam":
+            _arity(node, 2)
+            name, ty = _parse_term_binder(items[1])
+            return Lam(name, ty, parse_term(items[2]))
+        if head == "ifz" or head == "fix":
+            _arity(node, 1)
+            return Prim(head, parse_type(items[1]))
+        if head == "pair":
+            _arity(node, 2)
+            return Pair(parse_term(items[1]), parse_term(items[2]))
+        if head == "proj":
+            _arity(node, 2)
+            i = _sym(items[1], "a projection index")
+            if i not in ("1", "2"):
+                _err(items[1], "proj index must be 1 or 2")
+            return Proj(int(i), parse_term(items[2]))
+        if head == "mu":
+            _arity(node, 2)
+            name, ty = _parse_term_binder(items[1])
+            return Mu(name, ty, parse_term(items[2]))
+        if head == "named":
+            _arity(node, 2)
+            return Named(_sym(items[1], "a label name"),
+                         parse_term(items[2]))
     _err(node, "expected a program")
 
 
 def _parse_term_binder(node):
-    if not (isinstance(node, _List) and len(node.items) == 2):
+    if node.__class__ is not _List or len(node.items) != 2:
         _err(node, "expected a (name type) binder")
     name = _sym(node.items[0], "a variable name")
-    if name in _RESERVED_TERM_NAMES or name.isdigit():
+    if name in _RESERVED_TERM_NAMES or _is_numeral(name):
         _err(node.items[0], f"{name} is reserved and cannot be bound")
     return name, parse_type(node.items[1])
 
@@ -522,7 +510,7 @@ def parse_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             src = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise UserError(f"cannot read {path}: {ex}") from None
     try:
         return parse_source(src)

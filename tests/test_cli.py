@@ -104,6 +104,82 @@ def test_deep_nesting_is_a_user_error(capsys, tmp_path, fmt):
             "category": "user-error", "message": "input nests too deeply"}}
 
 
+def test_deep_term_still_evaluates(capsys, tmp_path):
+    depth = 30000
+    deep = tmp_path / "deep.term"
+    deep.write_text("(term t " + "(app succ " * depth + "0" + ")" * depth
+                    + ")\n")
+    code, payload = _run_json(capsys, ["eval", str(deep)])
+    assert code == 0
+    assert payload["value"] == depth
+
+
+def _expect_user_error(fmt, code, out, err, message):
+    assert code == 1
+    if fmt == "text":
+        assert out == ""
+        assert err == f"error[user-error]: {message}\n"
+    else:
+        assert err == ""
+        assert json.loads(out) == {"error": {
+            "category": "user-error", "message": message}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_undecodable_file_is_a_user_error(capsys, tmp_path, fmt):
+    bad = tmp_path / "bad.term"
+    bad.write_bytes(b"(term t 3)\n\xff\n")
+    code, out, err = _run(capsys, ["eval", str(bad), "--format", fmt])
+    _expect_user_error(fmt, code, out, err, (
+        f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+        f"position 11: invalid start byte"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digits_are_not_numerals(capsys, tmp_path, digit, fmt):
+    term = tmp_path / "digit.term"
+    term.write_text(f"(term t {digit})\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["eval", str(term), "--format", fmt])
+    _expect_user_error(fmt, code, out, err, f"unbound variable {digit}")
+    proof = tmp_path / "digit.proof"
+    proof.write_text(f"(proof p (goal (neq {digit} 0)) (id h))\n",
+                     encoding="utf-8")
+    code, out, err = _run(capsys, ["check", str(proof), "--format", fmt])
+    _expect_user_error(fmt, code, out, err,
+                       f"{proof}:1:21: unknown identifier {digit}")
+
+
+@pytest.mark.parametrize("spelling", [["--format", "structured"],
+                                      ["--format=structured"], []],
+                         ids=["structured", "structured=", "text"])
+def test_usage_errors_are_user_errors(capsys, spelling):
+    argv = ["check", str(CORPUS / "dne.proof"), "--fuel", "3"] + spelling
+    code, out, err = _run(capsys, argv)
+    message = "unrecognized arguments: --fuel 3"
+    if spelling:
+        _expect_user_error("structured", code, out, err, message)
+    else:
+        assert code == 1
+        assert out == ""
+        usage, _, last = err.rstrip("\n").rpartition("\n")
+        assert usage.startswith("usage: mupcf ")
+        assert last == f"error[user-error]: {message}"
+    code, out, err = _run(capsys, ["eval", "--fuel", "lots", "x.term"])
+    assert code == 1
+    assert err.endswith(
+        "\nerror[user-error]: argument --fuel: invalid int value: 'lots'\n")
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["extract", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mupcf")
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_memory_error_is_a_user_error(capsys, monkeypatch, fmt):
     def exhaust(ws, args):

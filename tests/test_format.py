@@ -256,3 +256,191 @@ def test_diagnostics_quote_objects_in_surface_syntax(capsys, case):
         (node,) = _read_all(text)
         assert _READ[kind](node) == obj, text
     assert not _INTERNAL.search(re.sub(r"^error\[[\w-]+\]: ", "", msg)), msg
+
+
+# ------------------------------------------------------ reader diagnostics
+
+# Every message the reader and the parse functions raise, each from one
+# malformed snippet, with the full "line:col: message".  Each snippet follows
+# a comment line and a blank line that hold tabs and CR LF ends, and has a
+# tab or a comment ahead of its culprit, so the columns count those as the
+# reader must: a tab is one column, CR is whitespace, LF ends a line.
+_LEAD = "; header (with parens) ;;\r\n\t\r\n"
+
+
+def _in_proof(body):
+    return f"(proof p (goal bot)\t; goal\r\n  {body})"
+
+
+def _in_goal(goal):
+    return f"(proof p\t; name\r\n  (goal {goal}) (id h))"
+
+
+def _in_term(program):
+    return f"(term t\t; c\r\n  {program})"
+
+
+_DIAGNOSTICS = [
+    ("(theory paw)\t)", "3:14: unmatched closing parenthesis"),
+    ("(term a\r\n\t(app succ 0 ; )\r\n", "4:2: unclosed parenthesis"),
+    ("\tpaw", "3:2: expected a parenthesized declaration"),
+    ("(proof p\t; c\r\n  goal (id h))",
+     "4:3: expected a parenthesized goal"),
+    (_in_proof("h"), "4:3: expected a parenthesized proof"),
+    ("(theory\t(paw))", "3:9: expected a theory name"),
+    ("(proof\t(p) (goal bot) (id h))", "3:8: expected a proof name"),
+    ("(term\t(t) 0)", "3:7: expected a term name"),
+    (_in_proof("(id\t(h))"), "4:7: expected a hypothesis name"),
+    (_in_goal("(all ((x) iota) bot)"), "4:15: expected a variable name"),
+    (_in_proof("(ax\t(refl) iota)"), "4:7: expected an axiom scheme name"),
+    (_in_proof("(and-elim (1) (id h))"),
+     "4:13: expected a projection index"),
+    (_in_term("(proj\t(1) 0)"), "4:9: expected a projection index"),
+    (_in_proof("(bot-intro (a) (id h))"), "4:14: expected a label name"),
+    (_in_term("(named\t(a) 0)"), "4:10: expected a label name"),
+    (_in_goal("(all (f (-> iota)) bot)"),
+     "4:17: sort arrow needs at least two arguments"),
+    (_in_goal("(all (x\tnat) bot)"), "4:17: expected a sort"),
+    (_in_goal("(neq 0\tzz)"), "4:16: unknown identifier zz"),
+    (_in_goal("(neq (k\tiota) 0)"),
+     "4:14: constant k takes 2 sort argument(s)"),
+    (_in_goal("(neq\t(zz) 0)"), "4:14: empty application"),
+    (_in_goal("(neq\t() 0)"), "4:14: expected an individual"),
+    (_in_goal("(all x bot)"), "4:14: expected a (name sort) binder for all"),
+    (_in_goal("(all (S iota) bot)"),
+     "4:15: S is reserved and cannot be bound"),
+    (_in_goal("(all (7 iota) bot)"),
+     "4:15: 7 is reserved and cannot be bound"),
+    (_in_proof("(forall-intro x (id h))"),
+     "4:17: expected a (name sort) binder for forall-intro"),
+    (_in_proof("(forall-intro (rec iota) (id h))"),
+     "4:18: rec is reserved and cannot be bound"),
+    (_in_goal("(neq 0)"), "4:9: neq takes two individuals"),
+    (_in_goal("(= 0 0 0)"), "4:9: = takes two individuals"),
+    (_in_goal("(rel)"), "4:9: rel takes one individual"),
+    (_in_goal("(-> bot)"), "4:9: formula arrow needs at least two arguments"),
+    (_in_goal("(not bot bot)"), "4:9: not takes one formula"),
+    (_in_goal("(/\\ bot)"), "4:9: /\\ takes two formulas"),
+    (_in_goal("(exists (x iota))"), "4:9: exists takes a binder and a body"),
+    (_in_goal("(all (x iota))"), "4:9: all takes a binder and a body"),
+    (_in_goal("top"), "4:9: expected a formula"),
+    (_in_goal("(or bot bot)"), "4:9: expected a formula"),
+    (_in_proof("(ax)"), "4:3: ax needs a scheme name"),
+    (_in_proof("(ax\tchoice)"), "4:7: unknown axiom scheme choice"),
+    (_in_proof("(ax\trefl)"), "4:3: axiom refl takes 1 argument(s)"),
+    (_in_proof("(ax leib bot x (y iota) (z iota))"),
+     "4:3: axiom leib takes 3 argument(s)"),
+    (_in_proof("(imp-elim (id h))"), "4:3: imp-elim takes 2 argument(s)"),
+    (_in_proof("(imp-intro h (id h))"),
+     "4:14: expected a (name formula) binder"),
+    (_in_proof("(and-elim 3 (id h))"), "4:13: and-elim index must be 1 or 2"),
+    (_in_proof("(bot-elim a (id h))"),
+     "4:13: expected a (label formula) binder"),
+    (_in_proof("(foo (id h))"), "4:3: unknown proof form foo"),
+    (_in_term("(lam (x (-> nat)) x)"),
+     "4:11: type arrow needs at least two arguments"),
+    (_in_term("(lam (x (* nat)) x)"), "4:11: * takes two types"),
+    (_in_term("(lam (x\tiota) x)"), "4:11: expected a type"),
+    (_in_term("(lam (x nat))"), "4:3: lam takes 2 argument(s)"),
+    (_in_term("(app\tsucc)"), "4:3: app needs a function and arguments"),
+    (_in_term("(proj 0 x)"), "4:9: proj index must be 1 or 2"),
+    (_in_term("()"), "4:3: expected a program"),
+    (_in_term("(foo 1)"), "4:3: expected a program"),
+    (_in_term("(lam x x)"), "4:8: expected a (name type) binder"),
+    (_in_term("(lam (succ nat) 0)"),
+     "4:9: succ is reserved and cannot be bound"),
+    (_in_term("(mu (4 nat) 0)"), "4:8: 4 is reserved and cannot be bound"),
+    ("(theory paw)\r\n\t(theory caw)", "4:2: theory already declared"),
+    ("(theory paw caw)", "3:1: theory takes one name"),
+    ("(theory\tzfc)", "3:9: unknown theory zfc"),
+    ("(proof p (goal bot))",
+     "3:1: proof takes a name, a goal, and a derivation"),
+    ("(term a 0)\r\n(term\ta 1)", "4:7: duplicate declaration a"),
+    ("(term a 0)\r\n(proof\ta (goal bot) (id h))",
+     "4:8: duplicate declaration a"),
+    ("(proof p\t(goal) (id h))", "3:10: expected (goal <formula>)"),
+    ("(proof p\t(gaol bot) (id h))", "3:10: expected (goal <formula>)"),
+    ("(term t)", "3:1: term takes a name and a program"),
+    ("(lemma\ta 0)", "3:1: unknown declaration lemma"),
+]
+
+
+@pytest.mark.parametrize("src,message", _DIAGNOSTICS,
+                         ids=[m for _, m in _DIAGNOSTICS])
+def test_reader_diagnostics_are_pinned(src, message):
+    with pytest.raises(UserError) as info:
+        parse_source(_LEAD + src)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_numerals_are_ascii_digits(digit):
+    with pytest.raises(UserError) as info:
+        parse_source(f"(proof p (goal (neq {digit} 0)) (id h))")
+    assert str(info.value) == f"1:21: unknown identifier {digit}"
+    assert _parse_term(digit) == LVar(digit)
+    assert _parse_formula(f"(all ({digit} iota) bot)") \
+        == Forall(digit, IOTA, BOT)
+
+
+# ----------------------------------------------------- reader positions
+
+# Runs put between two tokens: whitespace, comments (holding parentheses and
+# semicolons), or nothing, which separates two tokens only when one of them
+# is a parenthesis, so two atoms always get whitespace.
+_GAPS = ["", " ", "  ", "\t", "\r\n", "\n", " ; a (comment) ;\n",
+         "\t;\r\n", "\r\n\t ", ";(\r\n"]
+
+
+def _relayout(text, rng):
+    """The tokens of text with random whitespace and comments between
+    them, and the source index of every ( and atom, in order."""
+    out, starts, at = [], [], 0
+    prev = None
+    for tok in re.findall(r"[()]|[^\s()]+", text):
+        gap = rng.choice(_GAPS)
+        if not gap and prev not in ("(", ")", None) \
+                and tok not in ("(", ")"):
+            gap = rng.choice([" ", "\t", "\r\n"])
+        out.append(gap)
+        at += len(gap)
+        if tok != ")":
+            starts.append(at)
+        out.append(tok)
+        at += len(tok)
+        prev = tok
+    return "".join(out), starts
+
+
+def _preorder(nodes):
+    for node in nodes:
+        yield node
+        if hasattr(node, "items"):
+            yield from _preorder(node.items)
+
+
+def _canonical_sources():
+    for path in sorted(CORPUS.glob("*.proof")):
+        ws = parse_file(path)
+        yield f"(theory {ws.theory_name})\n" + "".join(
+            proof_decl(n, g, p) for n, (g, p) in ws.proofs.items())
+    rng = random.Random(20261018)
+    for i in range(40):
+        yield term_decl(f"t{i}", gen_term(rng, rand_type(rng, 3), depth=5))
+
+
+def test_reader_positions_match_source_indices():
+    rng = random.Random(6)
+    for canonical in _canonical_sources():
+        want = parse_source(canonical)
+        for _ in range(3):
+            src, starts = _relayout(canonical, rng)
+            nodes = list(_preorder(_read_all(src)))
+            assert len(nodes) == len(starts)
+            for node, i in zip(nodes, starts):
+                line = src.count("\n", 0, i) + 1
+                col = i - src.rfind("\n", 0, i)
+                assert (node.line, node.col) == (line, col), src[i:i + 20]
+            got = parse_source(src)
+            assert (got.theory_name, got.proofs, got.terms) \
+                == (want.theory_name, want.proofs, want.terms)
