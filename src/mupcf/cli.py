@@ -3,9 +3,13 @@
 Subcommands: check, relativize, interp, eval, cps, extract.  Exit codes:
 0 success, 1 bad input (a malformed command line included), 2 fuel
 exhausted, 3 internal invariant breach.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+argument parser on the first call and keeps nothing else between calls.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -214,6 +218,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self.format_usage(), message)
 
 
+@functools.cache
 def _build_parser():
     p = _Parser(
         prog="mupcf",

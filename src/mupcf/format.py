@@ -16,6 +16,7 @@ proof printer and the declaration printers.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InternalError, UserError
@@ -87,6 +88,17 @@ def _is_numeral(text):
     return text.isascii() and text.isdigit()
 
 
+def _numeral_value(node):
+    """int() and str() refuse digit strings longer than the interpreter's
+    limit (0 means none).  A program numeral stays a digit below it, so the
+    value that eval reaches from it by succ steps still prints."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(node.text) >= limit:
+        _err(node, f"numeral has {len(node.text)} digits; at most "
+                   f"{limit - 1} are supported")
+    return int(node.text)
+
+
 def _head(node, what):
     if node.__class__ is not _List or not node.items \
             or node.items[0].__class__ is not _Atom:
@@ -132,6 +144,9 @@ def parse_sort(node):
 
 _CONST_SORT_ARITY = {"k": 2, "s": 3, "rec": 1}
 
+# a numeral individual is read as that many nested S applications
+_MAX_IND_NUMERAL = 10000
+
 
 def parse_individual(node, scope):
     if node.__class__ is _Atom:
@@ -141,8 +156,14 @@ def parse_individual(node, scope):
         if text == "S":
             return SUCC
         if _is_numeral(text):
+            digits = text.lstrip("0") or "0"
+            # the length test keeps a long digit string away from int()
+            if len(digits) > len(str(_MAX_IND_NUMERAL)) \
+                    or int(digits) > _MAX_IND_NUMERAL:
+                _err(node, f"numeral individuals are limited to "
+                           f"{_MAX_IND_NUMERAL}")
             out = ZERO
-            for _ in range(int(text)):
+            for _ in range(int(digits)):
                 out = IApp(SUCC, out)
             return out
         if text not in scope:
@@ -403,7 +424,7 @@ def parse_term(node):
     if node.__class__ is _Atom:
         text = node.text
         if _is_numeral(text):
-            return Num(int(text))
+            return Num(_numeral_value(node))
         if text == "succ" or text == "pred":
             return Prim(text)
         return LVar(text)

@@ -150,6 +150,53 @@ def test_non_ascii_digits_are_not_numerals(capsys, tmp_path, digit, fmt):
                        f"{proof}:1:21: unknown identifier {digit}")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_numerals_past_the_digit_limit_are_user_errors(capsys, tmp_path,
+                                                        fmt):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter converts digit strings of any length")
+    big = tmp_path / "big.term"
+    big.write_text("(term t 1" + "0" * 5000 + ")\n")
+    code, out, err = _run(capsys, ["eval", str(big), "--format", fmt])
+    _expect_user_error(fmt, code, out, err,
+                       f"{big}:1:9: numeral has 5001 digits; at most "
+                       f"{limit - 1} are supported")
+    # the largest numeral read stays printable after a succ step
+    edge = tmp_path / "edge.term"
+    edge.write_text("(term t (app succ " + "9" * (limit - 1) + "))\n")
+    code, payload = _run_json(capsys, ["eval", str(edge)])
+    assert code == 0
+    assert payload["value"] == 10 ** (limit - 1)
+
+
+def _numeral_goal_proof(path, numeral):
+    neq = f"(neq {numeral} 0)"
+    path.write_text(f"(proof p (goal (-> {neq} {neq})) "
+                    f"(imp-intro (h {neq}) (id h)))\n")
+    return path
+
+
+@pytest.mark.parametrize("cmd", ["check", "relativize", "interp", "cps"])
+def test_numeral_individual_at_the_bound(capsys, tmp_path, cmd):
+    proof = _numeral_goal_proof(tmp_path / "bound.proof", "10000")
+    code, _, err = _run(capsys, [cmd, str(proof)])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("numeral", ["10001", "1" + "0" * 5000])
+def test_numeral_individuals_past_the_bound_are_user_errors(
+        capsys, tmp_path, fmt, numeral):
+    proof = _numeral_goal_proof(tmp_path / "big.proof", numeral)
+    # the conclusion's numeral is the one read first
+    col = len(f"(proof p (goal (-> (neq {numeral} 0) (neq ") + 1
+    code, out, err = _run(capsys, ["check", str(proof), "--format", fmt])
+    _expect_user_error(fmt, code, out, err,
+                       f"{proof}:1:{col}: numeral individuals are limited "
+                       f"to 10000")
+
+
 @pytest.mark.parametrize("spelling", [["--format", "structured"],
                                       ["--format=structured"], []],
                          ids=["structured", "structured=", "text"])
@@ -178,6 +225,84 @@ def test_help_still_exits_zero(capsys):
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: mupcf")
+
+
+def _main_or_exit(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as ex:   # --help
+        return ex.code
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert _run(capsys, ["check", str(CORPUS / "dne.proof")])[0] == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    for argv in (["check", str(CORPUS / "dne.proof")],
+                 ["interp", str(CORPUS / "peirce.proof")],
+                 ["eval", str(CORPUS / "omega.term"), "--fuel", "10"],
+                 ["extract", str(CORPUS / "succ-total.proof"),
+                  "--inputs", "0..1"],
+                 ["check", "--no-such-option"],
+                 ["--help"]):
+        _main_or_exit(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    """Each call prints what it prints as the first call of a process."""
+    two = tmp_path / "two.term"
+    two.write_text("(term two (app succ (app succ 0)))\n")
+    succ_total = str(CORPUS / "succ-total.proof")
+    calls = [
+        (None, ["extract", succ_total, "--fuel", "7", "--inputs", "3..3",
+                "--name", "succ-total", "--theory", "caw",
+                "--format", "structured"]),
+        (None, ["extract", succ_total]),
+        (None, ["relativize", succ_total, "--theory", "caw"]),
+        (None, ["check", str(CORPUS / "dne.proof"), "--fuel", "3"]),
+        (None, ["relativize", succ_total]),
+        ("2", ["eval", str(two)]),
+        (None, ["--help"]),
+        ("1000", ["eval", str(two)]),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")   # the width of usage and help
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    seen = []
+    for fuel, argv in calls:
+        if fuel is None:
+            monkeypatch.delenv("MUPCF_FUEL", raising=False)
+        else:
+            monkeypatch.setenv("MUPCF_FUEL", fuel)
+        code = _main_or_exit(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mupcf.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True)
+        assert seen[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), \
+            argv
+    (first, _, _), (default, text, _), (override, caw, _), \
+        (usage, _, usage_err), (plain, paw, _), (starved, _, _), \
+        (help_, help_out, _), (fed, fed_out, _) = seen
+    assert (first, default, override, plain) == (2, 0, 0, 0)
+    rows = [l for l in text.splitlines() if l.startswith("input=")]
+    assert [r.split()[0] for r in rows] == [f"input={i}" for i in range(11)]
+    assert "theory: cawr\n" in caw and "theory: pawr\n" in paw
+    assert usage == 1 and usage_err.startswith("usage: mupcf ")
+    assert usage_err.endswith(
+        "error[user-error]: unrecognized arguments: --fuel 3\n")
+    assert (starved, help_, fed) == (2, 0, 0)
+    assert help_out.startswith("usage: mupcf")
+    assert fed_out == "value: 2\nsteps: 6\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
