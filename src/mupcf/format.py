@@ -90,9 +90,10 @@ def _is_numeral(text):
 
 def _numeral_value(node):
     """int() and str() refuse digit strings longer than the interpreter's
-    limit (0 means none).  A program numeral stays a digit below it, so the
-    value that eval reaches from it by succ steps still prints."""
-    limit = sys.get_int_max_str_digits()
+    limit (0 means none; interpreters before 3.10.7 have no limit and no
+    sys.get_int_max_str_digits).  A program numeral stays a digit below it,
+    so the value that eval reaches from it by succ steps still prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(node.text) >= limit:
         _err(node, f"numeral has {len(node.text)} digits; at most "
                    f"{limit - 1} are supported")

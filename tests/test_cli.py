@@ -153,7 +153,7 @@ def test_non_ascii_digits_are_not_numerals(capsys, tmp_path, digit, fmt):
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_numerals_past_the_digit_limit_are_user_errors(capsys, tmp_path,
                                                         fmt):
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("the interpreter converts digit strings of any length")
     big = tmp_path / "big.term"
