@@ -121,11 +121,38 @@ def _arity(node, n):
 # The parse functions below recurse once per nesting level of the input, and
 # no deeper: the command line turns the RecursionError of an input nested
 # too deeply into a user error.
+#
+# The formulas, individuals and sorts of a proof declaration and the types of
+# a program are also bounded by the depth of the tree they build, which long
+# arrows, long applications and numeral individuals make deeper than the
+# input nests.  The depth argument of a parse function is the depth of the
+# node it builds in that tree: a root has depth 0, a child is one deeper
+# than its parent.  Comparing or hashing two such trees recurses in C once
+# per level, which on a default 8 MB stack overflows past about 12 500
+# levels, before the interpreter's recursion limit is reached.
+MAX_DEPTH = 10500
+
+
+def _check_depth(node, depth):
+    if depth > MAX_DEPTH:
+        _err(node, f"nests more than {MAX_DEPTH} levels deep")
+
+
+def _sort_depth(sort):
+    """Depth of a sort's tree; recurses only into argument sorts."""
+    depth = spine = 0
+    while sort.__class__ is SArrow:
+        spine += 1
+        depth = max(depth, spine + _sort_depth(sort.left))
+        sort = sort.right
+    return max(depth, spine)
+
 
 # ----------------------------------------------------------------- sorts
 
 
-def parse_sort(node):
+def parse_sort(node, depth=0):
+    _check_depth(node, depth)
     if node.__class__ is _Atom:
         if node.text == "iota":
             return IOTA
@@ -134,9 +161,9 @@ def parse_sort(node):
         items = node.items
         if len(items) < 3:
             _err(node, "sort arrow needs at least two arguments")
-        out = parse_sort(items[-1])
-        for a in reversed(items[1:-1]):
-            out = SArrow(parse_sort(a), out)
+        out = parse_sort(items[-1], depth + len(items) - 2)
+        for i in range(len(items) - 2, 0, -1):
+            out = SArrow(parse_sort(items[i], depth + i), out)
         return out
     _err(node, "expected a sort")
 
@@ -149,7 +176,8 @@ _CONST_SORT_ARITY = {"k": 2, "s": 3, "rec": 1}
 _MAX_IND_NUMERAL = 10000
 
 
-def parse_individual(node, scope):
+def parse_individual(node, scope, depth=0):
+    _check_depth(node, depth)
     if node.__class__ is _Atom:
         text = node.text
         if text == "0":
@@ -163,13 +191,18 @@ def parse_individual(node, scope):
                     or int(digits) > _MAX_IND_NUMERAL:
                 _err(node, f"numeral individuals are limited to "
                            f"{_MAX_IND_NUMERAL}")
+            n = int(digits)
+            _check_depth(node, depth + n)
             out = ZERO
-            for _ in range(int(digits)):
+            for _ in range(n):
                 out = IApp(SUCC, out)
             return out
         if text not in scope:
             _err(node, f"unknown identifier {text}")
-        return IVar(text, scope[text])
+        sort = scope[text]
+        if sort is not IOTA:
+            _check_depth(node, depth + 1 + _sort_depth(sort))
+        return IVar(text, sort)
     items = node.items
     if not items:
         _err(node, "expected an individual")
@@ -179,12 +212,15 @@ def parse_individual(node, scope):
         if len(items) != want + 1:
             _err(node, f"constant {first.text} takes {want} sort "
                        f"argument(s)")
-        return IConst(first.text, tuple([parse_sort(a) for a in items[1:]]))
+        return IConst(first.text,
+                      tuple([parse_sort(a, depth + 1) for a in items[1:]]))
     if len(items) == 1:
         _err(node, "empty application")
-    out = parse_individual(first, scope)
-    for a in items[1:]:
-        out = IApp(out, parse_individual(a, scope))
+    # (f a1 .. an) is n nested applications, f innermost
+    n = len(items) - 1
+    out = parse_individual(first, scope, depth + n)
+    for i in range(1, n + 1):
+        out = IApp(out, parse_individual(items[i], scope, depth + n + 1 - i))
     return out
 
 
@@ -194,17 +230,19 @@ def parse_individual(node, scope):
 _RESERVED_IND_NAMES = {"0", "S", "k", "s", "rec"}
 
 
-def _parse_binder(node, what):
-    """(name <sort>) pairs used by all binding constructs."""
+def _parse_binder(node, what, depth):
+    """(name <sort>) pairs used by all binding constructs; depth is that of
+    the sort in its tree."""
     if node.__class__ is not _List or len(node.items) != 2:
         _err(node, f"expected a (name sort) binder for {what}")
     name = _sym(node.items[0], "a variable name")
     if name in _RESERVED_IND_NAMES or _is_numeral(name):
         _err(node.items[0], f"{name} is reserved and cannot be bound")
-    return name, parse_sort(node.items[1])
+    return name, parse_sort(node.items[1], depth)
 
 
-def parse_formula(node, scope):
+def parse_formula(node, scope, depth=0):
+    _check_depth(node, depth)
     if node.__class__ is _Atom:
         if node.text == "bot":
             return BOT
@@ -215,40 +253,44 @@ def parse_formula(node, scope):
         if head == "neq":
             if n != 2:
                 _err(node, "neq takes two individuals")
-            return Atom("neq", (parse_individual(items[1], scope),
-                                parse_individual(items[2], scope)))
+            return Atom("neq", (parse_individual(items[1], scope, depth + 1),
+                                parse_individual(items[2], scope, depth + 1)))
         if head == "=":
             if n != 2:
                 _err(node, "= takes two individuals")
-            return Imp(Atom("neq", (parse_individual(items[1], scope),
-                                    parse_individual(items[2], scope))),
-                       BOT)
+            return Imp(Atom("neq", (
+                parse_individual(items[1], scope, depth + 2),
+                parse_individual(items[2], scope, depth + 2))), BOT)
         if head == "rel":
             if n != 1:
                 _err(node, "rel takes one individual")
-            return Atom("rel", (parse_individual(items[1], scope),))
+            return Atom("rel", (parse_individual(items[1], scope, depth + 1),))
         if head == "->":
             if n < 2:
                 _err(node, "formula arrow needs at least two arguments")
-            out = parse_formula(items[-1], scope)
-            for a in reversed(items[1:-1]):
-                out = Imp(parse_formula(a, scope), out)
+            out = parse_formula(items[-1], scope, depth + n - 1)
+            for i in range(n - 1, 0, -1):
+                out = Imp(parse_formula(items[i], scope, depth + i), out)
             return out
         if head == "not":
             if n != 1:
                 _err(node, "not takes one formula")
-            return Imp(parse_formula(items[1], scope), BOT)
+            return Imp(parse_formula(items[1], scope, depth + 1), BOT)
         if head == "/\\":
             if n != 2:
                 _err(node, "/\\ takes two formulas")
-            return And(parse_formula(items[1], scope),
-                       parse_formula(items[2], scope))
+            return And(parse_formula(items[1], scope, depth + 1),
+                       parse_formula(items[2], scope, depth + 1))
         if head == "all" or head == "exists":
             if n != 2:
                 _err(node, f"{head} takes a binder and a body")
-            name, sort = _parse_binder(items[1], head)
-            body = parse_formula(items[2], {**scope, name: sort})
-            if head == "all":
+            # exists reads as (-> (all (x s) (-> a bot)) bot): its sort
+            # lies one level deeper than under all, its body two
+            ex = head == "exists"
+            name, sort = _parse_binder(items[1], head, depth + 1 + ex)
+            body = parse_formula(items[2], {**scope, name: sort},
+                                 depth + 1 + 2 * ex)
+            if not ex:
                 return Forall(name, sort, body)
             return Imp(Forall(name, sort, Imp(body, BOT)), BOT)
     _err(node, "expected a formula")
@@ -291,7 +333,7 @@ def _parse_ax(node, scope):
     vs = {}
     for kind, a in zip(kinds, argnodes):
         if kind == "v":
-            vname, vsort = _parse_binder(a, f"axiom {name}")
+            vname, vsort = _parse_binder(a, f"axiom {name}", 1)
             inner[vname] = vsort
             vs[id(a)] = IVar(vname, vsort)
     args = []
@@ -338,7 +380,7 @@ def parse_proof(node, scope):
             return AndElim(int(i), parse_proof(items[2], scope))
         case "forall-intro":
             _arity(node, 2)
-            name, sort = _parse_binder(items[1], "forall-intro")
+            name, sort = _parse_binder(items[1], "forall-intro", 0)
             body = parse_proof(items[2], {**scope, name: sort})
             return ForallIntro(name, sort, body)
         case "forall-elim":
@@ -398,7 +440,8 @@ def proof_sexp(p):
 _RESERVED_TERM_NAMES = {"succ", "pred", "star"}
 
 
-def parse_type(node):
+def parse_type(node, depth=0):
+    _check_depth(node, depth)
     if node.__class__ is _Atom:
         if node.text == "nat":
             return NAT
@@ -410,14 +453,15 @@ def parse_type(node):
         if head == "->":
             if len(items) < 3:
                 _err(node, "type arrow needs at least two arguments")
-            out = parse_type(items[-1])
-            for a in reversed(items[1:-1]):
-                out = TArr(parse_type(a), out)
+            out = parse_type(items[-1], depth + len(items) - 2)
+            for i in range(len(items) - 2, 0, -1):
+                out = TArr(parse_type(items[i], depth + i), out)
             return out
         if head == "*":
             if len(items) != 3:
                 _err(node, "* takes two types")
-            return TProd(parse_type(items[1]), parse_type(items[2]))
+            return TProd(parse_type(items[1], depth + 1),
+                         parse_type(items[2], depth + 1))
     _err(node, "expected a type")
 
 

@@ -24,29 +24,30 @@ from .logic import (
 
 def interp_type(f):
     """The simple type a proof of f is interpreted at."""
-    match f:
-        case Bot():
+    cls = f.__class__
+    if cls is Imp:
+        return TArr(interp_type(f.left), interp_type(f.right))
+    if cls is Atom:
+        if f.pred == "neq":
             return TBOT
-        case Atom("neq", _):
-            return TBOT
-        case Atom("rel", _):
+        if f.pred == "rel":
             return NAT
-        case Imp(a, b):
-            return TArr(interp_type(a), interp_type(b))
-        case And(a, b):
-            return TProd(interp_type(a), interp_type(b))
-        case Forall(_, _, b):
-            return interp_type(b)
+    elif cls is Bot:
+        return TBOT
+    elif cls is Forall:
+        return interp_type(f.body)
+    elif cls is And:
+        return TProd(interp_type(f.left), interp_type(f.right))
     raise InternalError(f"bad formula {f!r}")
 
 
 def rel_type(sort):
     """Type of realizability evidence for an individual of the given sort."""
-    match sort:
-        case BaseSort():
-            return NAT
-        case SArrow(a, b):
-            return TArr(rel_type(a), rel_type(b))
+    cls = sort.__class__
+    if cls is BaseSort:
+        return NAT
+    if cls is SArrow:
+        return TArr(rel_type(sort.left), rel_type(sort.right))
     raise InternalError(f"bad sort {sort!r}")
 
 
@@ -118,28 +119,28 @@ def interp_proof(proof, theory, goal):
     realizers = {}  # (name, args) -> realizer term, for this call only
 
     def go(p):
-        match p:
-            case Id(h):
-                return LVar(h)
-            case Ax(name, args):
-                key = (name, args)
-                if key not in realizers:
-                    realizers[key] = axiom_realizer(theory, name, args)
-                return realizers[key]
-            case ImpIntro(h, f, b):
-                return Lam(h, interp_type(f), go(b))
-            case ImpElim(fn, arg):
-                return LApp(go(fn), go(arg))
-            case AndIntro(l, r):
-                return Pair(go(l), go(r))
-            case AndElim(i, b):
-                return Proj(i, go(b))
-            case ForallIntro(_, _, b) | ForallElim(b, _):
-                return go(b)
-            case BotIntro(label, b):
-                return Named(label, go(b))
-            case BotElim(label, f, b):
-                return Mu(label, interp_type(f), go(b))
+        cls = p.__class__
+        if cls is ImpElim:
+            return LApp(go(p.fn), go(p.arg))
+        if cls is ForallElim or cls is ForallIntro:
+            return go(p.body)
+        if cls is Ax:
+            key = (p.name, p.args)
+            if key not in realizers:
+                realizers[key] = axiom_realizer(theory, p.name, p.args)
+            return realizers[key]
+        if cls is ImpIntro:
+            return Lam(p.hyp, interp_type(p.formula), go(p.body))
+        if cls is Id:
+            return LVar(p.hyp)
+        if cls is AndIntro:
+            return Pair(go(p.left), go(p.right))
+        if cls is AndElim:
+            return Proj(p.index, go(p.body))
+        if cls is BotIntro:
+            return Named(p.label, go(p.body))
+        if cls is BotElim:
+            return Mu(p.label, interp_type(p.formula), go(p.body))
         raise InternalError(f"bad proof node {p!r}")
 
     return go(proof)

@@ -162,27 +162,27 @@ def lams(binders, body):
 
 
 def term_sexp(t):
-    match t:
-        case LVar(name):
-            return name
-        case Num(v):
-            return str(v)
-        case Prim(op, None):
-            return op
-        case Prim(op, ty):
-            return f"({op} {type_sexp(ty)})"
-        case Lam(x, ty, b):
-            return f"(lam ({x} {type_sexp(ty)}) {term_sexp(b)})"
-        case LApp(f, a):
-            return f"(app {term_sexp(f)} {term_sexp(a)})"
-        case Pair(a, b):
-            return f"(pair {term_sexp(a)} {term_sexp(b)})"
-        case Proj(i, b):
-            return f"(proj {i} {term_sexp(b)})"
-        case Mu(lab, ty, b):
-            return f"(mu ({lab} {type_sexp(ty)}) {term_sexp(b)})"
-        case Named(lab, b):
-            return f"(named {lab} {term_sexp(b)})"
+    cls = t.__class__
+    if cls is LApp:
+        return f"(app {term_sexp(t.fn)} {term_sexp(t.arg)})"
+    if cls is LVar:
+        return t.name
+    if cls is Lam:
+        return f"(lam ({t.var} {type_sexp(t.ty)}) {term_sexp(t.body)})"
+    if cls is Prim:
+        if t.ty is None:
+            return t.op
+        return f"({t.op} {type_sexp(t.ty)})"
+    if cls is Num:
+        return str(t.value)
+    if cls is Pair:
+        return f"(pair {term_sexp(t.left)} {term_sexp(t.right)})"
+    if cls is Proj:
+        return f"(proj {t.index} {term_sexp(t.body)})"
+    if cls is Mu:
+        return f"(mu ({t.label} {type_sexp(t.ty)}) {term_sexp(t.body)})"
+    if cls is Named:
+        return f"(named {t.label} {term_sexp(t.body)})"
     raise InternalError(f"bad term {t!r}")
 
 
@@ -190,67 +190,78 @@ def term_sexp(t):
 
 
 def prim_type(p):
-    match p:
-        case Prim("succ" | "pred", None):
+    op, a = p.op, p.ty
+    if a is None:
+        if op == "succ" or op == "pred":
             return TArr(NAT, NAT)
-        case Prim("ifz", a) if a is not None:
-            return tarr(NAT, a, a, a)
-        case Prim("fix", a) if a is not None:
-            return TArr(TArr(a, a), a)
+    elif op == "ifz":
+        return tarr(NAT, a, a, a)
+    elif op == "fix":
+        return TArr(TArr(a, a), a)
     raise UserError(f"bad primitive {term_sexp(p)}")
 
 
 def typecheck(t, env=None, lenv=None):
     """Synthesize the type of t. env types term variables, lenv types labels.
     Raises UserError on ill-typed input."""
-    env = env or {}
-    lenv = lenv or {}
-    match t:
-        case LVar(n):
-            if n not in env:
-                raise UserError(f"unbound variable {n}")
-            return env[n]
-        case Num(v):
-            if v < 0:
-                raise UserError("numerals are non-negative")
-            return NAT
-        case Prim():
-            return prim_type(t)
-        case Lam(x, ty, b):
-            return TArr(ty, typecheck(b, {**env, x: ty}, lenv))
-        case LApp(f, a):
-            ft = typecheck(f, env, lenv)
-            if not isinstance(ft, TArr):
-                raise UserError(f"applied non-function {term_sexp(f)}")
-            at = typecheck(a, env, lenv)
-            if at != ft.left:
-                raise UserError(
-                    f"argument {term_sexp(a)} : {type_sexp(at)} does not "
-                    f"match {type_sexp(ft.left)}")
-            return ft.right
-        case Pair(a, b):
-            return TProd(typecheck(a, env, lenv), typecheck(b, env, lenv))
-        case Proj(i, b):
-            if i not in (1, 2):
-                raise UserError("projection index must be 1 or 2")
-            bt = typecheck(b, env, lenv)
-            if not isinstance(bt, TProd):
-                raise UserError(f"projected non-pair {term_sexp(b)}")
-            return bt.left if i == 1 else bt.right
-        case Mu(l, ty, b):
-            bt = typecheck(b, env, {**lenv, l: ty})
-            if bt != TBOT:
-                raise UserError("mu body must have the empty type")
-            return ty
-        case Named(l, b):
-            if l not in lenv:
-                raise UserError(f"unbound label {l}")
-            bt = typecheck(b, env, lenv)
-            if bt != lenv[l]:
-                raise UserError(
-                    f"label {l} expects {type_sexp(lenv[l])}, "
-                    f"got {type_sexp(bt)}")
-            return TBOT
+    return _typecheck(t, {} if env is None else env,
+                      {} if lenv is None else lenv)
+
+
+def _typecheck(t, env, lenv):
+    cls = t.__class__
+    if cls is LApp:
+        f, a = t.fn, t.arg
+        ft = _typecheck(f, env, lenv)
+        if ft.__class__ is not TArr:
+            raise UserError(f"applied non-function {term_sexp(f)}")
+        at = _typecheck(a, env, lenv)
+        if at != ft.left:
+            raise UserError(
+                f"argument {term_sexp(a)} : {type_sexp(at)} does not "
+                f"match {type_sexp(ft.left)}")
+        return ft.right
+    if cls is LVar:
+        n = t.name
+        if n not in env:
+            raise UserError(f"unbound variable {n}")
+        return env[n]
+    if cls is Lam:
+        ty = t.ty
+        return TArr(ty, _typecheck(t.body, {**env, t.var: ty}, lenv))
+    if cls is Prim:
+        return prim_type(t)
+    if cls is Num:
+        if t.value < 0:
+            raise UserError("numerals are non-negative")
+        return NAT
+    if cls is Pair:
+        return TProd(_typecheck(t.left, env, lenv),
+                     _typecheck(t.right, env, lenv))
+    if cls is Proj:
+        i, b = t.index, t.body
+        if i not in (1, 2):
+            raise UserError("projection index must be 1 or 2")
+        bt = _typecheck(b, env, lenv)
+        if bt.__class__ is not TProd:
+            raise UserError(f"projected non-pair {term_sexp(b)}")
+        return bt.left if i == 1 else bt.right
+    if cls is Mu:
+        ty = t.ty
+        bt = _typecheck(t.body, env, {**lenv, t.label: ty})
+        if bt != TBOT:
+            raise UserError("mu body must have the empty type")
+        return ty
+    if cls is Named:
+        l = t.label
+        if l not in lenv:
+            raise UserError(f"unbound label {l}")
+        bt = _typecheck(t.body, env, lenv)
+        if bt != lenv[l]:
+            raise UserError(
+                f"label {l} expects {type_sexp(lenv[l])}, "
+                f"got {type_sexp(bt)}")
+        return TBOT
     raise InternalError(f"bad term {t!r}")
 
 
@@ -258,17 +269,19 @@ def typecheck(t, env=None, lenv=None):
 
 
 def free_vars(t):
-    match t:
-        case LVar(n):
-            return {n}
-        case Num() | Prim():
-            return set()
-        case Lam(x, _, b):
-            return free_vars(b) - {x}
-        case LApp(f, a) | Pair(f, a):
-            return free_vars(f) | free_vars(a)
-        case Proj(_, b) | Named(_, b) | Mu(_, _, b):
-            return free_vars(b)
+    cls = t.__class__
+    if cls is LApp:
+        return free_vars(t.fn) | free_vars(t.arg)
+    if cls is LVar:
+        return {t.name}
+    if cls is Lam:
+        return free_vars(t.body) - {t.var}
+    if cls is Num or cls is Prim:
+        return set()
+    if cls is Pair:
+        return free_vars(t.left) | free_vars(t.right)
+    if cls is Proj or cls is Named or cls is Mu:
+        return free_vars(t.body)
     raise InternalError(f"bad term {t!r}")
 
 

@@ -94,10 +94,19 @@ ZERO = IConst("0")
 SUCC = IConst("S")
 
 
+_SUCC_SORT = SArrow(IOTA, IOTA)
+
+
 def const_sort(c):
     """Sort of a constant instance; combinator families carry sort arguments.
     Every instance of one constant shares one sort object."""
-    s = _const_sort(c.name, c.sort_args)
+    name, sort_args = c.name, c.sort_args
+    if not sort_args:
+        if name == "0":
+            return IOTA
+        if name == "S":
+            return _SUCC_SORT
+    s = _const_sort(name, sort_args)
     if s is None:
         raise UserError(f"unknown constant {ind_sexp(c)}")
     return s
@@ -107,10 +116,6 @@ def const_sort(c):
 def _const_sort(name, sort_args):
     # a bounded pure memo: sorts are immutable, so sharing them is safe
     match name, sort_args:
-        case "0", ():
-            return IOTA
-        case "S", ():
-            return SArrow(IOTA, IOTA)
         case "k", (a, b):
             return arrow(a, b, a)
         case "s", (a, b, c):
@@ -122,20 +127,21 @@ def _const_sort(name, sort_args):
 
 def infer_sort(t):
     """Sort of an individual; the inline sort on IVar is authoritative."""
-    match t:
-        case IVar(_, sort):
-            return sort
-        case IConst():
-            return const_sort(t)
-        case IApp(fn, arg):
-            fs = infer_sort(fn)
-            if not isinstance(fs, SArrow):
-                raise UserError(
-                    f"applied non-function individual {ind_sexp(fn)}")
-            ags = infer_sort(arg)
-            if ags != fs.left:
-                raise UserError(_sort_mismatch(fn, fs, arg, ags))
-            return fs.right
+    cls = t.__class__
+    if cls is IApp:
+        fn, arg = t.fn, t.arg
+        fs = infer_sort(fn)
+        if fs.__class__ is not SArrow:
+            raise UserError(
+                f"applied non-function individual {ind_sexp(fn)}")
+        ags = infer_sort(arg)
+        if ags != fs.left:
+            raise UserError(_sort_mismatch(fn, fs, arg, ags))
+        return fs.right
+    if cls is IVar:
+        return t.sort
+    if cls is IConst:
+        return const_sort(t)
     raise InternalError(f"bad individual {t!r}")
 
 
@@ -145,33 +151,34 @@ def _sort_mismatch(fn, fs, arg, ags):
 
 
 def ind_free_vars(t):
-    match t:
-        case IVar(name, sort):
-            return {name: sort}
-        case IConst():
-            return {}
-        case IApp(fn, arg):
-            out = ind_free_vars(fn)
-            for n, s in ind_free_vars(arg).items():
-                if n in out and out[n] != s:
-                    raise UserError(f"variable {n} used at two sorts")
-                out[n] = s
-            return out
+    cls = t.__class__
+    if cls is IApp:
+        out = ind_free_vars(t.fn)
+        for n, s in ind_free_vars(t.arg).items():
+            if n in out and out[n] != s:
+                raise UserError(f"variable {n} used at two sorts")
+            out[n] = s
+        return out
+    if cls is IVar:
+        return {t.name: t.sort}
+    if cls is IConst:
+        return {}
     raise InternalError(f"bad individual {t!r}")
 
 
 def ind_subst(t, mapping):
     """Simultaneous substitution of individuals for variable names."""
-    match t:
-        case IVar(name, _):
-            return mapping.get(name, t)
-        case IConst():
+    cls = t.__class__
+    if cls is IApp:
+        fn, arg = t.fn, t.arg
+        fn2, arg2 = ind_subst(fn, mapping), ind_subst(arg, mapping)
+        if fn2 is fn and arg2 is arg:
             return t
-        case IApp(fn, arg):
-            fn2, arg2 = ind_subst(fn, mapping), ind_subst(arg, mapping)
-            if fn2 is fn and arg2 is arg:
-                return t
-            return IApp(fn2, arg2)
+        return IApp(fn2, arg2)
+    if cls is IVar:
+        return mapping.get(t.name, t)
+    if cls is IConst:
+        return t
     raise InternalError(f"bad individual {t!r}")
 
 
@@ -292,24 +299,22 @@ def fv_formula(f):
     out = {}
 
     def go(f, bound):
-        match f:
-            case Bot():
-                pass
-            case Atom(_, args):
-                for t in args:
-                    for n, s in ind_free_vars(t).items():
-                        if n in bound:
-                            continue
-                        if n in out and out[n] != s:
-                            raise UserError(f"variable {n} used at two sorts")
-                        out.setdefault(n, s)
-            case Imp(a, b) | And(a, b):
-                go(a, bound)
-                go(b, bound)
-            case Forall(x, _, body):
-                go(body, bound | {x})
-            case _:
-                raise InternalError(f"bad formula {f!r}")
+        cls = f.__class__
+        if cls is Imp or cls is And:
+            go(f.left, bound)
+            go(f.right, bound)
+        elif cls is Atom:
+            for t in f.args:
+                for n, s in ind_free_vars(t).items():
+                    if n in bound:
+                        continue
+                    if n in out and out[n] != s:
+                        raise UserError(f"variable {n} used at two sorts")
+                    out.setdefault(n, s)
+        elif cls is Forall:
+            go(f.body, bound | {f.var})
+        elif cls is not Bot:
+            raise InternalError(f"bad formula {f!r}")
 
     go(f, frozenset())
     return out
@@ -333,42 +338,45 @@ def subst_formula(f, mapping):
 def _subst(f, mapping, captured):
     """captured is a one-element list: the free names of mapping's
     individuals, or None until a binder first needs them."""
-    match f:
-        case Bot():
+    cls = f.__class__
+    if cls is Imp or cls is And:
+        a, b = f.left, f.right
+        a2 = _subst(a, mapping, captured)
+        b2 = _subst(b, mapping, captured)
+        if a2 is a and b2 is b:
             return f
-        case Atom(p, args):
-            new = [ind_subst(t, mapping) for t in args]
-            for t, u in zip(new, args):
-                if t is not u:
-                    return Atom(p, tuple(new))
+        return cls(a2, b2)
+    if cls is Atom:
+        args = f.args
+        new = [ind_subst(t, mapping) for t in args]
+        for t, u in zip(new, args):
+            if t is not u:
+                return Atom(f.pred, tuple(new))
+        return f
+    if cls is Forall:
+        x, sort, body = f.var, f.sort, f.body
+        if x in mapping:
+            mapping = {n: t for n, t in mapping.items() if n != x}
+            if not mapping:
+                return f
+            captured = [None]
+        if captured[0] is None:
+            names = set()
+            for t in mapping.values():
+                names |= ind_free_vars(t).keys()
+            captured[0] = names
+        names = captured[0]
+        if x in names:
+            avoid = names | fv_formula(body).keys() | set(mapping)
+            x2 = freshen(x, avoid)
+            body = subst_formula(body, {x: IVar(x2, sort)})
+            return Forall(x2, sort, _subst(body, mapping, captured))
+        body2 = _subst(body, mapping, captured)
+        if body2 is body:
             return f
-        case Imp(a, b) | And(a, b):
-            a2 = _subst(a, mapping, captured)
-            b2 = _subst(b, mapping, captured)
-            if a2 is a and b2 is b:
-                return f
-            return type(f)(a2, b2)
-        case Forall(x, sort, body):
-            if x in mapping:
-                mapping = {n: t for n, t in mapping.items() if n != x}
-                if not mapping:
-                    return f
-                captured = [None]
-            if captured[0] is None:
-                names = set()
-                for t in mapping.values():
-                    names |= ind_free_vars(t).keys()
-                captured[0] = names
-            names = captured[0]
-            if x in names:
-                avoid = names | fv_formula(body).keys() | set(mapping)
-                x2 = freshen(x, avoid)
-                body = subst_formula(body, {x: IVar(x2, sort)})
-                return Forall(x2, sort, _subst(body, mapping, captured))
-            body2 = _subst(body, mapping, captured)
-            if body2 is body:
-                return f
-            return Forall(x, sort, body2)
+        return Forall(x, sort, body2)
+    if cls is Bot:
+        return f
     raise InternalError(f"bad formula {f!r}")
 
 
@@ -377,41 +385,47 @@ def alpha_eq(f, g):
     if f == g:
         return True
 
-    def go(f, g, fb, gb):
-        match f, g:
-            case Bot(), Bot():
-                return True
-            case Atom(p1, a1), Atom(p2, a2):
-                if p1 != p2 or len(a1) != len(a2):
-                    return False
-                return all(ind_eq(t, u, fb, gb) for t, u in zip(a1, a2))
-            case Imp(a1, b1), Imp(a2, b2):
-                return go(a1, a2, fb, gb) and go(b1, b2, fb, gb)
-            case And(a1, b1), And(a2, b2):
-                return go(a1, a2, fb, gb) and go(b1, b2, fb, gb)
-            case Forall(x1, s1, b1), Forall(x2, s2, b2):
-                if s1 != s2:
-                    return False
-                lvl = len(fb)
-                return go(b1, b2, {**fb, x1: lvl}, {**gb, x2: lvl})
-        return False
+    def go(f, g, fb, gb, depth):
+        # fb and gb map the bound names in scope to the depth of their
+        # binder: a name bound again maps to the inner binder
+        cls = f.__class__
+        if cls is not g.__class__:
+            return False
+        if cls is Imp or cls is And:
+            return (go(f.left, g.left, fb, gb, depth)
+                    and go(f.right, g.right, fb, gb, depth))
+        if cls is Atom:
+            a1, a2 = f.args, g.args
+            if f.pred != g.pred or len(a1) != len(a2):
+                return False
+            return all(ind_eq(t, u, fb, gb) for t, u in zip(a1, a2))
+        if cls is Forall:
+            if f.sort != g.sort:
+                return False
+            return go(f.body, g.body, {**fb, f.var: depth},
+                      {**gb, g.var: depth}, depth + 1)
+        return cls is Bot
 
     def ind_eq(t, u, fb, gb):
-        match t, u:
-            case IVar(n1, s1), IVar(n2, s2):
-                if s1 != s2:
-                    return False
-                d1, d2 = fb.get(n1), gb.get(n2)
-                if d1 is None and d2 is None:
-                    return n1 == n2
-                return d1 == d2
-            case IConst(), IConst():
-                return t == u
-            case IApp(f1, a1), IApp(f2, a2):
-                return ind_eq(f1, f2, fb, gb) and ind_eq(a1, a2, fb, gb)
+        cls = t.__class__
+        if cls is not u.__class__:
+            return False
+        if cls is IApp:
+            return (ind_eq(t.fn, u.fn, fb, gb)
+                    and ind_eq(t.arg, u.arg, fb, gb))
+        if cls is IVar:
+            if t.sort != u.sort:
+                return False
+            n1, n2 = t.name, u.name
+            d1, d2 = fb.get(n1), gb.get(n2)
+            if d1 is None and d2 is None:
+                return n1 == n2
+            return d1 == d2
+        if cls is IConst:
+            return t == u
         return False
 
-    return go(f, g, {}, {})
+    return go(f, g, {}, {}, 0)
 
 
 def wf_formula(f, has_rel):
@@ -469,38 +483,37 @@ def wf_formula(f, has_rel):
         return fs.right, fv
 
     def go(f, bound):
-        match f:
-            case Bot():
-                pass
-            case Atom(p, args):
-                if p not in PREDICATES:
-                    fail(f"unknown predicate {p}")
-                elif p == "rel" and not has_rel:
-                    fail("rel atom outside a relativized signature")
-                elif len(args) != PREDICATES[p][1]:
-                    fail(f"{p} expects {PREDICATES[p][1]} argument(s)")
-                sorts = []
-                for t in args:
-                    sort, names = ind(t, bound)
-                    sorts.append(sort)
-                    for n, s in names.items():
-                        if n in bound:
-                            continue
-                        if out.setdefault(n, s) != s:
-                            raise UserError(f"variable {n} used at two sorts")
-                if first_error is not None:
-                    return
-                if p == "neq" and sorts[0] != sorts[1]:
-                    fail("inequality between different sorts")
-                if p == "rel" and sorts[0] != IOTA:
-                    fail("rel atom takes a base-sort individual")
-            case Imp(a, b) | And(a, b):
-                go(a, bound)
-                go(b, bound)
-            case Forall(x, sort, body):
-                go(body, {**bound, x: sort})
-            case _:
-                raise InternalError(f"bad formula {f!r}")
+        cls = f.__class__
+        if cls is Imp or cls is And:
+            go(f.left, bound)
+            go(f.right, bound)
+        elif cls is Atom:
+            p, args = f.pred, f.args
+            if p not in PREDICATES:
+                fail(f"unknown predicate {p}")
+            elif p == "rel" and not has_rel:
+                fail("rel atom outside a relativized signature")
+            elif len(args) != PREDICATES[p][1]:
+                fail(f"{p} expects {PREDICATES[p][1]} argument(s)")
+            sorts = []
+            for t in args:
+                sort, names = ind(t, bound)
+                sorts.append(sort)
+                for n, s in names.items():
+                    if n in bound:
+                        continue
+                    if out.setdefault(n, s) != s:
+                        raise UserError(f"variable {n} used at two sorts")
+            if first_error is not None:
+                return
+            if p == "neq" and sorts[0] != sorts[1]:
+                fail("inequality between different sorts")
+            if p == "rel" and sorts[0] != IOTA:
+                fail("rel atom takes a base-sort individual")
+        elif cls is Forall:
+            go(f.body, {**bound, f.var: f.sort})
+        elif cls is not Bot:
+            raise InternalError(f"bad formula {f!r}")
 
     go(f, {})
     if first_error is not None:
@@ -512,31 +525,31 @@ def polarity(f):
     """'negative', 'positive', or 'both' per the two polarity grammars."""
 
     def neg(f):
-        match f:
-            case Bot():
-                return True
-            case Atom(p, _):
-                return PREDICATES[p][0] == "negative"
-            case Imp(_, b):
-                return neg(b)
-            case And(a, b):
-                return neg(a) and neg(b)
-            case Forall(_, _, b):
-                return neg(b)
+        cls = f.__class__
+        if cls is Imp:
+            return neg(f.right)
+        if cls is Atom:
+            return PREDICATES[f.pred][0] == "negative"
+        if cls is Bot:
+            return True
+        if cls is Forall:
+            return neg(f.body)
+        if cls is And:
+            return neg(f.left) and neg(f.right)
         raise InternalError(f"bad formula {f!r}")
 
     def pos(f):
-        match f:
-            case Bot():
-                return False
-            case Atom(p, _):
-                return PREDICATES[p][0] == "positive"
-            case Imp(_, b):
-                return pos(b)
-            case And(a, b):
-                return pos(a) or pos(b)
-            case Forall(_, _, b):
-                return pos(b)
+        cls = f.__class__
+        if cls is Imp:
+            return pos(f.right)
+        if cls is Atom:
+            return PREDICATES[f.pred][0] == "positive"
+        if cls is Bot:
+            return False
+        if cls is Forall:
+            return pos(f.body)
+        if cls is And:
+            return pos(f.left) or pos(f.right)
         raise InternalError(f"bad formula {f!r}")
 
     n, p = neg(f), pos(f)
@@ -552,14 +565,16 @@ def polarity(f):
 def rel_pred(t, sort):
     """Realizability predicate at a sort: atomic at iota, at arrow sorts the
     pointwise closure forall x (r(x) -> r(t x))."""
-    match sort:
-        case BaseSort():
-            return f_rel(t)
-        case SArrow(a, b):
-            avoid = set(ind_free_vars(t))
-            x = freshen("v", avoid)
-            xv = IVar(x, a)
-            return Forall(x, a, Imp(rel_pred(xv, a), rel_pred(IApp(t, xv), b)))
+    cls = sort.__class__
+    if cls is BaseSort:
+        return f_rel(t)
+    if cls is SArrow:
+        a = sort.left
+        avoid = set(ind_free_vars(t))
+        x = freshen("v", avoid)
+        xv = IVar(x, a)
+        return Forall(x, a, Imp(rel_pred(xv, a),
+                                rel_pred(IApp(t, xv), sort.right)))
     raise InternalError(f"bad sort {sort!r}")
 
 
@@ -679,30 +694,32 @@ def collect_names(p):
     out = set()
 
     def go(p):
-        match p:
-            case Id(h):
-                out.add(h)
-            case Ax():
-                pass
-            case ImpIntro(h, _, b):
-                out.add(h)
-                go(b)
-            case ImpElim(f, a) | AndIntro(f, a):
-                go(f)
-                go(a)
-            case AndElim(_, b) | ForallElim(b, _):
-                go(b)
-            case ForallIntro(x, _, b):
-                out.add(x)
-                go(b)
-            case BotIntro(l, b):
-                out.add(l)
-                go(b)
-            case BotElim(l, _, b):
-                out.add(l)
-                go(b)
-            case _:
-                raise InternalError(f"bad proof node {p!r}")
+        cls = p.__class__
+        if cls is ImpElim:
+            go(p.fn)
+            go(p.arg)
+        elif cls is ForallElim:
+            go(p.body)
+        elif cls is Ax:
+            pass
+        elif cls is ImpIntro:
+            out.add(p.hyp)
+            go(p.body)
+        elif cls is Id:
+            out.add(p.hyp)
+        elif cls is ForallIntro:
+            out.add(p.var)
+            go(p.body)
+        elif cls is AndIntro:
+            go(p.left)
+            go(p.right)
+        elif cls is AndElim:
+            go(p.body)
+        elif cls is BotIntro or cls is BotElim:
+            out.add(p.label)
+            go(p.body)
+        else:
+            raise InternalError(f"bad proof node {p!r}")
 
     go(p)
     return out
@@ -991,88 +1008,96 @@ def check_proof(proof, theory, goal):
 def _check_node(p, theory, gamma, delta, instances):
     """Conclusion of p and the hypotheses and labels it uses. instances maps
     (name, args) to the axiom instances built so far in this check."""
-    match p:
-        case Id(h):
-            if h not in gamma:
-                raise UserError(f"unknown hypothesis {h}")
-            return gamma[h], {h}, set()
-        case Ax(name, args):
-            key = (name, args)
-            f = instances.get(key)
-            if f is None:
-                f = instances[key] = theory.instantiate(name, args)
-            return f, set(), set()
-        case ImpIntro(h, f, body):
-            if h in gamma:
-                raise UserError(f"hypothesis name {h} shadows an existing one")
-            wf_formula(f, theory.has_rel)
-            c, uh, ul = _check_node(body, theory, {**gamma, h: f}, delta,
-                                    instances)
-            return Imp(f, c), uh - {h}, ul
-        case ImpElim(fn, arg):
-            cf, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
-            ca, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
-            if not isinstance(cf, Imp):
+    cls = p.__class__
+    if cls is ImpElim:
+        fn, arg = p.fn, p.arg
+        cf, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
+        ca, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
+        if cf.__class__ is not Imp:
+            raise UserError(
+                "implication elimination on " + formula_sexp(cf))
+        if not alpha_eq(cf.left, ca):
+            raise UserError(
+                "argument proves " + formula_sexp(ca)
+                + " but " + formula_sexp(cf.left) + " is required")
+        return cf.right, uh1 | uh2, ul1 | ul2
+    if cls is ForallElim:
+        t = p.term
+        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        if c.__class__ is not Forall:
+            raise UserError("quantifier elimination on " + formula_sexp(c))
+        ts = infer_sort(t)
+        if ts != c.sort:
+            raise UserError(
+                f"instantiating a {sort_sexp(c.sort)} quantifier with "
+                f"{ind_sexp(t)} : {sort_sexp(ts)}")
+        return subst_formula(c.body, {c.var: t}), uh, ul
+    if cls is Ax:
+        key = (p.name, p.args)
+        f = instances.get(key)
+        if f is None:
+            f = instances[key] = theory.instantiate(p.name, p.args)
+        return f, set(), set()
+    if cls is ImpIntro:
+        h, f = p.hyp, p.formula
+        if h in gamma:
+            raise UserError(f"hypothesis name {h} shadows an existing one")
+        wf_formula(f, theory.has_rel)
+        c, uh, ul = _check_node(p.body, theory, {**gamma, h: f}, delta,
+                                instances)
+        return Imp(f, c), uh - {h}, ul
+    if cls is Id:
+        h = p.hyp
+        if h not in gamma:
+            raise UserError(f"unknown hypothesis {h}")
+        return gamma[h], {h}, set()
+    if cls is ForallIntro:
+        x, sort = p.var, p.sort
+        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        for h in uh:
+            if x in fv_formula(gamma[h]):
                 raise UserError(
-                    "implication elimination on " + formula_sexp(cf))
-            if not alpha_eq(cf.left, ca):
+                    f"eigenvariable {x} is free in used hypothesis {h}")
+        for l in ul:
+            if x in fv_formula(delta[l]):
                 raise UserError(
-                    "argument proves " + formula_sexp(ca)
-                    + " but " + formula_sexp(cf.left) + " is required")
-            return cf.right, uh1 | uh2, ul1 | ul2
-        case AndIntro(l, r):
-            cl, uh1, ul1 = _check_node(l, theory, gamma, delta, instances)
-            cr, uh2, ul2 = _check_node(r, theory, gamma, delta, instances)
-            return And(cl, cr), uh1 | uh2, ul1 | ul2
-        case AndElim(i, body):
-            if i not in (1, 2):
-                raise UserError("projection index must be 1 or 2")
-            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
-            if not isinstance(c, And):
-                raise UserError(
-                    "conjunction elimination on " + formula_sexp(c))
-            return (c.left if i == 1 else c.right), uh, ul
-        case ForallIntro(x, sort, body):
-            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
-            for h in uh:
-                if x in fv_formula(gamma[h]):
-                    raise UserError(
-                        f"eigenvariable {x} is free in used hypothesis {h}")
-            for l in ul:
-                if x in fv_formula(delta[l]):
-                    raise UserError(
-                        f"eigenvariable {x} is free in used label {l}")
-            f = Forall(x, sort, c)
-            wf_formula(f, theory.has_rel)
-            return f, uh, ul
-        case ForallElim(body, t):
-            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
-            if not isinstance(c, Forall):
-                raise UserError("quantifier elimination on " + formula_sexp(c))
-            ts = infer_sort(t)
-            if ts != c.sort:
-                raise UserError(
-                    f"instantiating a {sort_sexp(c.sort)} quantifier with "
-                    f"{ind_sexp(t)} : {sort_sexp(ts)}")
-            return subst_formula(c.body, {c.var: t}), uh, ul
-        case BotIntro(label, body):
-            if label not in delta:
-                raise UserError(f"unknown label {label}")
-            c, uh, ul = _check_node(body, theory, gamma, delta, instances)
-            if not alpha_eq(c, delta[label]):
-                raise UserError(
-                    "label " + label + " expects " + formula_sexp(delta[label])
-                    + " but the subproof gives " + formula_sexp(c))
-            return BOT, uh, ul | {label}
-        case BotElim(label, f, body):
-            if label in delta or label == KAPPA:
-                raise UserError(f"bad label name {label}")
-            _check_label_formula(f, theory.has_rel)
-            c, uh, ul = _check_node(body, theory, gamma, {**delta, label: f},
-                                    instances)
-            if not isinstance(c, Bot):
-                raise UserError(
-                    "activation requires a proof of absurdity, got "
-                    + formula_sexp(c))
-            return f, uh, ul - {label}
+                    f"eigenvariable {x} is free in used label {l}")
+        f = Forall(x, sort, c)
+        wf_formula(f, theory.has_rel)
+        return f, uh, ul
+    if cls is AndIntro:
+        cl, uh1, ul1 = _check_node(p.left, theory, gamma, delta, instances)
+        cr, uh2, ul2 = _check_node(p.right, theory, gamma, delta, instances)
+        return And(cl, cr), uh1 | uh2, ul1 | ul2
+    if cls is AndElim:
+        i = p.index
+        if i not in (1, 2):
+            raise UserError("projection index must be 1 or 2")
+        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        if c.__class__ is not And:
+            raise UserError(
+                "conjunction elimination on " + formula_sexp(c))
+        return (c.left if i == 1 else c.right), uh, ul
+    if cls is BotIntro:
+        label = p.label
+        if label not in delta:
+            raise UserError(f"unknown label {label}")
+        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        if not alpha_eq(c, delta[label]):
+            raise UserError(
+                "label " + label + " expects " + formula_sexp(delta[label])
+                + " but the subproof gives " + formula_sexp(c))
+        return BOT, uh, ul | {label}
+    if cls is BotElim:
+        label, f = p.label, p.formula
+        if label in delta or label == KAPPA:
+            raise UserError(f"bad label name {label}")
+        _check_label_formula(f, theory.has_rel)
+        c, uh, ul = _check_node(p.body, theory, gamma, {**delta, label: f},
+                                instances)
+        if c.__class__ is not Bot:
+            raise UserError(
+                "activation requires a proof of absurdity, got "
+                + formula_sexp(c))
+        return f, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")

@@ -25,18 +25,22 @@ from .logic import (
 
 def rel_formula(f):
     """Guard every quantifier with the realizability predicate."""
-    match f:
-        case Bot() | Atom("neq", _):
+    cls = f.__class__
+    if cls is Imp:
+        return Imp(rel_formula(f.left), rel_formula(f.right))
+    if cls is Atom:
+        if f.pred == "neq":
             return f
-        case Atom("rel", _):
+        if f.pred == "rel":
             raise UserError("formula is already relativized")
-        case Imp(a, b):
-            return Imp(rel_formula(a), rel_formula(b))
-        case And(a, b):
-            return And(rel_formula(a), rel_formula(b))
-        case Forall(x, sort, b):
-            xv = IVar(x, sort)
-            return Forall(x, sort, Imp(rel_pred(xv, sort), rel_formula(b)))
+    elif cls is Bot:
+        return f
+    elif cls is Forall:
+        x, sort = f.var, f.sort
+        xv = IVar(x, sort)
+        return Forall(x, sort, Imp(rel_pred(xv, sort), rel_formula(f.body)))
+    elif cls is And:
+        return And(rel_formula(f.left), rel_formula(f.right))
     raise InternalError(f"bad formula {f!r}")
 
 
@@ -65,32 +69,37 @@ class _Relativizer:
 
     def dr(self, t, relenv):
         """Proof of rel_pred(t, sort of t) from the evidence in scope."""
-        match t:
-            case IVar(name, sort):
-                if name in relenv:
-                    return Id(relenv[name])
-                if name in self.dummies:
-                    dsort, hyp = self.dummies[name]
-                    if dsort != sort:
-                        raise UserError(
-                            f"variable {name} used at two sorts across the proof")
-                    return Id(hyp)
-                hyp = self.fresh(f"r0_{name}")
-                self.dummies[name] = (sort, hyp)
+        cls = t.__class__
+        if cls is IApp:
+            fn, arg = t.fn, t.arg
+            return ImpElim(ForallElim(self.dr(fn, relenv), arg),
+                           self.dr(arg, relenv))
+        if cls is IVar:
+            name, sort = t.name, t.sort
+            if name in relenv:
+                return Id(relenv[name])
+            if name in self.dummies:
+                dsort, hyp = self.dummies[name]
+                if dsort != sort:
+                    raise UserError(
+                        f"variable {name} used at two sorts across the proof")
                 return Id(hyp)
-            case IConst("0", ()):
-                return Ax("rel-0", ())
-            case IConst("S", ()):
-                return Ax("rel-succ", ())
-            case IConst("k", sorts):
+            hyp = self.fresh(f"r0_{name}")
+            self.dummies[name] = (sort, hyp)
+            return Id(hyp)
+        if cls is IConst:
+            name, sorts = t.name, t.sort_args
+            if not sorts:
+                if name == "0":
+                    return Ax("rel-0", ())
+                if name == "S":
+                    return Ax("rel-succ", ())
+            if name == "k":
                 return Ax("rel-k", sorts)
-            case IConst("s", sorts):
+            if name == "s":
                 return Ax("rel-s", sorts)
-            case IConst("rec", sorts):
+            if name == "rec":
                 return Ax("rel-rec", sorts)
-            case IApp(fn, arg):
-                return ImpElim(ForallElim(self.dr(fn, relenv), arg),
-                               self.dr(arg, relenv))
         raise InternalError(f"bad individual {t!r}")
 
     # ---- axiom leaves ----
@@ -241,32 +250,36 @@ class _Relativizer:
     # ---- proof tree ----
 
     def go(self, p, relenv):
-        match p:
-            case Id(h):
-                return Id(h)
-            case Ax(name, args):
-                return self.wrap_axiom(name, args)
-            case ImpIntro(h, f, b):
-                return ImpIntro(h, rel_formula(f), self.go(b, relenv))
-            case ImpElim(fn, arg):
-                return ImpElim(self.go(fn, relenv), self.go(arg, relenv))
-            case AndIntro(l, r):
-                return AndIntro(self.go(l, relenv), self.go(r, relenv))
-            case AndElim(i, b):
-                return AndElim(i, self.go(b, relenv))
-            case ForallIntro(x, sort, b):
-                rx = self.fresh(f"r_{x}")
-                body = self.go(b, {**relenv, x: rx})
-                return ForallIntro(
-                    x, sort,
-                    ImpIntro(rx, rel_pred(IVar(x, sort), sort), body))
-            case ForallElim(b, t):
-                return ImpElim(ForallElim(self.go(b, relenv), t),
-                               self.dr(t, relenv))
-            case BotIntro(label, b):
-                return BotIntro(label, self.go(b, relenv))
-            case BotElim(label, f, b):
-                return BotElim(label, rel_formula(f), self.go(b, relenv))
+        cls = p.__class__
+        if cls is ImpElim:
+            return ImpElim(self.go(p.fn, relenv), self.go(p.arg, relenv))
+        if cls is ForallElim:
+            t = p.term
+            return ImpElim(ForallElim(self.go(p.body, relenv), t),
+                           self.dr(t, relenv))
+        if cls is Ax:
+            return self.wrap_axiom(p.name, p.args)
+        if cls is ImpIntro:
+            return ImpIntro(p.hyp, rel_formula(p.formula),
+                            self.go(p.body, relenv))
+        if cls is Id:
+            return Id(p.hyp)
+        if cls is ForallIntro:
+            x, sort = p.var, p.sort
+            rx = self.fresh(f"r_{x}")
+            body = self.go(p.body, {**relenv, x: rx})
+            return ForallIntro(
+                x, sort,
+                ImpIntro(rx, rel_pred(IVar(x, sort), sort), body))
+        if cls is AndIntro:
+            return AndIntro(self.go(p.left, relenv), self.go(p.right, relenv))
+        if cls is AndElim:
+            return AndElim(p.index, self.go(p.body, relenv))
+        if cls is BotIntro:
+            return BotIntro(p.label, self.go(p.body, relenv))
+        if cls is BotElim:
+            return BotElim(p.label, rel_formula(p.formula),
+                           self.go(p.body, relenv))
         raise InternalError(f"bad proof node {p!r}")
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mupcf
-from mupcf import cli
+from mupcf import cli, format
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -195,6 +195,151 @@ def test_numeral_individuals_past_the_bound_are_user_errors(
     _expect_user_error(fmt, code, out, err,
                        f"{proof}:1:{col}: numeral individuals are limited "
                        f"to 10000")
+
+
+# ------------------------------------------------------- the depth bound
+
+B = format.MAX_DEPTH
+_ALL_COMMANDS = ["check", "relativize", "interp", "cps", "extract", "eval"]
+
+
+def _main_in_subprocess(argvs):
+    """(exit code, stdout, stderr) of cli.main on each argv, all in one
+    fresh interpreter, so that a crash fails the test instead of the run."""
+    script = """
+import contextlib, io, json, sys
+from mupcf import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+    return [tuple(json.loads(line)) for line in done.stdout.splitlines()]
+
+
+def _s_chain_goal(path, depth):
+    """A proof whose goal (-> (neq D 0) (neq D 0)) builds a tree of the
+    given depth: D is an explicit (S (S .. 0)) chain of depth - 2 levels.
+    Returns the column of the S that first lies deeper than B."""
+    k = depth - 2
+    f = "(neq " + "(S " * k + "0" + ")" * k + " 0)"
+    head = f"(proof p (goal (-> {f} "
+    path.write_text(f"{head}{f})) (imp-intro (h {f}) (id h)))\n")
+    return len(head) + len("(neq ") + 3 * (k - 1) + 2
+
+
+def _arrow_chain_goal(path, depth):
+    """A proof whose goal (-> F F) builds a tree of the given depth, F being
+    (-> bot (-> bot .. bot)) with depth - 1 arrows. Returns the column of
+    the bot that first lies deeper than B."""
+    m = depth - 1
+    f = "(-> bot " * m + "bot" + ")" * m
+    head = f"(proof p (goal (-> {f} "
+    path.write_text(f"{head}{f})) (imp-intro (h {f}) (id h)))\n")
+    return len(head) + len("(-> bot ") * m + 1
+
+
+def _depth_argvs(path):
+    return [[cmd, str(path), "--format", fmt]
+            for cmd in _ALL_COMMANDS for fmt in ("text", "structured")]
+
+
+@pytest.mark.parametrize("goal", [_s_chain_goal, _arrow_chain_goal],
+                         ids=["s-chain", "arrow-chain"])
+def test_goal_at_the_depth_bound_runs_every_command(tmp_path, goal):
+    path = tmp_path / "deep.proof"
+    goal(path, B)
+    argvs = _depth_argvs(path)
+    for argv, result in zip(argvs, _main_in_subprocess(argvs), strict=True):
+        code, out, err = result
+        if argv[0] == "extract":
+            assert code == 1 and "is not of the shape" in out + err, argv
+        elif argv[0] == "eval":
+            _expect_user_error(argv[-1], *result, "the file declares no term")
+        else:
+            assert (code, err) == (0, ""), argv
+            if argv[-1] == "structured":
+                assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("goal", [_s_chain_goal, _arrow_chain_goal],
+                         ids=["s-chain", "arrow-chain"])
+def test_goal_past_the_depth_bound_is_a_user_error(tmp_path, goal):
+    path = tmp_path / "deep.proof"
+    col = goal(path, B + 1)
+    argvs = _depth_argvs(path)
+    for argv, result in zip(argvs, _main_in_subprocess(argvs), strict=True):
+        _expect_user_error(argv[-1], *result,
+                           f"{path}:1:{col}: nests more than {B} levels deep")
+
+
+def test_program_types_are_bounded_too(tmp_path):
+    """A type of depth B reads and runs; one level more is a positioned user
+    error (comparing two deeper types crashed the interpreter)."""
+    def write(depth):
+        ty = "(-> nat " * depth + "nat" + ")" * depth
+        path = tmp_path / f"type{depth}.term"
+        path.write_text(f"(term t (app (lam (f {ty}) 0) "
+                        f"(app (fix {ty}) (lam (y {ty}) y))))\n")
+        return path, len("(term t (app (lam (f ") + len("(-> nat ") * depth + 1
+
+    ok, _ = write(B)
+    bad, col = write(B + 1)
+    argvs = [[cmd, str(path), "--format", fmt]
+             for path in (ok, bad) for cmd in ("eval", "cps")
+             for fmt in ("text", "structured")]
+    results = _main_in_subprocess(argvs)
+    for argv, (code, out, err) in zip(argvs[:4], results[:4]):
+        assert (code, err) == (0, ""), argv
+    assert results[0][1] == "value: 0\nsteps: 2\n"
+    for argv, result in zip(argvs[4:], results[4:], strict=True):
+        _expect_user_error(argv[-1], *result,
+                           f"{bad}:1:{col}: nests more than {B} levels deep")
+
+
+def test_numerals_count_their_levels(tmp_path, capsys):
+    """A numeral n is n levels deep: the numeral in the goal (-> F F), F
+    being (-> bot .. bot (neq 10000 0)) with j bots, reaches depth
+    1 + j + 1 + 10000."""
+    for j in (B - 10002, B - 10001):
+        f = "(-> " + "bot " * j + "(neq 10000 0))"
+        head = f"(proof p (goal (-> {f} "
+        path = tmp_path / f"n{j}.proof"
+        path.write_text(f"{head}{f})) (imp-intro (h {f}) (id h)))\n")
+        code, out, err = _run(capsys, ["check", str(path)])
+        if j == B - 10002:
+            assert (code, err) == (0, "")
+        else:
+            col = len(head) + len("(-> " + "bot " * j + "(neq ") + 1
+            assert err == (f"error[user-error]: {path}:1:{col}: nests more "
+                           f"than {B} levels deep\n")
+
+
+# ------------------------------------------------------------ soundness
+
+def test_goal_alpha_equal_only_up_to_a_rebound_name_is_rejected(capsys,
+                                                                 tmp_path):
+    """A conclusion that binds x twice is not the goal that binds three
+    different names, though both bind three variables: the proof proves
+    that every x is x, not that any two individuals are equal."""
+    bad = tmp_path / "bad.proof"
+    bad.write_text(
+        "(proof all-equal\n"
+        "  (goal (all (a iota) (all (b iota) (all (c iota) (= c b)))))\n"
+        "  (forall-intro (x iota) (forall-intro (x iota)\n"
+        "    (forall-intro (y iota) (forall-elim (ax refl iota) x)))))\n")
+    code, out, err = _run(capsys, ["check", str(bad)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[user-error]: proof concludes (all (x iota) (all (x iota) "
+        "(all (y iota) (-> (neq x x) bot)))) but the goal is (all (a iota) "
+        "(all (b iota) (all (c iota) (-> (neq c b) bot))))\n")
 
 
 @pytest.mark.parametrize("spelling", [["--format", "structured"],

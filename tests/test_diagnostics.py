@@ -1,0 +1,214 @@
+"""Every diagnostic of the proof checker's rules and of the program type
+checker, pinned in full on a malformed input, and which one is reported when
+an input has two faults.
+
+Each case names the rule and the site it reaches. The checker checks a
+rule's subproofs left to right before the rule's own side conditions, except
+where a case below says otherwise; the two-fault cases fix that order.
+"""
+
+import pytest
+
+from mupcf.errors import UserError
+from mupcf.lambdamu import (
+    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, SUCC_T, TArr,
+    TBOT, prim_type, typecheck,
+)
+from mupcf.logic import (
+    AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, ForallElim,
+    ForallIntro, IApp, IOTA, IVar, Id, ImpElim, ImpIntro, SUCC, Sequent,
+    THEORIES, ZERO, check_proof, f_neq, f_rel,
+)
+
+X = IVar("x", IOTA)
+SX_NEQ_0 = f_neq(IApp(SUCC, X), ZERO)
+# proofs of (-> bot bot), (all (x iota) (neq (S x) 0)) and (neq (S x) 0)
+BOT_TO_BOT = ImpIntro("h", BOT, Id("h"))
+SNEQ0 = Ax("s-neq-0", ())
+SNEQ0_X = ForallElim(SNEQ0, X)
+
+
+def _check_message(proof, theory="paw"):
+    with pytest.raises(UserError) as ex:
+        check_proof(proof, THEORIES[theory], Sequent(concl=BOT))
+    return str(ex.value)
+
+
+# ------------------------------------------------------------- proof rules
+
+CHECK_CASES = {
+    "id-unknown-hypothesis": (Id("h"), "unknown hypothesis h"),
+    "imp-intro-shadowing": (
+        ImpIntro("h", BOT, BOT_TO_BOT),
+        "hypothesis name h shadows an existing one"),
+    "imp-elim-on-non-implication": (
+        ImpElim(SNEQ0, BOT_TO_BOT),
+        "implication elimination on (all (x iota) (neq (S x) 0))"),
+    "imp-elim-argument-mismatch": (
+        ImpElim(BOT_TO_BOT, BOT_TO_BOT),
+        "argument proves (-> bot bot) but bot is required"),
+    "and-elim-index": (
+        AndElim(3, AndIntro(BOT_TO_BOT, BOT_TO_BOT)),
+        "projection index must be 1 or 2"),
+    "and-elim-on-non-conjunction": (
+        AndElim(1, BOT_TO_BOT), "conjunction elimination on (-> bot bot)"),
+    "forall-intro-eigenvariable-in-hypothesis": (
+        ImpIntro("h", f_neq(X, ZERO), ForallIntro("x", IOTA, Id("h"))),
+        "eigenvariable x is free in used hypothesis h"),
+    "forall-intro-eigenvariable-in-label": (
+        BotElim("a", SX_NEQ_0,
+                ForallIntro("x", IOTA, BotIntro("a", SNEQ0_X))),
+        "eigenvariable x is free in used label a"),
+    "forall-elim-on-non-quantifier": (
+        ForallElim(BOT_TO_BOT, ZERO),
+        "quantifier elimination on (-> bot bot)"),
+    "forall-elim-sort-mismatch": (
+        ForallElim(SNEQ0, SUCC),
+        "instantiating a iota quantifier with S : (-> iota iota)"),
+    "bot-intro-unknown-label": (BotIntro("a", SNEQ0_X), "unknown label a"),
+    "bot-intro-label-mismatch": (
+        BotElim("a", BOT, BotIntro("a", BOT_TO_BOT)),
+        "label a expects bot but the subproof gives (-> bot bot)"),
+    "bot-elim-reserved-label": (
+        BotElim("kappa", BOT, BotIntro("kappa", Id("h"))),
+        "bad label name kappa"),
+    "bot-elim-label-in-scope": (
+        BotElim("a", BOT, BotElim("a", BOT, Id("h"))), "bad label name a"),
+    "bot-elim-body-not-absurd": (
+        BotElim("a", BOT, BOT_TO_BOT),
+        "activation requires a proof of absurdity, got (-> bot bot)"),
+}
+
+# two faults each: the message is the one the checker meets first
+CHECK_PRECEDENCE = {
+    # the argument is checked before the function's shape
+    "imp-elim-bad-argument-under-non-implication": (
+        ImpElim(SNEQ0, Id("nope")), "unknown hypothesis nope"),
+    # the function before the argument
+    "imp-elim-bad-function-and-argument": (
+        ImpElim(Id("f"), Id("a")), "unknown hypothesis f"),
+    # the function's shape before the argument's formula
+    "imp-elim-non-implication-and-mismatch": (
+        ImpElim(SNEQ0_X, SNEQ0),
+        "implication elimination on (neq (S x) 0)"),
+    # the name before the annotation, the annotation before the body
+    "imp-intro-shadowing-ill-formed": (
+        ImpIntro("h", BOT, ImpIntro("h", Atom("foo", ()), Id("g"))),
+        "hypothesis name h shadows an existing one"),
+    "imp-intro-ill-formed-bad-body": (
+        ImpIntro("h", Atom("foo", ()), Id("g")), "unknown predicate foo"),
+    # the index before the body
+    "and-elim-index-bad-body": (AndElim(0, Id("h")),
+                                "projection index must be 1 or 2"),
+    "and-intro-left-first": (AndIntro(Id("l"), Id("r")),
+                             "unknown hypothesis l"),
+    # the body before the eigenvariable condition, hypotheses before labels
+    "forall-intro-bad-body": (
+        ForallIntro("x", IOTA, Id("h")), "unknown hypothesis h"),
+    "forall-intro-hypothesis-and-label": (
+        ImpIntro("h", f_neq(X, ZERO), BotElim(
+            "a", SX_NEQ_0, ForallIntro("x", IOTA, BotIntro(
+                "a", AndElim(2, AndIntro(Id("h"), SNEQ0_X)))))),
+        "eigenvariable x is free in used hypothesis h"),
+    # the shape before the sort of the individual
+    "forall-elim-non-quantifier-ill-sorted": (
+        ForallElim(BOT_TO_BOT, SUCC),
+        "quantifier elimination on (-> bot bot)"),
+    # the label before the body
+    "bot-intro-unknown-label-bad-body": (
+        BotIntro("a", Id("h")), "unknown label a"),
+    # the name, then the annotation, then the body
+    "bot-elim-reserved-ill-formed": (
+        BotElim("kappa", f_rel(ZERO), Id("h")), "bad label name kappa"),
+    "bot-elim-ill-formed-bad-body": (
+        BotElim("a", f_rel(ZERO), Id("h")),
+        "rel atom outside a relativized signature"),
+}
+
+
+@pytest.mark.parametrize("proof,message",
+                         [*CHECK_CASES.values(), *CHECK_PRECEDENCE.values()],
+                         ids=[*CHECK_CASES.keys(), *CHECK_PRECEDENCE.keys()])
+def test_checker_diagnostic(proof, message):
+    assert _check_message(proof) == message
+
+
+def test_checker_label_polarity_before_body():
+    proof = BotElim("a", f_rel(ZERO), Id("h"))
+    assert _check_message(proof, "pawr") == \
+        "label formula must be negative, got positive: (rel 0)"
+
+
+# ---------------------------------------------------------------- programs
+
+NAT_ID = Lam("x", NAT, LVar("x"))
+
+PRIM_CASES = {
+    "primitive-with-type": (Prim("succ", NAT), "bad primitive (succ nat)"),
+    "primitive-without-type": (Prim("ifz"), "bad primitive ifz"),
+    "unknown-primitive": (Prim("halt"), "bad primitive halt"),
+}
+
+TYPE_CASES = {
+    **PRIM_CASES,
+    "unbound-variable": (LVar("y"), "unbound variable y"),
+    "negative-numeral": (Num(-1), "numerals are non-negative"),
+    "applied-non-function": (LApp(Num(0), Num(1)), "applied non-function 0"),
+    "argument-mismatch": (
+        LApp(SUCC_T, NAT_ID),
+        "argument (lam (x nat) x) : (-> nat nat) does not match nat"),
+    "projection-index": (Proj(3, Pair(Num(0), Num(1))),
+                         "projection index must be 1 or 2"),
+    "projected-non-pair": (Proj(1, Num(0)), "projected non-pair 0"),
+    "mu-body-not-empty": (Mu("a", NAT, Num(0)),
+                          "mu body must have the empty type"),
+    "unbound-label": (Named("a", Num(0)), "unbound label a"),
+    "label-mismatch": (Mu("a", NAT, Named("a", NAT_ID)),
+                       "label a expects nat, got (-> nat nat)"),
+}
+
+TYPE_PRECEDENCE = {
+    # the function's type before the argument
+    "non-function-bad-argument": (LApp(Num(0), LVar("y")),
+                                  "applied non-function 0"),
+    "bad-function-bad-argument": (LApp(LVar("f"), LVar("y")),
+                                  "unbound variable f"),
+    # the index before the body
+    "projection-index-bad-body": (Proj(0, LVar("y")),
+                                  "projection index must be 1 or 2"),
+    # the label before the body
+    "unbound-label-bad-body": (Named("a", LVar("y")), "unbound label a"),
+    # the body before the label's type
+    "mu-bad-body": (Mu("a", NAT, Named("a", LVar("y"))),
+                    "unbound variable y"),
+    "pair-left-first": (Pair(LVar("l"), LVar("r")), "unbound variable l"),
+    # a primitive's own fault before its argument's
+    "bad-primitive-bad-argument": (LApp(Prim("fix"), LVar("y")),
+                                   "bad primitive fix"),
+}
+
+
+@pytest.mark.parametrize("term,message",
+                         [*TYPE_CASES.values(), *TYPE_PRECEDENCE.values()],
+                         ids=[*TYPE_CASES.keys(), *TYPE_PRECEDENCE.keys()])
+def test_typecheck_diagnostic(term, message):
+    with pytest.raises(UserError) as ex:
+        typecheck(term, {}, {"kappa": NAT})
+    assert str(ex.value) == message
+
+
+@pytest.mark.parametrize("prim,message", PRIM_CASES.values(),
+                         ids=PRIM_CASES.keys())
+def test_prim_type_diagnostic(prim, message):
+    with pytest.raises(UserError) as ex:
+        prim_type(prim)
+    assert str(ex.value) == message
+
+
+def test_typecheck_defaults_to_empty_contexts():
+    assert typecheck(Mu("a", TArr(NAT, NAT), Named("a", NAT_ID))) \
+        == TArr(NAT, NAT)
+    assert typecheck(Proj(2, Pair(Num(0), Mu("b", TBOT, Named("b", LVar(
+        "z"))))), {"z": TBOT}) == TBOT
+    with pytest.raises(UserError, match="^unbound label kappa$"):
+        typecheck(Named("kappa", Num(0)))

@@ -8,6 +8,7 @@ applications, unknown predicates and constants, `rel` atoms outside a
 relativized signature and wrong arities.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -306,6 +307,142 @@ def test_subst_formula_returns_unchanged_subformulas_as_they_are():
     g = subst_formula(f, {"x": IApp(SUCC, ZERO)})
     assert g == And(left, f_neq(IApp(SUCC, ZERO), ZERO))
     assert g.left is left
+
+
+# ---------------------------------------------------------------- alpha_eq
+
+
+def _canon_ind(t, bound):
+    """t with each bound variable replaced by its de Bruijn index."""
+    match t:
+        case IVar(name, sort):
+            for i, n in enumerate(reversed(bound)):
+                if n == name:
+                    return ("bound", i, sort)
+            return ("free", name, sort)
+        case IConst():
+            return ("const", t)
+        case IApp(fn, arg):
+            return ("app", _canon_ind(fn, bound), _canon_ind(arg, bound))
+    raise InternalError(f"bad individual {t!r}")
+
+
+def _canon(f, bound=()):
+    """De Bruijn form of f: alpha-equivalent formulas, and only those, have
+    equal forms."""
+    match f:
+        case Bot():
+            return ("bot",)
+        case Atom(p, args):
+            return ("atom", p, tuple(_canon_ind(t, bound) for t in args))
+        case Imp(a, b):
+            return ("imp", _canon(a, bound), _canon(b, bound))
+        case And(a, b):
+            return ("and", _canon(a, bound), _canon(b, bound))
+        case Forall(x, sort, body):
+            return ("all", sort, _canon(body, bound + (x,)))
+    raise InternalError(f"bad formula {f!r}")
+
+
+def _rename_binders(f, draw):
+    """f with every binder renamed to draw(), its bound occurrences
+    following; the result need not be alpha-equivalent to f when a drawn
+    name captures a free variable or another binder's."""
+    def ind(t, ren):
+        match t:
+            case IVar(name, sort):
+                return IVar(ren.get(name, name), sort)
+            case IApp(fn, arg):
+                return IApp(ind(fn, ren), ind(arg, ren))
+        return t
+
+    def go(f, ren):
+        match f:
+            case Atom(p, args):
+                return Atom(p, tuple(ind(t, ren) for t in args))
+            case Imp(a, b) | And(a, b):
+                return type(f)(go(a, ren), go(b, ren))
+            case Forall(x, sort, body):
+                y = draw()
+                return Forall(y, sort, go(body, {**ren, x: y}))
+        return f
+
+    return go(f, {})
+
+
+def _mutate(f, rng):
+    """f with one node changed: a connective, a binder's sort, a variable's
+    name or a subformula replaced by bot."""
+    nodes = []
+
+    def collect(f, path):
+        nodes.append(path)
+        match f:
+            case Imp(a, b) | And(a, b):
+                collect(a, path + ("left",))
+                collect(b, path + ("right",))
+            case Forall(_, _, body):
+                collect(body, path + ("body",))
+
+    collect(f, ())
+    path = rng.choice(nodes)
+
+    def at(f, path):
+        if path:
+            child = at(getattr(f, path[0]), path[1:])
+            match f:
+                case Forall(x, sort, _):
+                    return Forall(x, sort, child)
+            fields = {"left": f.left, "right": f.right, path[0]: child}
+            return type(f)(fields["left"], fields["right"])
+        match f:
+            case Imp(a, b):
+                return And(a, b)
+            case And(a, b):
+                return Imp(a, b)
+            case Forall(x, sort, body):
+                if rng.random() < 0.5:
+                    return Forall(x, rng.choice(_SORTS), body)
+                return Forall(rng.choice(_NAMES), sort, body)
+            case Atom(p, args) if args and isinstance(args[0], IVar):
+                v = args[0]
+                return Atom(p, (IVar(rng.choice(_NAMES), v.sort),) + args[1:])
+        return BOT
+
+    return at(f, path)
+
+
+def test_alpha_eq_agrees_with_de_bruijn_forms():
+    equal = unequal = 0
+    for seed in range(2500):
+        f, _, rng, _ = _case(seed)
+        fresh = (f"b{i}" for i in itertools.count())
+        renamed = _rename_binders(f, fresh.__next__)
+        # distinct names that occur nowhere else capture nothing
+        assert _canon(renamed) == _canon(f)
+        for g in (renamed,
+                  _rename_binders(f, lambda: rng.choice(_NAMES)),
+                  _mutate(f, rng)):
+            want = _canon(f) == _canon(g)
+            assert alpha_eq(f, g) == want, (seed, f, g)
+            assert alpha_eq(g, f) == want, (seed, g, f)
+            equal += want
+            unequal += not want
+    assert equal >= 4000 and unequal >= 1000, (equal, unequal)
+
+
+def test_alpha_eq_levels_survive_a_rebound_name():
+    """A name bound twice must not give the next binder the level of the
+    inner one."""
+    v = lambda n: IVar(n, IOTA)  # noqa: E731
+    f = Forall("x", IOTA, Forall("x", IOTA, Forall("y", IOTA,
+                                                   f_neq(v("x"), v("x")))))
+    for b, c, want in [("b", "b", True), ("c", "b", False),
+                       ("b", "c", False), ("c", "c", False)]:
+        g = Forall("a", IOTA, Forall("b", IOTA, Forall("c", IOTA,
+                                                       f_neq(v(b), v(c)))))
+        assert alpha_eq(f, g) == want, (b, c)
+        assert alpha_eq(g, f) == want, (b, c)
 
 
 # ---------------------------------------------------- checker diagnostics

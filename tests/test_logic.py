@@ -313,3 +313,30 @@ def test_forall_elim_sort_mismatch():
     pf = ForallElim(Ax("refl", (IOTA,)), SUCC)
     with pytest.raises(UserError, match="sort|instantiating"):
         check_proof(pf, PAW, Sequent(concl=f_eq(SUCC, SUCC)))
+
+
+# ---------- class dispatch ----------
+
+
+def test_node_classes_have_no_subclasses():
+    """The walks dispatch on `x.__class__ is C`, which a subclass of C would
+    silently miss: every concrete node class must stay a leaf of the class
+    tree, and each abstract base keeps the kinds the walks handle."""
+    from mupcf import lambdamu, logic
+
+    expected = {
+        logic.Sort: {"BaseSort", "SArrow"},
+        logic.Individual: {"IVar", "IConst", "IApp"},
+        logic.Formula: {"Bot", "Atom", "Imp", "And", "Forall"},
+        logic.Proof: {"Id", "Ax", "ImpIntro", "ImpElim", "AndIntro",
+                      "AndElim", "ForallIntro", "ForallElim", "BotIntro",
+                      "BotElim"},
+        lambdamu.LType: {"TNat", "TBot", "TArr", "TProd"},
+        lambdamu.Term: {"LVar", "Num", "Prim", "Lam", "LApp", "Pair", "Proj",
+                        "Mu", "Named"},
+    }
+    for base, names in expected.items():
+        kinds = base.__subclasses__()
+        assert {c.__name__ for c in kinds} == names, base
+        for c in kinds:
+            assert c.__subclasses__() == [], c
