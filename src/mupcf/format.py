@@ -33,19 +33,42 @@ from .logic import (
 
 # ---------------------------------------------------------------- reader
 
+# A file is read without positions first: the plain reader gives each atom
+# as its text, a str, and each list as a list of its items, and the parse
+# functions below run on that.  Only when the plain reader or a parse
+# function finds an error does parse_source read the file again, with the
+# positioned reader, whose atoms and lists are str and list subclasses that
+# also carry the line and column they start at, and run the same parse
+# functions once more: they stop at the same node, which now has a position
+# to report.
 
-@dataclass(slots=True)
-class _Atom:
-    text: str
-    line: int
-    col: int
+
+class _Atom(str):
+    __slots__ = ("line", "col")
+
+    def __new__(cls, text, line, col):
+        self = super().__new__(cls, text)
+        self.line = line
+        self.col = col
+        return self
 
 
-@dataclass(slots=True)
-class _List:
-    items: list
-    line: int
-    col: int
+class _List(list):
+    __slots__ = ("line", "col")
+
+    def __init__(self, line, col):
+        super().__init__()
+        self.line = line
+        self.col = col
+
+    @property
+    def items(self):
+        """The list itself, for code that walks a tree of these nodes."""
+        return self
+
+
+class _NeedPositions(Exception):
+    """A parse error found on nodes without positions."""
 
 
 # A token within one line that has had its comment cut off: a parenthesis
@@ -54,33 +77,61 @@ _TOKEN = re.compile(r"[()]|[^ \t\r();]+")
 
 
 def _err(node, msg):
+    if not isinstance(node, (_Atom, _List)):
+        raise _NeedPositions
     raise UserError(f"{node.line}:{node.col}: {msg}")
 
 
-def _read_all(src):
+def _read_plain(src):
+    """The declarations of src as nested lists of str atoms; _NeedPositions
+    on an unmatched or unclosed parenthesis."""
     nodes = items = []
-    # the enclosing items and the position of each list still open,
-    # innermost last
+    # the enclosing items of each list still open, innermost last
+    open_lists = []
+    findall = _TOKEN.findall
+    for text in src.split("\n"):
+        cut = text.find(";")
+        for tok in findall(text, 0, len(text) if cut < 0 else cut):
+            if tok == "(":
+                open_lists.append(items)
+                items = []
+            elif tok == ")":
+                if not open_lists:
+                    raise _NeedPositions
+                outer = open_lists.pop()
+                outer.append(items)
+                items = outer
+            else:
+                items.append(tok)
+    if open_lists:
+        raise _NeedPositions
+    return nodes
+
+
+def _read_all(src):
+    """The declarations of src as _List and _Atom nodes; a positioned user
+    error on an unmatched or unclosed parenthesis."""
+    nodes = items = []
+    # the enclosing items of each list still open, innermost last
     open_lists = []
     for line, text in enumerate(src.split("\n"), 1):
         cut = text.find(";")
         for m in _TOKEN.finditer(text, 0, len(text) if cut < 0 else cut):
             tok = m[0]
             if tok == "(":
-                open_lists.append((items, line, m.start() + 1))
-                items = []
+                open_lists.append(items)
+                items = _List(line, m.start() + 1)
             elif tok == ")":
                 if not open_lists:
                     raise UserError(f"{line}:{m.start() + 1}: "
                                     f"unmatched closing parenthesis")
-                outer, at_line, at_col = open_lists.pop()
-                outer.append(_List(items, at_line, at_col))
+                outer = open_lists.pop()
+                outer.append(items)
                 items = outer
             else:
                 items.append(_Atom(tok, line, m.start() + 1))
     if open_lists:
-        _, line, col = open_lists[-1]
-        raise UserError(f"{line}:{col}: unclosed parenthesis")
+        raise UserError(f"{items.line}:{items.col}: unclosed parenthesis")
     return nodes
 
 
@@ -94,28 +145,28 @@ def _numeral_value(node):
     sys.get_int_max_str_digits).  A program numeral stays a digit below it,
     so the value that eval reaches from it by succ steps still prints."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(node.text) >= limit:
-        _err(node, f"numeral has {len(node.text)} digits; at most "
+    if limit and len(node) >= limit:
+        _err(node, f"numeral has {len(node)} digits; at most "
                    f"{limit - 1} are supported")
-    return int(node.text)
+    return int(node)
 
 
 def _head(node, what):
-    if node.__class__ is not _List or not node.items \
-            or node.items[0].__class__ is not _Atom:
+    if not isinstance(node, list) or not node \
+            or not isinstance(node[0], str):
         _err(node, f"expected a parenthesized {what}")
-    return node.items[0].text
+    return node[0]
 
 
 def _sym(node, what):
-    if node.__class__ is not _Atom:
+    if not isinstance(node, str):
         _err(node, f"expected {what}")
-    return node.text
+    return node
 
 
 def _arity(node, n):
-    if len(node.items) != n + 1:
-        _err(node, f"{node.items[0].text} takes {n} argument(s)")
+    if len(node) != n + 1:
+        _err(node, f"{node[0]} takes {n} argument(s)")
 
 
 # The parse functions below recurse once per nesting level of the input, and
@@ -153,17 +204,15 @@ def _sort_depth(sort):
 
 def parse_sort(node, depth=0):
     _check_depth(node, depth)
-    if node.__class__ is _Atom:
-        if node.text == "iota":
+    if isinstance(node, str):
+        if node == "iota":
             return IOTA
-    elif node.items and node.items[0].__class__ is _Atom \
-            and node.items[0].text == "->":
-        items = node.items
-        if len(items) < 3:
+    elif node and isinstance(node[0], str) and node[0] == "->":
+        if len(node) < 3:
             _err(node, "sort arrow needs at least two arguments")
-        out = parse_sort(items[-1], depth + len(items) - 2)
-        for i in range(len(items) - 2, 0, -1):
-            out = SArrow(parse_sort(items[i], depth + i), out)
+        out = parse_sort(node[-1], depth + len(node) - 2)
+        for i in range(len(node) - 2, 0, -1):
+            out = SArrow(parse_sort(node[i], depth + i), out)
         return out
     _err(node, "expected a sort")
 
@@ -178,14 +227,13 @@ _MAX_IND_NUMERAL = 10000
 
 def parse_individual(node, scope, depth=0):
     _check_depth(node, depth)
-    if node.__class__ is _Atom:
-        text = node.text
-        if text == "0":
+    if isinstance(node, str):
+        if node == "0":
             return ZERO
-        if text == "S":
+        if node == "S":
             return SUCC
-        if _is_numeral(text):
-            digits = text.lstrip("0") or "0"
+        if _is_numeral(node):
+            digits = node.lstrip("0") or "0"
             # the length test keeps a long digit string away from int()
             if len(digits) > len(str(_MAX_IND_NUMERAL)) \
                     or int(digits) > _MAX_IND_NUMERAL:
@@ -197,30 +245,29 @@ def parse_individual(node, scope, depth=0):
             for _ in range(n):
                 out = IApp(SUCC, out)
             return out
-        if text not in scope:
-            _err(node, f"unknown identifier {text}")
-        sort = scope[text]
+        if node not in scope:
+            _err(node, f"unknown identifier {node}")
+        sort = scope[node]
         if sort is not IOTA:
             _check_depth(node, depth + 1 + _sort_depth(sort))
-        return IVar(text, sort)
-    items = node.items
-    if not items:
+        return IVar(node, sort)
+    if not node:
         _err(node, "expected an individual")
-    first = items[0]
-    if first.__class__ is _Atom and first.text in _CONST_SORT_ARITY:
-        want = _CONST_SORT_ARITY[first.text]
-        if len(items) != want + 1:
-            _err(node, f"constant {first.text} takes {want} sort "
+    first = node[0]
+    if isinstance(first, str) and first in _CONST_SORT_ARITY:
+        want = _CONST_SORT_ARITY[first]
+        if len(node) != want + 1:
+            _err(node, f"constant {first} takes {want} sort "
                        f"argument(s)")
-        return IConst(first.text,
-                      tuple([parse_sort(a, depth + 1) for a in items[1:]]))
-    if len(items) == 1:
+        return IConst(first,
+                      tuple([parse_sort(a, depth + 1) for a in node[1:]]))
+    if len(node) == 1:
         _err(node, "empty application")
     # (f a1 .. an) is n nested applications, f innermost
-    n = len(items) - 1
+    n = len(node) - 1
     out = parse_individual(first, scope, depth + n)
     for i in range(1, n + 1):
-        out = IApp(out, parse_individual(items[i], scope, depth + n + 1 - i))
+        out = IApp(out, parse_individual(node[i], scope, depth + n + 1 - i))
     return out
 
 
@@ -233,62 +280,61 @@ _RESERVED_IND_NAMES = {"0", "S", "k", "s", "rec"}
 def _parse_binder(node, what, depth):
     """(name <sort>) pairs used by all binding constructs; depth is that of
     the sort in its tree."""
-    if node.__class__ is not _List or len(node.items) != 2:
+    if not isinstance(node, list) or len(node) != 2:
         _err(node, f"expected a (name sort) binder for {what}")
-    name = _sym(node.items[0], "a variable name")
+    name = _sym(node[0], "a variable name")
     if name in _RESERVED_IND_NAMES or _is_numeral(name):
-        _err(node.items[0], f"{name} is reserved and cannot be bound")
-    return name, parse_sort(node.items[1], depth)
+        _err(node[0], f"{name} is reserved and cannot be bound")
+    return name, parse_sort(node[1], depth)
 
 
 def parse_formula(node, scope, depth=0):
     _check_depth(node, depth)
-    if node.__class__ is _Atom:
-        if node.text == "bot":
+    if isinstance(node, str):
+        if node == "bot":
             return BOT
-    elif node.items and node.items[0].__class__ is _Atom:
-        items = node.items
-        head = items[0].text
-        n = len(items) - 1
+    elif node and isinstance(node[0], str):
+        head = node[0]
+        n = len(node) - 1
         if head == "neq":
             if n != 2:
                 _err(node, "neq takes two individuals")
-            return Atom("neq", (parse_individual(items[1], scope, depth + 1),
-                                parse_individual(items[2], scope, depth + 1)))
+            return Atom("neq", (parse_individual(node[1], scope, depth + 1),
+                                parse_individual(node[2], scope, depth + 1)))
         if head == "=":
             if n != 2:
                 _err(node, "= takes two individuals")
             return Imp(Atom("neq", (
-                parse_individual(items[1], scope, depth + 2),
-                parse_individual(items[2], scope, depth + 2))), BOT)
+                parse_individual(node[1], scope, depth + 2),
+                parse_individual(node[2], scope, depth + 2))), BOT)
         if head == "rel":
             if n != 1:
                 _err(node, "rel takes one individual")
-            return Atom("rel", (parse_individual(items[1], scope, depth + 1),))
+            return Atom("rel", (parse_individual(node[1], scope, depth + 1),))
         if head == "->":
             if n < 2:
                 _err(node, "formula arrow needs at least two arguments")
-            out = parse_formula(items[-1], scope, depth + n - 1)
+            out = parse_formula(node[-1], scope, depth + n - 1)
             for i in range(n - 1, 0, -1):
-                out = Imp(parse_formula(items[i], scope, depth + i), out)
+                out = Imp(parse_formula(node[i], scope, depth + i), out)
             return out
         if head == "not":
             if n != 1:
                 _err(node, "not takes one formula")
-            return Imp(parse_formula(items[1], scope, depth + 1), BOT)
+            return Imp(parse_formula(node[1], scope, depth + 1), BOT)
         if head == "/\\":
             if n != 2:
                 _err(node, "/\\ takes two formulas")
-            return And(parse_formula(items[1], scope, depth + 1),
-                       parse_formula(items[2], scope, depth + 1))
+            return And(parse_formula(node[1], scope, depth + 1),
+                       parse_formula(node[2], scope, depth + 1))
         if head == "all" or head == "exists":
             if n != 2:
                 _err(node, f"{head} takes a binder and a body")
             # exists reads as (-> (all (x s) (-> a bot)) bot): its sort
             # lies one level deeper than under all, its body two
             ex = head == "exists"
-            name, sort = _parse_binder(items[1], head, depth + 1 + ex)
-            body = parse_formula(items[2], {**scope, name: sort},
+            name, sort = _parse_binder(node[1], head, depth + 1 + ex)
+            body = parse_formula(node[2], {**scope, name: sort},
                                  depth + 1 + 2 * ex)
             if not ex:
                 return Forall(name, sort, body)
@@ -318,14 +364,13 @@ _AX_KINDS = {
 
 
 def _parse_ax(node, scope):
-    items = node.items
-    if len(items) < 2:
+    if len(node) < 2:
         _err(node, "ax needs a scheme name")
-    name = _sym(items[1], "an axiom scheme name")
+    name = _sym(node[1], "an axiom scheme name")
     kinds = _AX_KINDS.get(name)
     if kinds is None:
-        _err(items[1], f"unknown axiom scheme {name}")
-    argnodes = items[2:]
+        _err(node[1], f"unknown axiom scheme {name}")
+    argnodes = node[2:]
     if len(argnodes) != len(kinds):
         _err(node, f"axiom {name} takes {len(kinds)} argument(s)")
     # Variable arguments extend the scope the formula arguments read.
@@ -349,56 +394,55 @@ def _parse_ax(node, scope):
 
 def parse_proof(node, scope):
     head = _head(node, "proof")
-    items = node.items
     match head:
         case "id":
             _arity(node, 1)
-            return Id(_sym(items[1], "a hypothesis name"))
+            return Id(_sym(node[1], "a hypothesis name"))
         case "ax":
             return _parse_ax(node, scope)
         case "imp-intro":
             _arity(node, 2)
-            b = items[1]
-            if b.__class__ is not _List or len(b.items) != 2:
+            b = node[1]
+            if not isinstance(b, list) or len(b) != 2:
                 _err(b, "expected a (name formula) binder")
-            h = _sym(b.items[0], "a hypothesis name")
-            f = parse_formula(b.items[1], scope)
-            return ImpIntro(h, f, parse_proof(items[2], scope))
+            h = _sym(b[0], "a hypothesis name")
+            f = parse_formula(b[1], scope)
+            return ImpIntro(h, f, parse_proof(node[2], scope))
         case "imp-elim":
             _arity(node, 2)
-            return ImpElim(parse_proof(items[1], scope),
-                           parse_proof(items[2], scope))
+            return ImpElim(parse_proof(node[1], scope),
+                           parse_proof(node[2], scope))
         case "and-intro":
             _arity(node, 2)
-            return AndIntro(parse_proof(items[1], scope),
-                            parse_proof(items[2], scope))
+            return AndIntro(parse_proof(node[1], scope),
+                            parse_proof(node[2], scope))
         case "and-elim":
             _arity(node, 2)
-            i = _sym(items[1], "a projection index")
+            i = _sym(node[1], "a projection index")
             if i not in ("1", "2"):
-                _err(items[1], "and-elim index must be 1 or 2")
-            return AndElim(int(i), parse_proof(items[2], scope))
+                _err(node[1], "and-elim index must be 1 or 2")
+            return AndElim(int(i), parse_proof(node[2], scope))
         case "forall-intro":
             _arity(node, 2)
-            name, sort = _parse_binder(items[1], "forall-intro", 0)
-            body = parse_proof(items[2], {**scope, name: sort})
+            name, sort = _parse_binder(node[1], "forall-intro", 0)
+            body = parse_proof(node[2], {**scope, name: sort})
             return ForallIntro(name, sort, body)
         case "forall-elim":
             _arity(node, 2)
-            return ForallElim(parse_proof(items[1], scope),
-                              parse_individual(items[2], scope))
+            return ForallElim(parse_proof(node[1], scope),
+                              parse_individual(node[2], scope))
         case "bot-intro":
             _arity(node, 2)
-            return BotIntro(_sym(items[1], "a label name"),
-                            parse_proof(items[2], scope))
+            return BotIntro(_sym(node[1], "a label name"),
+                            parse_proof(node[2], scope))
         case "bot-elim":
             _arity(node, 2)
-            b = items[1]
-            if b.__class__ is not _List or len(b.items) != 2:
+            b = node[1]
+            if not isinstance(b, list) or len(b) != 2:
                 _err(b, "expected a (label formula) binder")
-            lab = _sym(b.items[0], "a label name")
-            f = parse_formula(b.items[1], scope)
-            return BotElim(lab, f, parse_proof(items[2], scope))
+            lab = _sym(b[0], "a label name")
+            f = parse_formula(b[1], scope)
+            return BotElim(lab, f, parse_proof(node[2], scope))
     _err(node, f"unknown proof form {head}")
 
 
@@ -442,81 +486,78 @@ _RESERVED_TERM_NAMES = {"succ", "pred", "star"}
 
 def parse_type(node, depth=0):
     _check_depth(node, depth)
-    if node.__class__ is _Atom:
-        if node.text == "nat":
+    if isinstance(node, str):
+        if node == "nat":
             return NAT
-        if node.text == "bot":
+        if node == "bot":
             return TBOT
-    elif node.items and node.items[0].__class__ is _Atom:
-        items = node.items
-        head = items[0].text
+    elif node and isinstance(node[0], str):
+        head = node[0]
         if head == "->":
-            if len(items) < 3:
+            if len(node) < 3:
                 _err(node, "type arrow needs at least two arguments")
-            out = parse_type(items[-1], depth + len(items) - 2)
-            for i in range(len(items) - 2, 0, -1):
-                out = TArr(parse_type(items[i], depth + i), out)
+            out = parse_type(node[-1], depth + len(node) - 2)
+            for i in range(len(node) - 2, 0, -1):
+                out = TArr(parse_type(node[i], depth + i), out)
             return out
         if head == "*":
-            if len(items) != 3:
+            if len(node) != 3:
                 _err(node, "* takes two types")
-            return TProd(parse_type(items[1], depth + 1),
-                         parse_type(items[2], depth + 1))
+            return TProd(parse_type(node[1], depth + 1),
+                         parse_type(node[2], depth + 1))
     _err(node, "expected a type")
 
 
 def parse_term(node):
-    if node.__class__ is _Atom:
-        text = node.text
-        if _is_numeral(text):
+    if isinstance(node, str):
+        if _is_numeral(node):
             return Num(_numeral_value(node))
-        if text == "succ" or text == "pred":
-            return Prim(text)
-        return LVar(text)
-    items = node.items
-    if items and items[0].__class__ is _Atom:
-        head = items[0].text
+        if node == "succ" or node == "pred":
+            return Prim(node)
+        return LVar(node)
+    if node and isinstance(node[0], str):
+        head = node[0]
         if head == "app":
-            if len(items) < 3:
+            if len(node) < 3:
                 _err(node, "app needs a function and arguments")
-            out = parse_term(items[1])
-            for a in items[2:]:
+            out = parse_term(node[1])
+            for a in node[2:]:
                 out = LApp(out, parse_term(a))
             return out
         if head == "lam":
             _arity(node, 2)
-            name, ty = _parse_term_binder(items[1])
-            return Lam(name, ty, parse_term(items[2]))
+            name, ty = _parse_term_binder(node[1])
+            return Lam(name, ty, parse_term(node[2]))
         if head == "ifz" or head == "fix":
             _arity(node, 1)
-            return Prim(head, parse_type(items[1]))
+            return Prim(head, parse_type(node[1]))
         if head == "pair":
             _arity(node, 2)
-            return Pair(parse_term(items[1]), parse_term(items[2]))
+            return Pair(parse_term(node[1]), parse_term(node[2]))
         if head == "proj":
             _arity(node, 2)
-            i = _sym(items[1], "a projection index")
+            i = _sym(node[1], "a projection index")
             if i not in ("1", "2"):
-                _err(items[1], "proj index must be 1 or 2")
-            return Proj(int(i), parse_term(items[2]))
+                _err(node[1], "proj index must be 1 or 2")
+            return Proj(int(i), parse_term(node[2]))
         if head == "mu":
             _arity(node, 2)
-            name, ty = _parse_term_binder(items[1])
-            return Mu(name, ty, parse_term(items[2]))
+            name, ty = _parse_term_binder(node[1])
+            return Mu(name, ty, parse_term(node[2]))
         if head == "named":
             _arity(node, 2)
-            return Named(_sym(items[1], "a label name"),
-                         parse_term(items[2]))
+            return Named(_sym(node[1], "a label name"),
+                         parse_term(node[2]))
     _err(node, "expected a program")
 
 
 def _parse_term_binder(node):
-    if node.__class__ is not _List or len(node.items) != 2:
+    if not isinstance(node, list) or len(node) != 2:
         _err(node, "expected a (name type) binder")
-    name = _sym(node.items[0], "a variable name")
+    name = _sym(node[0], "a variable name")
     if name in _RESERVED_TERM_NAMES or _is_numeral(name):
-        _err(node.items[0], f"{name} is reserved and cannot be bound")
-    return name, parse_type(node.items[1])
+        _err(node[0], f"{name} is reserved and cannot be bound")
+    return name, parse_type(node[1])
 
 
 # ------------------------------------------------------------ toplevel
@@ -534,11 +575,24 @@ class Workspace:
 
 
 def parse_source(src):
+    try:
+        return _parse_declarations(_read_plain(src))
+    except _NeedPositions:
+        pass
+    # the same checks, in the same order, stop at the same node and raise
+    # its positioned UserError; run outside the handler so that the error
+    # does not chain _NeedPositions
+    _parse_declarations(_read_all(src))
+    raise InternalError("a parse error vanished when the input was read "
+                        "again with positions")
+
+
+def _parse_declarations(nodes):
     ws = Workspace()
     saw_theory = False
-    for node in _read_all(src):
+    for node in nodes:
         head = _head(node, "declaration")
-        rest = node.items[1:]
+        rest = node[1:]
         if head == "theory":
             if saw_theory:
                 _err(node, "theory already declared")
@@ -556,9 +610,9 @@ def parse_source(src):
             if name in ws.proofs or name in ws.terms:
                 _err(rest[0], f"duplicate declaration {name}")
             gnode = rest[1]
-            if _head(gnode, "goal") != "goal" or len(gnode.items) != 2:
+            if _head(gnode, "goal") != "goal" or len(gnode) != 2:
                 _err(gnode, "expected (goal <formula>)")
-            goal = Sequent(concl=parse_formula(gnode.items[1], {}))
+            goal = Sequent(concl=parse_formula(gnode[1], {}))
             ws.proofs[name] = (goal, parse_proof(rest[2], {}))
         elif head == "term":
             if len(rest) != 2:

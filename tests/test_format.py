@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import importlib.util
 import random
 import re
 from pathlib import Path
@@ -8,9 +10,9 @@ import pytest
 from mupcf import cli, corpus
 from mupcf.errors import UserError
 from mupcf.format import (
-    _read_all, formula_sexp, parse_file, parse_formula,
-    parse_individual, parse_sort, parse_source, parse_term, parse_type,
-    proof_decl, sort_sexp, term_decl, term_sexp, type_sexp,
+    _parse_declarations, _read_all, _read_plain, formula_sexp, parse_file,
+    parse_formula, parse_individual, parse_sort, parse_source, parse_term,
+    parse_type, proof_decl, sort_sexp, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
@@ -444,3 +446,148 @@ def test_reader_positions_match_source_indices():
             got = parse_source(src)
             assert (got.theory_name, got.proofs, got.terms) \
                 == (want.theory_name, want.proofs, want.terms)
+
+
+# --------------------------------------------------- plain and positioned
+
+# parse_source reads a file without positions and parses that; only when
+# the parse fails does it read the file again with positions and parse it
+# once more to report the error.  _parse_declarations on the positioned
+# reader's nodes is the one-pass parse that reports every error directly.
+
+_BENCH_WORKLOADS = CORPUS.parent / "bench" / "workloads.py"
+
+
+def _barrec_sources():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  _BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [term_decl(f"barrec{n}", workloads.barrec_term(n))
+            for n in range(4)]
+
+
+def _reader_sources():
+    yield from (p.read_text(encoding="utf-8")
+                for p in sorted(CORPUS.iterdir()))
+    rng = random.Random(6)
+    for canonical in _canonical_sources():
+        yield canonical
+        for _ in range(3):
+            yield _relayout(canonical, rng)[0]
+    yield from _barrec_sources()
+
+
+def _strings(obj):
+    """Every str held by a parsed object, walked without recursion."""
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.items())
+        elif dataclasses.is_dataclass(x):
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+def _plain_shape(nodes):
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if node.__class__ is list:
+            todo.extend(node)
+        elif node.__class__ is not str:
+            return False
+    return True
+
+
+def test_plain_and_positioned_passes_agree():
+    for src in _reader_sources():
+        plain, positioned = _read_plain(src), _read_all(src)
+        assert _plain_shape(plain)
+        assert plain == positioned
+        ws = parse_source(src)
+        assert ws == _parse_declarations(positioned)
+        assert ws.proofs or ws.terms
+        assert all(s.__class__ is str for s in _strings(ws)), src
+
+
+def test_both_readers_split_whitespace_edges_alike():
+    # a form feed and a no-break space are atom characters, CR separates
+    # tokens without ending the line, and ; cuts a line inside an atom
+    src = "(a\fb c\xa0d\re;f g)\n\t)"
+    plain, positioned = _read_plain(src), _read_all(src)
+    assert plain == positioned == [["a\fb", "c\xa0d", "e"]]
+    assert [(n.line, n.col) for n in _preorder(positioned)] \
+        == [(1, 1), (1, 2), (1, 6), (1, 10)]
+
+
+_MUTANTS = ["(", ")", "0", "iota", "99999", "-1"]
+
+
+def _mutate(src, rng):
+    """src with one or two of its tokens deleted, doubled or replaced."""
+    spans, at = [], 0
+    for line in src.split("\n"):
+        cut = line.find(";")
+        spans += [(at + m.start(), at + m.end()) for m in re.finditer(
+            r"[()]|[^ \t\r();]+", line if cut < 0 else line[:cut])]
+        at += len(line) + 1
+    for start, end in sorted(rng.sample(spans, rng.choice([1, 2])),
+                             reverse=True):
+        op = rng.choice(["delete", "double", "replace"])
+        if op == "delete":
+            new = ""
+        elif op == "double":
+            new = src[start:end] + " " + src[start:end]
+        else:
+            new = f" {rng.choice(_MUTANTS)} "
+        src = src[:start] + new + src[end:]
+    return src
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except UserError as ex:
+        return str(ex)
+
+
+def test_two_passes_report_the_error_of_one_positioned_pass():
+    rng = random.Random(20261018)
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(CORPUS.iterdir())]
+    errors = 0
+    for i in range(1200):
+        src = _mutate(sources[i % len(sources)], rng)
+        got = _outcome(parse_source, src)
+        want = _outcome(lambda s: _parse_declarations(_read_all(s)), src)
+        assert got == want, src
+        if isinstance(got, str):
+            errors += 1
+            assert re.match(r"^\d+:\d+: ", got), got
+    assert errors > 600
+
+
+def test_only_a_malformed_file_is_read_with_positions(monkeypatch, tmp_path):
+    reads = []
+
+    def counted(src):
+        reads.append(src)
+        return _read_all(src)
+
+    monkeypatch.setattr("mupcf.format._read_all", counted)
+    for path in sorted(CORPUS.iterdir()):
+        parse_file(path)
+    for src in _barrec_sources():
+        parse_source(src)
+    assert reads == []
+    bad = tmp_path / "bad.proof"
+    bad.write_text("(theory paw)\n(proof p (goal bot) (id))\n")
+    with pytest.raises(UserError) as info:
+        parse_file(bad)
+    assert str(info.value) == f"{bad}:2:21: id takes 1 argument(s)"
+    assert len(reads) == 1
