@@ -404,37 +404,6 @@ def g_subst(t, mapping):
     raise InternalError(f"bad term {t!r}")
 
 
-def _canon(t, ren, counter):
-    match t:
-        case GVar(n):
-            return GVar(ren.get(n, n))
-        case GConst() | GUnit():
-            return t
-        case GLam(x, ty, b):
-            nx = f"v{counter[0]}"
-            counter[0] += 1
-            return GLam(nx, ty, _canon(b, {**ren, x: nx}, counter))
-        case GApp(f, a):
-            return GApp(_canon(f, ren, counter), _canon(a, ren, counter))
-        case GPair(a, b):
-            return GPair(_canon(a, ren, counter), _canon(b, ren, counter))
-        case GProj(i, b):
-            return GProj(i, _canon(b, ren, counter))
-        case GInj(i, b, ty):
-            return GInj(i, _canon(b, ren, counter), ty)
-        case GCase(s, x, l, r):
-            nx = f"v{counter[0]}"
-            counter[0] += 1
-            ren2 = {**ren, x: nx}
-            return GCase(_canon(s, ren, counter), nx,
-                         _canon(l, ren2, counter), _canon(r, ren2, counter))
-    raise InternalError(f"bad term {t!r}")
-
-
-def g_alpha_eq(a, b):
-    return _canon(a, {}, [0]) == _canon(b, {}, [0])
-
-
 # ---------- normalization ----------
 
 

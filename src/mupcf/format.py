@@ -61,11 +61,6 @@ class _List(list):
         self.line = line
         self.col = col
 
-    @property
-    def items(self):
-        """The list itself, for code that walks a tree of these nodes."""
-        return self
-
 
 class _NeedPositions(Exception):
     """A parse error found on nodes without positions."""

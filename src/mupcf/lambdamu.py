@@ -3,10 +3,9 @@
 The calculus has nat, an empty type, arrows and products, plus mu-bound
 labels: mu a:A. M captures its context at A, [a] M throws M to the label a.
 eval_nat runs closed programs on an environment machine with lexically
-bound labels. whnf_step is the reference small-step semantics the machine is
-tested against: deterministic weak-head reduction by substitution, whose
-control rules keep the mu binder and retype it as the surrounding frame is
-absorbed. Types and terms print in the surface syntax of FORMAT.md.
+bound labels; the tests check it against a reference small-step semantics
+by substitution (tests/reference.py). Types and terms print in the surface
+syntax of FORMAT.md.
 """
 
 from dataclasses import dataclass
@@ -265,7 +264,7 @@ def _typecheck(t, env, lenv):
     raise InternalError(f"bad term {t!r}")
 
 
-# ---------- variables, labels, substitution ----------
+# ---------- names ----------
 
 
 def free_vars(t):
@@ -285,21 +284,6 @@ def free_vars(t):
     raise InternalError(f"bad term {t!r}")
 
 
-def free_labels(t):
-    match t:
-        case LVar() | Num() | Prim():
-            return set()
-        case Lam(_, _, b) | Proj(_, b):
-            return free_labels(b)
-        case LApp(f, a) | Pair(f, a):
-            return free_labels(f) | free_labels(a)
-        case Mu(l, _, b):
-            return free_labels(b) - {l}
-        case Named(l, b):
-            return free_labels(b) | {l}
-    raise InternalError(f"bad term {t!r}")
-
-
 def freshen(base, avoid):
     """Name-derived freshness: base, base1, base2, ... No global state, so
     equal inputs always reduce to byte-identical outputs."""
@@ -309,202 +293,6 @@ def freshen(base, avoid):
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"
-
-
-def subst_var(t, name, repl):
-    """Capture-avoiding t[repl / name]."""
-    r_fv = free_vars(repl)
-    r_fl = free_labels(repl)
-
-    def go(t):
-        match t:
-            case LVar(n):
-                return repl if n == name else t
-            case Num() | Prim():
-                return t
-            case Lam(x, ty, b):
-                if x == name:
-                    return t
-                if x in r_fv:
-                    x2 = freshen(x, r_fv | free_vars(b) | {name})
-                    b = subst_var(b, x, LVar(x2))
-                    x = x2
-                return Lam(x, ty, go(b))
-            case LApp(f, a):
-                return LApp(go(f), go(a))
-            case Pair(a, b):
-                return Pair(go(a), go(b))
-            case Proj(i, b):
-                return Proj(i, go(b))
-            case Mu(l, ty, b):
-                if l in r_fl:
-                    l2 = freshen(l, r_fl | free_labels(b))
-                    b = rename_label(b, l, l2)
-                    l = l2
-                return Mu(l, ty, go(b))
-            case Named(l, b):
-                return Named(l, go(b))
-        raise InternalError(f"bad term {t!r}")
-
-    return go(t)
-
-
-def rename_label(t, old, new):
-    match t:
-        case LVar() | Num() | Prim():
-            return t
-        case Lam(x, ty, b):
-            return Lam(x, ty, rename_label(b, old, new))
-        case LApp(f, a):
-            return LApp(rename_label(f, old, new), rename_label(a, old, new))
-        case Pair(a, b):
-            return Pair(rename_label(a, old, new), rename_label(b, old, new))
-        case Proj(i, b):
-            return Proj(i, rename_label(b, old, new))
-        case Mu(l, ty, b):
-            if l == old:
-                return t
-            if l == new:
-                l2 = freshen(l, free_labels(b) | {old, new})
-                b = rename_label(b, l, l2)
-                l = l2
-            return Mu(l, ty, rename_label(b, old, new))
-        case Named(l, b):
-            return Named(new if l == old else l, rename_label(b, old, new))
-    raise InternalError(f"bad term {t!r}")
-
-
-def retarget(t, old, new, wrap, pay_fv, pay_fl):
-    """Rewrite every naming [old] M into [new] wrap(M), recursing into M
-    first. wrap re-applies the absorbed frame, whose payload has free
-    variables pay_fv and free labels pay_fl; binders on the way down are
-    freshened against those to avoid capture."""
-
-    def go(t):
-        match t:
-            case LVar() | Num() | Prim():
-                return t
-            case Lam(x, ty, b):
-                if x in pay_fv:
-                    x2 = freshen(x, pay_fv | free_vars(b))
-                    b = subst_var(b, x, LVar(x2))
-                    x = x2
-                return Lam(x, ty, go(b))
-            case LApp(f, a):
-                return LApp(go(f), go(a))
-            case Pair(a, b):
-                return Pair(go(a), go(b))
-            case Proj(i, b):
-                return Proj(i, go(b))
-            case Mu(l, ty, b):
-                if l == old:
-                    return t
-                if l in pay_fl or l == new:
-                    l2 = freshen(l, pay_fl | free_labels(b) | {old, new})
-                    b = rename_label(b, l, l2)
-                    l = l2
-                return Mu(l, ty, go(b))
-            case Named(l, b):
-                if l == old:
-                    return Named(new, wrap(go(b)))
-                return Named(l, go(b))
-        raise InternalError(f"bad term {t!r}")
-
-    return go(t)
-
-
-# ---------- reference small-step semantics ----------
-
-
-def _absorb(mu, wrap, payload_terms, new_ty):
-    """mu's evaluation frame moves inside: every throw to its label now throws
-    the frame-wrapped term to a retyped label."""
-    pay_fv, pay_fl = set(), set()
-    for p in payload_terms:
-        pay_fv |= free_vars(p)
-        pay_fl |= free_labels(p)
-    avoid = (free_labels(mu.body) - {mu.label}) | pay_fl
-    new = freshen(mu.label, avoid)
-    return Mu(new, new_ty, retarget(mu.body, mu.label, new, wrap, pay_fv, pay_fl))
-
-
-def _strip_names(t, label):
-    """Remove every naming to label (its payload is already bottom-typed)."""
-    match t:
-        case LVar() | Num() | Prim():
-            return t
-        case Lam(x, ty, b):
-            return Lam(x, ty, _strip_names(b, label))
-        case LApp(f, a):
-            return LApp(_strip_names(f, label), _strip_names(a, label))
-        case Pair(a, b):
-            return Pair(_strip_names(a, label), _strip_names(b, label))
-        case Proj(i, b):
-            return Proj(i, _strip_names(b, label))
-        case Mu(l, ty, b):
-            if l == label:
-                return t
-            return Mu(l, ty, _strip_names(b, label))
-        case Named(l, b):
-            b = _strip_names(b, label)
-            return b if l == label else Named(l, b)
-    raise InternalError(f"bad term {t!r}")
-
-
-def whnf_step(t):
-    """One deterministic weak-head step, or None on a normal form."""
-    match t:
-        # conditional: full spine first
-        case LApp(LApp(LApp(Prim("ifz", a), m), n), p):
-            match m:
-                case Num(0):
-                    return n
-                case Num(_):
-                    return p
-                case Mu():
-                    return _absorb(
-                        m, lambda q: lapp(Prim("ifz", a), q, n, p), (n, p), a)
-                case _:
-                    s = whnf_step(m)
-                    return None if s is None else lapp(Prim("ifz", a), s, n, p)
-        case LApp(Prim("succ" | "pred" as op), m):
-            match m:
-                case Num(v):
-                    return Num(v + 1) if op == "succ" else Num(max(0, v - 1))
-                case Mu():
-                    return _absorb(m, lambda q: LApp(Prim(op), q), (), NAT)
-                case _:
-                    s = whnf_step(m)
-                    return None if s is None else LApp(Prim(op), s)
-        case LApp(Prim("fix", _) as f, m):
-            return LApp(m, LApp(f, m))
-        case LApp(Lam(x, _, b), a):
-            return subst_var(b, x, a)
-        case LApp(Mu(_, TArr(_, rt), _) as m, a):
-            return _absorb(m, lambda q: LApp(q, a), (a,), rt)
-        case LApp(f, a):
-            s = whnf_step(f)
-            return None if s is None else LApp(s, a)
-        case Proj(i, Pair(a, b)):
-            return a if i == 1 else b
-        case Proj(i, Mu(_, TProd(ta, tb), _) as m):
-            return _absorb(m, lambda q: Proj(i, q), (), ta if i == 1 else tb)
-        case Proj(i, b):
-            s = whnf_step(b)
-            return None if s is None else Proj(i, s)
-        case Named(l, Mu(b_lab, _, body)):
-            return rename_label(body, b_lab, l)
-        case Named(l, b):
-            s = whnf_step(b)
-            return None if s is None else Named(l, s)
-        case Mu(l, TBot(), body):
-            return _strip_names(body, l)
-        case Mu(l, _, Named(l2, p)) if l == l2 and l not in free_labels(p):
-            return p
-        case Mu(l, ty, body):
-            s = whnf_step(body)
-            return None if s is None else Mu(l, ty, s)
-    return None
 
 
 # ---------- evaluation ----------
@@ -654,17 +442,6 @@ def mk_len(a):
 def mk_ind(a):
     return lams([("s", t_list(a)), ("n", NAT)],
                 LApp(Proj(2, LVar("s")), LVar("n")))
-
-
-def mk_sub():
-    """sub m n: the numeral m - n, truncated at zero."""
-    ty = tarr(NAT, NAT, NAT)
-    m, n, f = LVar("m"), LVar("n"), LVar("f")
-    body = lams(
-        [("m", NAT), ("n", NAT)],
-        lapp(mk_ifz(NAT), n, m,
-             lapp(f, LApp(PRED_T, m), LApp(PRED_T, n))))
-    return LApp(mk_fix(ty), Lam("f", ty, body))
 
 
 def mk_ife(a):

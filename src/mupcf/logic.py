@@ -270,10 +270,6 @@ def f_rel(t):
     return Atom("rel", (t,))
 
 
-def f_or(a, b):
-    return f_not(And(f_not(a), f_not(b)))
-
-
 def f_exists(x, sort, a):
     return f_not(Forall(x, sort, f_not(a)))
 
@@ -673,20 +669,6 @@ class BotElim(Proof):
     label: str
     formula: Formula
     body: Proof
-
-
-def impelims(fn, *args):
-    out = fn
-    for a in args:
-        out = ImpElim(out, a)
-    return out
-
-
-def forallelims(body, *terms):
-    out = body
-    for t in terms:
-        out = ForallElim(out, t)
-    return out
 
 
 def collect_names(p):

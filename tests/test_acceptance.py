@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mupcf import cli, corpus
+from mupcf import cli
 from mupcf.cps import LArr, cps_envs, cps_term, cps_type, typecheck_lam
 from mupcf.errors import UserError
 from mupcf.extract import PASS, run_extraction
@@ -19,7 +19,7 @@ from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
     Lam, LApp, LVar, Mu, NAT, Named, Num, SUCC_T, TArr, TBOT, eval_nat, lams,
     lapp, mk_barrec, mk_concat, mk_extend, mk_ifz, mk_ind, mk_len, mk_nil,
-    mk_rec, t_list, typecheck, whnf_step,
+    mk_rec, t_list, typecheck,
 )
 from mupcf.logic import (
     Atom, BotElim, BotIntro, Id, Imp, ImpElim, ImpIntro, Sequent, THEORIES,
@@ -27,6 +27,8 @@ from mupcf.logic import (
 )
 from mupcf.relativize import rel_formula, rel_proof
 
+import corpus_files
+from reference import whnf_step
 from termgen import gen_term, rand_type
 from test_cps import EQUATIONS, _same
 
@@ -41,7 +43,7 @@ def _report(label):
 
 def test_acceptance_derivability_corpus_fast_and_polarity_guarded():
     for name in ("exfalso", "dne", "peirce"):
-        e = corpus.entry(name)
+        e = corpus_files.entry(name)
         t0 = time.perf_counter()
         check_proof(e.proof, THEORIES[e.theory], e.goal)
         elapsed = time.perf_counter() - t0
@@ -147,7 +149,7 @@ def test_acceptance_list_and_bar_recursion_laws():
 # 5 ------------------------------------------------------------------------
 
 def test_acceptance_interpretation_typing_over_corpus():
-    entries = corpus.entries()
+    entries = corpus_files.entries()
     passed = 0
     for e in entries:
         m = interp_proof(e.proof, THEORIES[e.theory], e.goal)
@@ -162,7 +164,7 @@ def test_acceptance_interpretation_typing_over_corpus():
 # 6 ------------------------------------------------------------------------
 
 def test_acceptance_relativization_soundness_over_corpus():
-    entries = [e for e in corpus.entries() if e.theory in ("paw", "caw")]
+    entries = [e for e in corpus_files.entries() if e.theory in ("paw", "caw")]
     assert entries
     passed = 0
     for e in entries:
@@ -179,7 +181,7 @@ def test_acceptance_relativization_soundness_over_corpus():
 def test_acceptance_cps_transport():
     t0 = time.perf_counter()
 
-    for e in corpus.entries():
+    for e in corpus_files.entries():
         m = interp_proof(e.proof, THEORIES[e.theory], e.goal)
         env, lenv = interp_envs(e.goal)
         g = cps_term(m, env, lenv)
@@ -210,7 +212,7 @@ def test_acceptance_end_to_end_extraction():
         "add0-total": lambda n: n,
     }
     for name, fn in expected.items():
-        e = corpus.entry(name)
+        e = corpus_files.entry(name)
         report = run_extraction(
             e.proof, THEORIES[e.theory], e.goal, range(11), 10 ** 5)
         assert typecheck(report.program) == TArr(NAT, NAT), name

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from mupcf import corpus
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GVar, LArr, LNAT,
     LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term, cps_type,
-    g_alpha_eq, lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
+    lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
 )
 from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
@@ -15,6 +14,8 @@ from mupcf.lambdamu import (
 )
 from mupcf.logic import THEORIES, check_proof
 
+import corpus_files
+from reference import g_alpha_eq
 from termgen import gen_term, rand_type
 
 NN = TArr(NAT, NAT)
@@ -139,7 +140,7 @@ def test_constants_translate_to_opaque_continuation_consumers():
 # ------------------------------------------------- typing preservation
 
 def test_cps_preserves_typing_on_corpus():
-    for e in corpus.entries():
+    for e in corpus_files.entries():
         th = THEORIES[e.theory]
         check_proof(e.proof, th, e.goal)
         t = interp_proof(e.proof, th, e.goal)
@@ -244,7 +245,7 @@ def test_source_equation_becomes_target_identity(name, lhs, rhs, env, lenv):
 # ----------------------------------------------- classical control term
 
 def test_proof_of_peirce_translates_like_callcc():
-    e = next(x for x in corpus.entries() if x.name == "peirce")
+    e = next(x for x in corpus_files.entries() if x.name == "peirce")
     th = THEORIES[e.theory]
     check_proof(e.proof, th, e.goal)
     pt = interp_proof(e.proof, th, e.goal)

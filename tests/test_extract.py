@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from mupcf import corpus, extract, interp, relativize
+from mupcf import extract, interp, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
@@ -16,13 +16,15 @@ from mupcf.logic import (
     arrow, check_proof, f_exists, f_eq, f_neq, f_not, iapp, infer_sort,
 )
 
+import corpus_files
+
 PAW = THEORIES["paw"]
 
 PI02 = ["succ-total", "ident-total", "add0-total", "skk-total"]
 
 
 def _entry(name):
-    e = corpus.entry(name)
+    e = corpus_files.entry(name)
     return e.proof, THEORIES[e.theory], e.goal
 
 

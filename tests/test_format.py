@@ -3,11 +3,10 @@ import gc
 import importlib.util
 import random
 import re
-from pathlib import Path
 
 import pytest
 
-from mupcf import cli, corpus
+from mupcf import cli
 from mupcf.errors import UserError
 from mupcf.format import (
     _parse_declarations, _read_all, _read_plain, formula_sexp, parse_file,
@@ -24,6 +23,7 @@ from mupcf.logic import (
     check_proof, f_eq, f_exists, f_not, f_neq, iapp,
 )
 
+import corpus_files
 from termgen import gen_term, rand_type
 
 
@@ -37,14 +37,20 @@ def _parse_term(src):
     return parse_source(f"(term t {src})").terms["t"]
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS = corpus_files.CORPUS
 
 
 # ------------------------------------------------------------ round trips
 
-@pytest.mark.parametrize("name", [e.name for e in corpus.entries()])
+def test_corpus_entries_are_the_proof_files():
+    stems = sorted(p.stem for p in CORPUS.glob("*.proof"))
+    assert len(stems) == 12
+    assert [e.name for e in corpus_files.entries()] == stems
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus_files.entries()])
 def test_corpus_entries_round_trip(name):
-    e = corpus.entry(name)
+    e = corpus_files.entry(name)
     src = f"(theory {e.theory})\n" + proof_decl(e.name, e.goal, e.proof)
     ws = parse_source(src)
     goal, pf = ws.proofs[e.name]
@@ -129,11 +135,10 @@ def test_paren_errors_point_at_the_innermost_culprit():
 
 
 def test_parse_leaves_no_reference_cycles():
-    corpus_dir = Path(__file__).resolve().parent.parent / "corpus"
     gc.collect()
     gc.disable()
     try:
-        parse_file(str(corpus_dir / "add0-total.proof"))
+        parse_file(str(CORPUS / "add0-total.proof"))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -417,15 +422,13 @@ def _relayout(text, rng):
 def _preorder(nodes):
     for node in nodes:
         yield node
-        if hasattr(node, "items"):
-            yield from _preorder(node.items)
+        if isinstance(node, list):
+            yield from _preorder(node)
 
 
 def _canonical_sources():
-    for path in sorted(CORPUS.glob("*.proof")):
-        ws = parse_file(path)
-        yield f"(theory {ws.theory_name})\n" + "".join(
-            proof_decl(n, g, p) for n, (g, p) in ws.proofs.items())
+    for e in corpus_files.entries():
+        yield f"(theory {e.theory})\n" + proof_decl(e.name, e.goal, e.proof)
     rng = random.Random(20261018)
     for i in range(40):
         yield term_decl(f"t{i}", gen_term(rng, rand_type(rng, 3), depth=5))

@@ -1,6 +1,5 @@
 import pytest
 
-from mupcf import corpus
 from mupcf.interp import axiom_realizer, interp_envs, interp_proof, interp_type, rel_type
 from mupcf.lambdamu import (
     LApp, Lam, Mu, NAT, Named, Num, TArr, TBOT, TProd, eval_nat, lapp,
@@ -9,6 +8,8 @@ from mupcf.lambdamu import (
 from mupcf.logic import (
     And, Forall, IOTA, IVar, Imp, THEORIES, ZERO, arrow, f_eq, f_neq, f_rel,
 )
+
+import corpus_files
 
 PAW = THEORIES["paw"]
 PAWR = THEORIES["pawr"]
@@ -79,7 +80,7 @@ def test_dc_realizers_typed():
 
 
 def test_corpus_interpretation_is_typed():
-    for e in corpus.entries():
+    for e in corpus_files.entries():
         th = THEORIES[e.theory]
         term = interp_proof(e.proof, th, e.goal)
         env, lenv = interp_envs(e.goal)
@@ -87,7 +88,7 @@ def test_corpus_interpretation_is_typed():
 
 
 def test_peirce_interpretation_shape():
-    e = corpus.entry("peirce")
+    e = corpus_files.entry("peirce")
     term = interp_proof(e.proof, THEORIES[e.theory], e.goal)
     # \b. mu a. [a] (b (\h. mu c. [a] h))
     match term:
@@ -99,7 +100,7 @@ def test_peirce_interpretation_shape():
 
 def test_rel_arith_realizer_computes():
     # the realizer of forall x (r(x) -> r(S(Sx))) is a program adding two
-    e = corpus.entry("rel-arith")
+    e = corpus_files.entry("rel-arith")
     term = interp_proof(e.proof, THEORIES[e.theory], e.goal)
     v, _ = eval_nat(lapp(term, Num(5)), 1000)
     assert v == 7

@@ -5,10 +5,11 @@ import pytest
 from mupcf.errors import FuelExhausted, UserError
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, PRED_T, Pair, Proj, SUCC_T,
-    TArr, TBOT, TProd, eval_nat, free_labels, free_vars, lapp, lams, mk_barrec,
+    TArr, TBOT, TProd, eval_nat, free_vars, lapp, lams, mk_barrec,
     mk_concat, mk_extend, mk_fix, mk_ifz, mk_ind, mk_len, mk_nil, mk_omega,
-    mk_rec, subst_var, t_list, tarr, typecheck, whnf_step, zero_term,
+    mk_rec, t_list, tarr, typecheck, zero_term,
 )
+from reference import free_labels, subst_var, whnf_step
 from termgen import gen_term, rand_type
 
 

@@ -11,8 +11,9 @@ from mupcf.logic import (
     SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, f_eq, f_neq,
     f_rel, formula_sexp, polarity, rel_pred, subst_formula,
 )
-from mupcf.corpus import entries
 from mupcf.relativize import rel_formula, rel_individual_proof, rel_proof
+
+from corpus_files import entries
 
 PAW = THEORIES["paw"]
 CAW = THEORIES["caw"]
