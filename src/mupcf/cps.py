@@ -14,50 +14,42 @@ unit-typed term, and the generalized sum-η that folds a case whose branches
 agree up to the injected scrutinee.
 """
 
-from dataclasses import dataclass
-
 from .errors import InternalError, UserError
 from .lambdamu import (
-    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot,
-    TNat, TProd, freshen, prim_type, typecheck,
+    LApp, LVar, Lam, Mu, NAT, Named, Node, Num, Pair, Prim, Proj, TArr,
+    TBot, TNat, TProd, freshen, prim_type, typecheck,
 )
 
 
 # ---------- types ----------
 
 
-class LamType:
+class LamType(Node):
     pass
 
 
-@dataclass(frozen=True)
 class LBase(LamType):
     name: str
 
 
-@dataclass(frozen=True)
 class LR(LamType):
     pass
 
 
-@dataclass(frozen=True)
 class LArr(LamType):
     """dom -> R; the codomain is forced."""
     dom: LamType
 
 
-@dataclass(frozen=True)
 class LProd(LamType):
     left: LamType
     right: LamType
 
 
-@dataclass(frozen=True)
 class LUnit(LamType):
     pass
 
 
-@dataclass(frozen=True)
 class LSum(LamType):
     left: LamType
     right: LamType
@@ -101,60 +93,51 @@ def cps_type(a):
 # ---------- terms ----------
 
 
-class LamTerm:
+class LamTerm(Node):
     pass
 
 
-@dataclass(frozen=True)
 class GVar(LamTerm):
     name: str
 
 
-@dataclass(frozen=True)
 class GConst(LamTerm):
     """Translated constant of overall type dom -> R."""
     name: str
     dom: LamType
 
 
-@dataclass(frozen=True)
 class GLam(LamTerm):
     var: str
     ty: LamType  # domain; the body must inhabit R
     body: LamTerm
 
 
-@dataclass(frozen=True)
 class GApp(LamTerm):
     fn: LamTerm
     arg: LamTerm
 
 
-@dataclass(frozen=True)
 class GPair(LamTerm):
     left: LamTerm
     right: LamTerm
 
 
-@dataclass(frozen=True)
 class GProj(LamTerm):
     index: int
     body: LamTerm
 
 
-@dataclass(frozen=True)
 class GUnit(LamTerm):
     pass
 
 
-@dataclass(frozen=True)
 class GInj(LamTerm):
     index: int
     body: LamTerm
     ty: LamType  # the full sum type
 
 
-@dataclass(frozen=True)
 class GCase(LamTerm):
     scrut: LamTerm
     var: str

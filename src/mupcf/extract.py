@@ -9,13 +9,11 @@ runs out of fuel.  Witnesses for base-sort equations are checked by evaluating
 both sides; higher-sort equations are reported unverified.
 """
 
-from dataclasses import dataclass
-
 from .errors import FuelExhausted, InternalError, UserError
 from .interp import interp_proof, rel_type
 from .lambdamu import (
-    LApp, Lam, LVar, Mu, NAT, Named, Num, SUCC_T, TArr, Term, eval_nat,
-    free_vars, freshen, lams, mk_rec, typecheck,
+    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, SUCC_T, TArr, Term,
+    eval_nat, free_vars, freshen, lams, mk_rec, typecheck,
 )
 from .logic import (
     Atom, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id,
@@ -32,8 +30,7 @@ UNVERIFIABLE = "unverifiable"
 TIMEOUT = "fail-with-timeout"
 
 
-@dataclass(frozen=True)
-class Pi02Goal:
+class Pi02Goal(Node):
     """Shape of a conclusion forall x exists y (t = u), after desugaring."""
     x: str
     x_sort: Sort
@@ -44,16 +41,14 @@ class Pi02Goal:
     prepared: bool  # True when the matrix double negation is already gone
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Node):
     input: int
     witness: int | None
     verdict: str
     steps: int
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(Node):
     program: Term
     records: tuple
 

@@ -8,36 +8,62 @@ by substitution (tests/reference.py). Types and terms print in the surface
 syntax of FORMAT.md.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import FuelExhausted, InternalError, UserError
+
+
+class Node:
+    """Base of every syntax tree: a subclass declares its fields only.
+
+    Each subclass becomes a dataclass with a plain __init__ and
+    __match_args__, and gets the __eq__ and __hash__ a frozen dataclass would
+    generate: equal when the classes are the same and the field tuples are
+    equal, hashed as the field tuple. Nodes are immutable by convention:
+    no code assigns a field after __init__.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, eq=False, repr=False)
+        names = [f.name for f in fields(cls)]
+        mine = "".join(f"self.{n}," for n in names)
+        theirs = "".join(f"other.{n}," for n in names)
+        ns = {}
+        exec("def __eq__(self, other):\n"
+             "    if other.__class__ is self.__class__:\n"
+             f"        return ({mine}) == ({theirs})\n"
+             "    return NotImplemented\n"
+             f"def __hash__(self):\n    return hash(({mine}))\n", ns)
+        cls.__eq__ = ns["__eq__"]
+        cls.__hash__ = ns["__hash__"]
+
+    def __repr__(self):
+        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                         for f in fields(self))
+        return f"{self.__class__.__qualname__}({args})"
 
 
 # ---------- types ----------
 
 
-@dataclass(frozen=True)
-class LType:
+class LType(Node):
     pass
 
 
-@dataclass(frozen=True)
 class TNat(LType):
     pass
 
 
-@dataclass(frozen=True)
 class TBot(LType):
     pass
 
 
-@dataclass(frozen=True)
 class TArr(LType):
     left: LType
     right: LType
 
 
-@dataclass(frozen=True)
 class TProd(LType):
     left: LType
     right: LType
@@ -75,60 +101,50 @@ def type_sexp(t):
 # ---------- terms ----------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Node):
     pass
 
 
-@dataclass(frozen=True)
 class LVar(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Num(Term):
     value: int
 
 
-@dataclass(frozen=True)
 class Prim(Term):
     op: str  # succ | pred | ifz | fix
     ty: LType | None = None  # result type for ifz, fixed type for fix
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     var: str
     ty: LType
     body: Term
 
 
-@dataclass(frozen=True)
 class LApp(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Proj(Term):
     index: int
     body: Term
 
 
-@dataclass(frozen=True)
 class Mu(Term):
     label: str
     ty: LType
     body: Term
 
 
-@dataclass(frozen=True)
 class Named(Term):
     label: str
     body: Term

@@ -224,6 +224,29 @@ def test_acceptance_end_to_end_extraction():
     _report("end-to-end extraction, inputs 0..10")
 
 
+# 8b -----------------------------------------------------------------------
+
+# Steps of `extract tests/dc-succ.proof` on inputs 0..10 under the
+# environment machine; they grow faster than quadratically in the input.
+DC_SUCC_STEPS = [505, 1085, 1942, 3112, 4631, 6535, 8860, 11642, 14917,
+                 18721, 23090]
+
+
+def test_acceptance_dependent_choice_runs_end_to_end(capsys):
+    """The dc axiom of caw, realized by bar recursion, computes: the witness
+    of dc-succ at n is w (S n) = n + 1, read from the sequence that the
+    bar recursor builds."""
+    proof = str(Path(__file__).resolve().parent / "dc-succ.proof")
+    code = cli.main(["extract", proof, "--inputs", "0..10",
+                     "--format", "structured"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["input"], r["witness"], r["verdict"]) for r in rows] == [
+        (n, n + 1, PASS) for n in range(11)]
+    assert [r["steps"] for r in rows] == DC_SUCC_STEPS
+    assert code == 0
+    _report("dependent choice by bar recursion, inputs 0..10")
+
+
 # 9 ------------------------------------------------------------------------
 
 def test_acceptance_divergence_times_out_cleanly(capsys):

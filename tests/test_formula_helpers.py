@@ -24,8 +24,8 @@ from mupcf.logic import (
     And, AndIntro, Atom, Ax, BOT, Bot, Forall, ForallIntro, IApp, IConst,
     IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SUCC, Sequent,
     THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
-    fv_formula, ind_free_vars, ind_sexp, ind_subst, sort_sexp, subst_formula,
-    wf_formula,
+    fv_formula, ind_free_vars, ind_sexp, ind_subst, rel_pred, sort_sexp,
+    subst_formula, wf_formula,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -259,6 +259,54 @@ def test_wf_formula_agrees_with_two_pass_reference():
     assert ok >= 800
     assert precedence >= 50
     assert all(n >= 10 for n in seen.values()), seen
+
+
+# ------------------------------------------------------------ axiom schemes
+
+# scheme -> its arguments: s a sort, f a formula, v a variable that may occur
+# in the formula, w a variable kept out of it
+_SCHEME_ARGS = {
+    "refl": "s", "def-s": "sss", "def-k": "ss", "def-rec-0": "s",
+    "def-rec-s": "s", "rel-k": "ss", "rel-s": "sss", "rel-rec": "s",
+    "s-neq-0": "", "rel-0": "", "rel-succ": "",
+    "leib": "fvw", "ind": "fv", "dc": "fvvv",
+}
+
+
+def _scheme_args(rng, theory, scheme):
+    kinds = _SCHEME_ARGS[scheme]
+    var_kinds = [k for k in kinds if k in "vw"]
+    sigma = rng.choice(_SORTS)
+    xs = [IVar(n, IOTA if i == 0 and rng.random() < 0.8 else sigma)
+          for i, n in enumerate(rng.sample(_NAMES + ["u"], len(var_kinds)))]
+    scope = {v.name: v.sort for v, k in zip(xs, var_kinds) if k == "v"}
+    if rng.random() < 0.5:  # a scheme parameter
+        scope["p"] = rng.choice(_SORTS)
+    a = _formula(rng, scope, 3, theory.has_rel, 0.0)
+    if scheme == "dc" and theory.has_rel:  # the guard the scheme requires
+        a = And(rel_pred(xs[2], sigma), a)
+    vs = iter(xs)
+    return tuple(rng.choice(_SORTS) if k == "s" else a if k == "f"
+                 else next(vs) for k in kinds)
+
+
+def test_every_axiom_instance_is_closed_and_well_formed():
+    """Theory.instantiate trusts its schemes to return closed, well-formed
+    formulas; the schemes validate their own arguments."""
+    made = {(t, n): 0 for t, th in THEORIES.items() for n in th.schemes}
+    assert {n for _, n in made} == set(_SCHEME_ARGS)
+    for seed in range(300):
+        rng = random.Random(seed)
+        for (t, n) in made:
+            th = THEORIES[t]
+            args = _scheme_args(rng, th, n)
+            try:
+                f = th.instantiate(n, args)
+            except UserError:
+                continue  # arguments the scheme rejects
+            assert wf_formula(f, th.has_rel) == {}, (seed, t, n, args)
+            made[t, n] += 1
+    assert min(made.values()) >= 50, made
 
 
 # ------------------------------------------------------------- subst_formula

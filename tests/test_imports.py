@@ -148,3 +148,70 @@ def test_the_scan_sees_an_unreachable_definition(tmp_path):
     (bench / "run.py").write_text("WRAP = ('mupcf.util.timed',)\n")
     (bench / "test_run.py").write_text("from util import planted\n")
     assert _unreachable(src, bench) == ["util.planted"]
+
+
+# ---------- syntax classes derive from lambdamu.Node ----------
+
+SYNTAX_MODULES = ("lambdamu", "logic", "cps", "extract")
+# "module.Class" in a syntax module -> why it is not a syntax tree
+NOT_SYNTAX = {
+    "logic.Theory": "a mutable table of axiom schemes",
+    "cps._Cps": "the state of one translation",
+}
+
+
+def _node_violations(src_dir):
+    """Lines naming each frozen dataclass, each class of a syntax module
+    that is not a Node, and each syntax class that writes its own __eq__ or
+    __hash__ (Node generates both from the fields)."""
+    out, bases, bodies = [], {}, {}
+    for path in sorted(src_dir.glob("*.py")):
+        text = path.read_text()
+        if "frozen=True" in text:
+            out.append(f"{path.stem}: frozen=True")
+        if path.stem not in SYNTAX_MODULES:
+            continue
+        for node in ast.parse(text, filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                key = f"{path.stem}.{node.name}"
+                bases[key] = {getattr(b, "id", None) for b in node.bases}
+                bodies[key] = node.body
+
+    def is_node(key):
+        name = key.split(".")[1]
+        return name == "Node" or any(
+            is_node(k) for k in bases if k.split(".")[1] in bases[key])
+
+    for key, body in bodies.items():
+        if key in NOT_SYNTAX:
+            continue
+        if not is_node(key):
+            out.append(f"{key}: not a Node")
+        for stmt in body:
+            names = ([stmt.name] if isinstance(stmt, ast.FunctionDef) else
+                     [t.id for t in getattr(stmt, "targets", ())
+                      if isinstance(t, ast.Name)])
+            out += [f"{key}: own {n}" for n in names
+                    if n in ("__eq__", "__hash__")]
+    return out
+
+
+def test_syntax_classes_are_nodes():
+    assert _node_violations(ROOT / "src" / "mupcf") == []
+    for key in NOT_SYNTAX:  # every exception is still needed
+        mod, name = key.split(".")
+        assert f"class {name}" in (ROOT / "src" / "mupcf" /
+                                    f"{mod}.py").read_text()
+
+
+def test_the_node_scan_sees_each_violation(tmp_path):
+    (tmp_path / "lambdamu.py").write_text(
+        "class Node:\n    pass\n\nclass Term(Node):\n    pass\n\n"
+        "class Var(Term):\n    name: str\n\n"
+        "class Eq(Term):\n    def __eq__(self, other):\n        return 0\n\n"
+        "class Plain:\n    __hash__ = None\n")
+    (tmp_path / "format.py").write_text(
+        "@dataclass(frozen=True)\nclass Pos:\n    line: int\n")
+    assert _node_violations(tmp_path) == [
+        "format: frozen=True", "lambdamu.Eq: own __eq__",
+        "lambdamu.Plain: not a Node", "lambdamu.Plain: own __hash__"]
