@@ -19,7 +19,7 @@ from .cps import cps_envs, cps_term, lam_term_str, lam_type_str, typecheck_lam
 from .errors import FuelExhausted, InternalError, MupcfError, UserError
 from .extract import FAIL, TIMEOUT, run_extraction
 from .format import (
-    formula_sexp, parse_file, proof_sexp, term_sexp, type_sexp,
+    digits_error, formula_sexp, parse_file, proof_sexp, term_sexp, type_sexp,
 )
 from .interp import interp_envs, interp_proof
 from .lambdamu import eval_nat, typecheck
@@ -48,9 +48,13 @@ def _default_fuel():
 
 
 def _parse_inputs(text):
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if not m:
         raise UserError(f"--inputs must look like a..b, got {text!r}")
+    for bound in m.groups():
+        msg = digits_error(bound)
+        if msg:
+            raise UserError(f"--inputs bound {msg}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise UserError(f"--inputs range is empty: {text}")

@@ -10,10 +10,10 @@ both sides; higher-sort equations are reported unverified.
 """
 
 from .errors import FuelExhausted, InternalError, UserError
-from .interp import interp_proof, rel_type
+from .interp import const_realizer, interp_proof, rel_type
 from .lambdamu import (
-    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, SUCC_T, TArr, Term,
-    eval_nat, free_vars, freshen, lams, mk_rec, typecheck,
+    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, Term, eval_nat,
+    free_vars, freshen, typecheck,
 )
 from .logic import (
     Atom, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id,
@@ -167,20 +167,8 @@ def individual_to_term(t, evidence=None):
             if evidence is None or name not in evidence:
                 raise UserError(f"individual has a free variable: {name}")
             return evidence[name]
-        case IConst("0", ()):
-            return Num(0)
-        case IConst("S", ()):
-            return SUCC_T
-        case IConst("k", (a, b)):
-            return lams([("x", rel_type(a)), ("y", rel_type(b))], LVar("x"))
-        case IConst("s", (a, b, c)):
-            fab = TArr(rel_type(a), TArr(rel_type(b), rel_type(c)))
-            fa = TArr(rel_type(a), rel_type(b))
-            return lams(
-                [("x", fab), ("y", fa), ("z", rel_type(a))],
-                LApp(LApp(LVar("x"), LVar("z")), LApp(LVar("y"), LVar("z"))))
-        case IConst("rec", (a,)):
-            return mk_rec(rel_type(a))
+        case IConst():
+            return const_realizer(t)
         case IApp(fn, arg):
             return LApp(individual_to_term(fn, evidence),
                         individual_to_term(arg, evidence))

@@ -27,8 +27,8 @@ from .lambdamu import (
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, BotElim, BotIntro,
     Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, SArrow, Sequent, SUCC, THEORIES, ZERO, formula_sexp,
-    ind_sexp, sort_sexp,
+    ImpElim, ImpIntro, SArrow, SCHEME_KINDS, Sequent, SUCC, THEORIES, ZERO,
+    formula_sexp, ind_sexp, sort_sexp,
 )
 
 # ---------------------------------------------------------------- reader
@@ -134,16 +134,15 @@ def _is_numeral(text):
     return text.isascii() and text.isdigit()
 
 
-def _numeral_value(node):
-    """int() and str() refuse digit strings longer than the interpreter's
-    limit (0 means none; interpreters before 3.10.7 have no limit and no
-    sys.get_int_max_str_digits).  A program numeral stays a digit below it,
-    so the value that eval reaches from it by succ steps still prints."""
+def digits_error(text):
+    """Why int() and str() would refuse a digit string, or None: they refuse
+    one longer than the interpreter's limit (0 means none; interpreters
+    before 3.10.7 have no limit and no sys.get_int_max_str_digits).  A
+    numeral stays a digit below it, so the value that eval reaches from it
+    by succ steps still prints."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(node) >= limit:
-        _err(node, f"numeral has {len(node)} digits; at most "
-                   f"{limit - 1} are supported")
-    return int(node)
+    if limit and len(text) >= limit:
+        return f"has {len(text)} digits; at most {limit - 1} are supported"
 
 
 def _head(node, what):
@@ -339,30 +338,12 @@ def parse_formula(node, scope, depth=0):
 
 # ---------------------------------------------------------------- proofs
 
-# Scheme argument kinds: s = sort, f = formula, v = sorted variable.
-_AX_KINDS = {
-    "refl": "s",
-    "leib": "fvv",
-    "s-neq-0": "",
-    "ind": "fv",
-    "def-s": "sss",
-    "def-k": "ss",
-    "def-rec-0": "s",
-    "def-rec-s": "s",
-    "rel-0": "",
-    "rel-succ": "",
-    "rel-k": "ss",
-    "rel-s": "sss",
-    "rel-rec": "s",
-    "dc": "fvvv",
-}
-
 
 def _parse_ax(node, scope):
     if len(node) < 2:
         _err(node, "ax needs a scheme name")
     name = _sym(node[1], "an axiom scheme name")
-    kinds = _AX_KINDS.get(name)
+    kinds = SCHEME_KINDS.get(name)
     if kinds is None:
         _err(node[1], f"unknown axiom scheme {name}")
     argnodes = node[2:]
@@ -506,7 +487,10 @@ def parse_type(node, depth=0):
 def parse_term(node):
     if isinstance(node, str):
         if _is_numeral(node):
-            return Num(_numeral_value(node))
+            msg = digits_error(node)
+            if msg:
+                _err(node, "numeral " + msg)
+            return Num(int(node))
         if node == "succ" or node == "pred":
             return Prim(node)
         return LVar(node)

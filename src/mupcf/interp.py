@@ -17,8 +17,8 @@ from .lambdamu import (
 )
 from .logic import (
     And, Atom, Ax, AndElim, AndIntro, BaseSort, Bot, BotElim, BotIntro,
-    Forall, ForallElim, ForallIntro, Id, Imp, ImpElim, ImpIntro, KAPPA,
-    SArrow, check_proof,
+    Forall, ForallElim, ForallIntro, IConst, Id, Imp, ImpElim, ImpIntro,
+    KAPPA, REL_AXIOMS, SArrow, check_proof,
 )
 
 
@@ -72,8 +72,35 @@ def _dc_realizer_rel(a_formula, z_sort):
                 lapp(mk_barrec(ia, TBOT), d, LVar("b"), mk_nil(ia)))
 
 
+def const_realizer(c):
+    """The program of a constant: the realizer of its evidence axiom, and
+    what the constant runs as inside an individual."""
+    ts = [rel_type(s) for s in c.sort_args]
+    match c.name:
+        case "0":
+            return Num(0)
+        case "S":
+            return SUCC_T
+        case "k":
+            return lams([("x", ts[0]), ("y", ts[1])], LVar("x"))
+        case "s":
+            ra, rb, rc = ts
+            return lams(
+                [("x", tarr(ra, rb, rc)), ("y", TArr(ra, rb)), ("z", ra)],
+                lapp(LVar("x"), LVar("z"), LApp(LVar("y"), LVar("z"))))
+        case "rec":
+            return mk_rec(*ts)
+    raise InternalError(f"no realizer for constant {c.name}")
+
+
+# evidence axiom name -> its constant
+_REL_CONSTANTS = {ax: c for c, ax in REL_AXIOMS.items()}
+
+
 def axiom_realizer(theory, name, args):
     inst = theory.instantiate(name, args)
+    if name in _REL_CONSTANTS:
+        return const_realizer(IConst(_REL_CONSTANTS[name], args))
     match name:
         case "refl" | "leib" | "def-s" | "def-k" | "def-rec-0" | "def-rec-s":
             return _identity_at(interp_type(inst))
@@ -88,20 +115,6 @@ def axiom_realizer(theory, name, args):
             # never run: proofs in the unrelativized theories are typed only
             return lams([("a", ia), ("f", TArr(ia, ia))],
                         LApp(mk_fix(ia), LVar("f")))
-        case "rel-0":
-            return Num(0)
-        case "rel-succ":
-            return SUCC_T
-        case "rel-k":
-            ra, rb = rel_type(args[0]), rel_type(args[1])
-            return lams([("x", ra), ("y", rb)], LVar("x"))
-        case "rel-s":
-            ra, rb, rc = (rel_type(s) for s in args)
-            return lams(
-                [("x", tarr(ra, rb, rc)), ("y", TArr(ra, rb)), ("z", ra)],
-                lapp(LVar("x"), LVar("z"), LApp(LVar("y"), LVar("z"))))
-        case "rel-rec":
-            return mk_rec(rel_type(args[0]))
         case "dc":
             if theory.has_rel:
                 return _dc_realizer_rel(args[0], args[3].sort)

@@ -25,6 +25,8 @@ class Node:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        # else dataclass builds a __doc__ with inspect.signature, at import
+        cls.__doc__ = cls.__doc__ or cls.__name__
         dataclass(cls, eq=False, repr=False)
         names = [f.name for f in fields(cls)]
         mine = "".join(f"self.{n}," for n in names)

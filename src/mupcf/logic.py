@@ -11,7 +11,7 @@ Negation, disjunction, existentials and equality are derived and never stored.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InternalError, UserError
 from .lambdamu import Node, freshen
@@ -685,6 +685,22 @@ def collect_names(p):
 # ---------- theories ----------
 
 
+# Scheme argument kinds: s = sort, f = formula, v = sorted variable.
+SCHEME_KINDS = {
+    "refl": "s", "leib": "fvv", "s-neq-0": "", "ind": "fv",
+    "def-s": "sss", "def-k": "ss", "def-rec-0": "s", "def-rec-s": "s",
+    "rel-0": "", "rel-succ": "", "rel-k": "ss", "rel-s": "sss",
+    "rel-rec": "s", "dc": "fvvv",
+}
+
+_KINDS = {"s": (Sort, "sort"), "f": (Formula, "formula"), "v": (IVar, "variable")}
+
+# The evidence axiom of each constant: its realizability predicate, at the
+# sort arguments the axiom is given.
+REL_AXIOMS = {"0": "rel-0", "S": "rel-succ", "k": "rel-k", "s": "rel-s",
+              "rec": "rel-rec"}
+
+
 @dataclass
 class Theory:
     name: str
@@ -692,10 +708,17 @@ class Theory:
     schemes: dict = field(default_factory=dict)
 
     def instantiate(self, ax_name, args):
-        """Closed axiom instance; the scheme validates its arguments."""
+        """Closed axiom instance. The count and kinds of the arguments are
+        checked here, the rest by the scheme."""
         fn = self.schemes.get(ax_name)
         if fn is None:
             raise UserError(f"theory {self.name} has no axiom {ax_name}")
+        kinds = SCHEME_KINDS[ax_name]
+        if len(args) != len(kinds) or not all(
+                isinstance(a, _KINDS[k][0]) for k, a in zip(kinds, args)):
+            what = ", ".join(_KINDS[k][1] for k in kinds)
+            raise UserError(f"axiom {ax_name} takes {len(kinds)} argument(s)"
+                            + (f": {what}" if what else ""))
         return fn(self, args)
 
 
@@ -704,27 +727,23 @@ def _need(cond, msg):
         raise UserError(msg)
 
 
-def _args_sorts(args, n, name):
-    _need(len(args) == n and all(isinstance(a, Sort) for a in args),
-          f"axiom {name} takes {n} sort argument(s)")
-    return args
-
-
 def _scheme_params(a, excluded):
     return [(n, s) for n, s in fv_formula(a).items() if n not in excluded]
 
 
+def _guard(th, x, f):
+    """f, behind the realizability guard of x in a relativized theory."""
+    return Imp(f_rel(x), f) if th.has_rel else f
+
+
 def _ax_refl(_th, args):
-    (s,) = _args_sorts(args, 1, "refl")
+    (s,) = args
     x = IVar("x", s)
     return Forall("x", s, f_eq(x, x))
 
 
 def _ax_leib(th, args):
-    _need(len(args) == 3, "axiom leib takes a formula and two variables")
     a, x, y = args
-    _need(isinstance(a, Formula) and isinstance(x, IVar) and isinstance(y, IVar),
-          "axiom leib takes a formula and two variables")
     fv = wf_formula(a, th.has_rel)
     _need(x.sort == y.sort, "leib variables must share a sort")
     _need(y.name not in fv and y.name != x.name, "leib replacement variable must be fresh")
@@ -735,47 +754,25 @@ def _ax_leib(th, args):
     return closure(params + [(x.name, x.sort), (y.name, y.sort)], body)
 
 
-def _ax_sneq0_plain(_th, args):
-    _need(len(args) == 0, "axiom s-neq-0 takes no arguments")
+def _ax_sneq0(th, _args):
     x = IVar("x", IOTA)
-    return Forall("x", IOTA, f_neq(IApp(SUCC, x), ZERO))
+    return Forall("x", IOTA, _guard(th, x, f_neq(IApp(SUCC, x), ZERO)))
 
 
-def _ax_sneq0_rel(_th, args):
-    _need(len(args) == 0, "axiom s-neq-0 takes no arguments")
-    x = IVar("x", IOTA)
-    return Forall("x", IOTA, Imp(f_rel(x), f_neq(IApp(SUCC, x), ZERO)))
-
-
-def _ind_parts(th, args):
-    _need(len(args) == 2, "axiom ind takes a formula and a variable")
+def _ax_ind(th, args):
     a, x = args
-    _need(isinstance(a, Formula) and isinstance(x, IVar),
-          "axiom ind takes a formula and a variable")
     _need(x.sort == IOTA, "induction variable must be base-sorted")
     fv = wf_formula(a, th.has_rel)
     _need(fv.get(x.name, IOTA) == IOTA, "induction variable sort mismatch")
     base = subst_formula(a, {x.name: ZERO})
-    step_concl = subst_formula(a, {x.name: IApp(SUCC, x)})
-    params = _scheme_params(a, {x.name})
-    return a, x, base, step_concl, params
-
-
-def _ax_ind_plain(th, args):
-    a, x, base, step_concl, params = _ind_parts(th, args)
-    step = Forall(x.name, IOTA, Imp(a, step_concl))
-    return closure(params, f_imps(base, step, Forall(x.name, IOTA, a)))
-
-
-def _ax_ind_rel(th, args):
-    a, x, base, step_concl, params = _ind_parts(th, args)
-    step = Forall(x.name, IOTA, Imp(f_rel(x), Imp(a, step_concl)))
-    concl = Forall(x.name, IOTA, Imp(f_rel(x), a))
-    return closure(params, f_imps(base, step, concl))
+    step = Imp(a, subst_formula(a, {x.name: IApp(SUCC, x)}))
+    return closure(_scheme_params(a, {x.name}),
+                   f_imps(base, Forall(x.name, IOTA, _guard(th, x, step)),
+                          Forall(x.name, IOTA, _guard(th, x, a))))
 
 
 def _ax_def_s(_th, args):
-    a, b, c = _args_sorts(args, 3, "def-s")
+    a, b, c = args
     x = IVar("x", arrow(a, b, c))
     y = IVar("y", arrow(a, b))
     z = IVar("z", a)
@@ -785,13 +782,13 @@ def _ax_def_s(_th, args):
 
 
 def _ax_def_k(_th, args):
-    a, b = _args_sorts(args, 2, "def-k")
+    a, b = args
     x, y = IVar("x", a), IVar("y", b)
     return closure([("x", a), ("y", b)], f_eq(iapp(IConst("k", (a, b)), x, y), x))
 
 
 def _ax_def_rec0(_th, args):
-    (a,) = _args_sorts(args, 1, "def-rec-0")
+    (a,) = args
     x = IVar("x", a)
     y = IVar("y", arrow(IOTA, a, a))
     lhs = iapp(IConst("rec", (a,)), x, y, ZERO)
@@ -799,7 +796,7 @@ def _ax_def_rec0(_th, args):
 
 
 def _ax_def_recs(_th, args):
-    (a,) = _args_sorts(args, 1, "def-rec-s")
+    (a,) = args
     x = IVar("x", a)
     y = IVar("y", arrow(IOTA, a, a))
     z = IVar("z", IOTA)
@@ -809,51 +806,27 @@ def _ax_def_recs(_th, args):
     return closure([("x", a), ("y", y.sort), ("z", IOTA)], f_eq(lhs, rhs))
 
 
-def _ax_rel0(_th, args):
-    _need(len(args) == 0, "axiom rel-0 takes no arguments")
-    return f_rel(ZERO)
+def _ax_rel(name, _th, args):
+    """Evidence axiom of the constant name at the given sort arguments."""
+    c = IConst(name, args)
+    return rel_pred(c, const_sort(c))
 
 
-def _ax_rel_succ(_th, args):
-    _need(len(args) == 0, "axiom rel-succ takes no arguments")
-    x = IVar("x", IOTA)
-    return Forall("x", IOTA, Imp(f_rel(x), f_rel(IApp(SUCC, x))))
-
-
-def _ax_rel_k(_th, args):
-    a, b = _args_sorts(args, 2, "rel-k")
-    return rel_pred(IConst("k", (a, b)), arrow(a, b, a))
-
-
-def _ax_rel_s(_th, args):
-    a, b, c = _args_sorts(args, 3, "rel-s")
-    return rel_pred(IConst("s", (a, b, c)), arrow(arrow(a, b, c), arrow(a, b), a, c))
-
-
-def _ax_rel_rec(_th, args):
-    (a,) = _args_sorts(args, 1, "rel-rec")
-    return rel_pred(IConst("rec", (a,)), arrow(a, arrow(IOTA, a, a), IOTA, a))
-
-
-def _dc_vars(th, args, name):
-    _need(len(args) == 4, f"axiom {name} takes a formula and three variables")
+def _dc_vars(th, args):
     b, x, y, z = args
-    _need(isinstance(b, Formula) and all(isinstance(v, IVar) for v in (x, y, z)),
-          f"axiom {name} takes a formula and three variables")
-    _need(x.sort == IOTA, f"{name}: first variable must be base-sorted")
-    _need(y.sort == z.sort, f"{name}: choice variables must share a sort")
-    _need(len({x.name, y.name, z.name}) == 3, f"{name}: variables must be distinct")
+    names = {x.name, y.name, z.name}
+    _need(x.sort == IOTA, "dc: first variable must be base-sorted")
+    _need(y.sort == z.sort, "dc: choice variables must share a sort")
+    _need(len(names) == 3, "dc: variables must be distinct")
     fv = wf_formula(b, th.has_rel)
     for v in (x, y, z):
-        _need(fv.get(v.name, v.sort) == v.sort, f"{name}: variable sort mismatch")
-    params = _scheme_params(b, {x.name, y.name, z.name})
-    return b, x, y, z, params
+        _need(fv.get(v.name, v.sort) == v.sort, "dc: variable sort mismatch")
+    return b, x, y, z, _scheme_params(b, names), set(fv) | names
 
 
 def _ax_dc_plain(th, args):
-    b, x, y, z, params = _dc_vars(th, args, "dc")
+    b, x, y, z, params, avoid = _dc_vars(th, args)
     sigma = y.sort
-    avoid = set(fv_formula(b)) | {n for n, _ in params} | {x.name, y.name, z.name}
     w = IVar(freshen("w", avoid), arrow(IOTA, sigma))
     # forall x forall y exists z B
     p1 = Forall(x.name, IOTA, Forall(y.name, sigma,
@@ -864,12 +837,11 @@ def _ax_dc_plain(th, args):
 
 
 def _ax_dc_rel(th, args):
-    a, x, y, z, params = _dc_vars(th, args, "dc")
+    a, x, y, z, params, avoid = _dc_vars(th, args)
     sigma = y.sort
     _need(isinstance(a, And) and alpha_eq(a.left, rel_pred(z, sigma)),
           "dc: instance formula must be a conjunction whose first component "
           "is the realizability predicate of the third variable")
-    avoid = set(fv_formula(a)) | {n for n, _ in params} | {x.name, y.name, z.name}
     w = IVar(freshen("w", avoid), arrow(IOTA, sigma))
     xp = IVar(freshen("x'", avoid | {w.name}), IOTA)
     diag = subst_formula(a, {x.name: xp, z.name: y})
@@ -894,19 +866,13 @@ def _mk_theories():
         "def-k": _ax_def_k,
         "def-rec-0": _ax_def_rec0,
         "def-rec-s": _ax_def_recs,
+        "s-neq-0": _ax_sneq0,
+        "ind": _ax_ind,
     }
-    paw = Theory("paw", False, {**base, "s-neq-0": _ax_sneq0_plain, "ind": _ax_ind_plain})
-    caw = Theory("caw", False, {**paw.schemes, "dc": _ax_dc_plain})
+    paw = Theory("paw", False, base)
+    caw = Theory("caw", False, {**base, "dc": _ax_dc_plain})
     pawr = Theory("pawr", True, {
-        **base,
-        "s-neq-0": _ax_sneq0_rel,
-        "ind": _ax_ind_rel,
-        "rel-0": _ax_rel0,
-        "rel-succ": _ax_rel_succ,
-        "rel-k": _ax_rel_k,
-        "rel-s": _ax_rel_s,
-        "rel-rec": _ax_rel_rec,
-    })
+        **base, **{ax: partial(_ax_rel, c) for c, ax in REL_AXIOMS.items()}})
     cawr = Theory("cawr", True, {**pawr.schemes, "dc": _ax_dc_rel})
     return {"paw": paw, "caw": caw, "pawr": pawr, "cawr": cawr}
 

@@ -16,8 +16,8 @@ from .lambdamu import freshen
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, Forall,
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, KAPPA, Sequent, THEORIES, _scheme_params, alpha_eq,
-    check_proof, collect_names, f_rel, formula_sexp, fv_formula,
+    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, THEORIES, _scheme_params,
+    alpha_eq, check_proof, collect_names, f_rel, formula_sexp, fv_formula,
     ind_free_vars, infer_sort, rel_pred, relativized_counterpart,
     subst_formula, zero_ind,
 )
@@ -88,18 +88,7 @@ class _Relativizer:
             self.dummies[name] = (sort, hyp)
             return Id(hyp)
         if cls is IConst:
-            name, sorts = t.name, t.sort_args
-            if not sorts:
-                if name == "0":
-                    return Ax("rel-0", ())
-                if name == "S":
-                    return Ax("rel-succ", ())
-            if name == "k":
-                return Ax("rel-k", sorts)
-            if name == "s":
-                return Ax("rel-s", sorts)
-            if name == "rec":
-                return Ax("rel-rec", sorts)
+            return Ax(REL_AXIOMS[t.name], t.sort_args)
         raise InternalError(f"bad individual {t!r}")
 
     # ---- axiom leaves ----

@@ -733,6 +733,25 @@ def test_bad_inputs_flag(capsys):
     assert "a..b" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_inputs_bounds_are_ascii_numerals_below_the_digit_limit(capsys, fmt):
+    succ_total = str(CORPUS / "succ-total.proof")
+    arabic = "\u0660..\u0662"
+    code, out, err = _run(capsys, ["extract", succ_total, "--inputs", arabic,
+                                   "--format", fmt])
+    _expect_user_error(fmt, code, out, err,
+                       f"--inputs must look like a..b, got {arabic!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter converts digit strings of any length")
+    for inputs in (f"0..{'9' * limit}", f"{'0' * limit}..1"):
+        code, out, err = _run(capsys, ["extract", succ_total, "--inputs",
+                                       inputs, "--format", fmt])
+        _expect_user_error(fmt, code, out, err,
+                           f"--inputs bound has {limit} digits; at most "
+                           f"{limit - 1} are supported")
+
+
 # --------------------------------------------------------- theory override
 
 def test_theory_override_enables_choice_axiom(capsys, tmp_path):

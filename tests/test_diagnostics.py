@@ -10,14 +10,15 @@ where a case below says otherwise; the two-fault cases fix that order.
 import pytest
 
 from mupcf.errors import UserError
+from mupcf.format import parse_source
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, SUCC_T, TArr,
     TBOT, prim_type, typecheck,
 )
 from mupcf.logic import (
     AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, ForallElim,
-    ForallIntro, IApp, IOTA, IVar, Id, ImpElim, ImpIntro, SUCC, Sequent,
-    THEORIES, ZERO, check_proof, f_neq, f_rel,
+    ForallIntro, IApp, IOTA, IVar, Id, ImpElim, ImpIntro, SCHEME_KINDS, SUCC,
+    Sequent, THEORIES, ZERO, check_proof, f_neq, f_rel,
 )
 
 X = IVar("x", IOTA)
@@ -137,6 +138,59 @@ def test_checker_label_polarity_before_body():
     proof = BotElim("a", f_rel(ZERO), Id("h"))
     assert _check_message(proof, "pawr") == \
         "label formula must be negative, got positive: (rel 0)"
+
+
+def test_rel_succ_instance_binds_v():
+    # the evidence axiom of S is the realizability predicate at iota -> iota,
+    # whose bound variable is named v
+    ws = parse_source("(theory pawr) (proof p (goal (rel 0)) (ax rel-succ))")
+    goal, proof = ws.proofs["p"]
+    with pytest.raises(UserError) as ex:
+        check_proof(proof, ws.theory, goal)
+    assert str(ex.value) == ("proof concludes (all (v iota) (-> (rel v) "
+                             "(rel (S v)))) but the goal is (rel 0)")
+
+
+# ------------------------------------------------- scheme arguments
+
+# the message Theory.instantiate gives for a wrong count or kind of arguments
+SCHEME_ARGUMENTS = {
+    "refl": "1 argument(s): sort",
+    "leib": "3 argument(s): formula, variable, variable",
+    "s-neq-0": "0 argument(s)",
+    "ind": "2 argument(s): formula, variable",
+    "def-s": "3 argument(s): sort, sort, sort",
+    "def-k": "2 argument(s): sort, sort",
+    "def-rec-0": "1 argument(s): sort",
+    "def-rec-s": "1 argument(s): sort",
+    "rel-0": "0 argument(s)",
+    "rel-succ": "0 argument(s)",
+    "rel-k": "2 argument(s): sort, sort",
+    "rel-s": "3 argument(s): sort, sort, sort",
+    "rel-rec": "1 argument(s): sort",
+    "dc": "4 argument(s): formula, variable, variable, variable",
+}
+# an argument of each kind, and one of another kind in its place
+RIGHT_KIND = {"s": IOTA, "f": BOT, "v": X}
+WRONG_KIND = {"s": BOT, "f": IOTA, "v": ZERO}
+ARGUMENT_CASES = [(n, "count") for n in SCHEME_ARGUMENTS] + [
+    (n, "kind") for n in SCHEME_ARGUMENTS if SCHEME_KINDS[n]]
+
+
+@pytest.mark.parametrize("scheme,fault", ARGUMENT_CASES,
+                         ids=[f"{n}-{f}" for n, f in ARGUMENT_CASES])
+def test_instantiate_argument_diagnostic(scheme, fault):
+    assert set(SCHEME_ARGUMENTS) == set(SCHEME_KINDS) \
+        == set(THEORIES["cawr"].schemes)
+    kinds = SCHEME_KINDS[scheme]
+    args = [RIGHT_KIND[k] for k in kinds]
+    if fault == "count":
+        args.append(IOTA)
+    else:
+        args[-1] = WRONG_KIND[kinds[-1]]
+    with pytest.raises(UserError) as ex:
+        THEORIES["cawr"].instantiate(scheme, tuple(args))
+    assert str(ex.value) == f"axiom {scheme} takes {SCHEME_ARGUMENTS[scheme]}"
 
 
 # ---------------------------------------------------------------- programs

@@ -22,8 +22,8 @@ from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import freshen
 from mupcf.logic import (
     And, AndIntro, Atom, Ax, BOT, Bot, Forall, ForallIntro, IApp, IConst,
-    IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SUCC, Sequent,
-    THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
+    IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SCHEME_KINDS, SUCC,
+    Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
     fv_formula, ind_free_vars, ind_sexp, ind_subst, rel_pred, sort_sexp,
     subst_formula, wf_formula,
 )
@@ -271,6 +271,11 @@ _SCHEME_ARGS = {
     "s-neq-0": "", "rel-0": "", "rel-succ": "",
     "leib": "fvw", "ind": "fv", "dc": "fvvv",
 }
+
+
+def test_scheme_args_agree_with_scheme_kinds():
+    assert {n: k.replace("w", "v") for n, k in _SCHEME_ARGS.items()} \
+        == SCHEME_KINDS
 
 
 def _scheme_args(rng, theory, scheme):

@@ -1,12 +1,14 @@
 import pytest
 
+from mupcf.extract import individual_to_term
 from mupcf.interp import axiom_realizer, interp_envs, interp_proof, interp_type, rel_type
 from mupcf.lambdamu import (
     LApp, Lam, Mu, NAT, Named, Num, TArr, TBOT, TProd, eval_nat, lapp,
     typecheck,
 )
 from mupcf.logic import (
-    And, Forall, IOTA, IVar, Imp, THEORIES, ZERO, arrow, f_eq, f_neq, f_rel,
+    And, Forall, IConst, IOTA, IVar, Imp, REL_AXIOMS, SUCC, THEORIES, ZERO,
+    arrow, f_eq, f_neq, f_rel,
 )
 
 import corpus_files
@@ -58,6 +60,12 @@ REALIZER_CASES = [
     ("pawr", "rel-k", (IOTA, IOTA)),
     ("pawr", "rel-s", (IOTA, arrow(IOTA, IOTA), IOTA)),
     ("pawr", "rel-rec", (arrow(IOTA, IOTA),)),
+    ("pawr", "rel-k", (arrow(IOTA, IOTA), arrow(arrow(IOTA, IOTA), IOTA))),
+    ("pawr", "rel-s", (arrow(IOTA, IOTA), IOTA, arrow(IOTA, IOTA))),
+    ("pawr", "rel-s", (arrow(IOTA, IOTA), arrow(IOTA, IOTA),
+                       arrow(IOTA, IOTA, IOTA))),
+    ("pawr", "rel-rec", (arrow(IOTA, IOTA, IOTA),)),
+    ("pawr", "rel-rec", (arrow(arrow(IOTA, IOTA), IOTA),)),
 ]
 
 
@@ -66,6 +74,22 @@ def test_axiom_realizers_typed(thname, ax, args):
     th = THEORIES[thname]
     t = axiom_realizer(th, ax, args)
     assert typecheck(t) == interp_type(th.instantiate(ax, args))
+
+
+CONSTANTS = [
+    ZERO, SUCC, IConst("k", (IOTA, arrow(IOTA, IOTA))),
+    IConst("s", (arrow(IOTA, IOTA), IOTA, IOTA)),
+    IConst("rec", (arrow(IOTA, IOTA),)),
+]
+
+
+def test_constant_programs_are_their_evidence_realizers():
+    """An individual runs as the realizers of the evidence axioms of its
+    constants."""
+    assert [c.name for c in CONSTANTS] == list(REL_AXIOMS)
+    for c in CONSTANTS:
+        assert individual_to_term(c) == axiom_realizer(
+            PAWR, REL_AXIOMS[c.name], c.sort_args), c
 
 
 def test_dc_realizers_typed():
