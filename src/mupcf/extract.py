@@ -141,11 +141,13 @@ def extract_program(proof, theory, goal):
 
     The proof is checked once, by rel_proof on the stripped proof, where the
     input is the first subproof the checker walks; interp_proof then checks
-    the relativized proof."""
+    the relativized proof. Both passes share one table of axiom instances,
+    so each distinct instance is built once."""
     g = pi02_goal(goal.concl)
     stripped, sgoal = prepare_goal(proof, goal)
-    rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal)
-    m = interp_proof(rpf, rtheory, rgoal)
+    instances = {}
+    rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal, instances)
+    m = interp_proof(rpf, rtheory, rgoal, instances)
     d = freshen("d", free_vars(m))
     w = freshen("w", {d})
     e = Lam(d, rel_type(g.x_sort),

@@ -27,8 +27,8 @@ from .lambdamu import (
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, BotElim, BotIntro,
     Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, SArrow, SCHEME_KINDS, Sequent, SUCC, THEORIES, ZERO,
-    formula_sexp, ind_sexp, sort_sexp,
+    ImpElim, ImpIntro, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent, SUCC,
+    THEORIES, ZERO, formula_sexp, ind_sexp, sort_sexp,
 )
 
 # ---------------------------------------------------------------- reader
@@ -213,7 +213,9 @@ def parse_sort(node, depth=0):
 
 # ----------------------------------------------------------- individuals
 
-_CONST_SORT_ARITY = {"k": 2, "s": 3, "rec": 1}
+# constant -> number of sort arguments, for the constants that take some
+_CONST_SORT_ARITY = {c: len(SCHEME_KINDS[ax])
+                     for c, ax in REL_AXIOMS.items() if SCHEME_KINDS[ax]}
 
 # a numeral individual is read as that many nested S applications
 _MAX_IND_NUMERAL = 10000
@@ -268,16 +270,13 @@ def parse_individual(node, scope, depth=0):
 # -------------------------------------------------------------- formulas
 
 
-_RESERVED_IND_NAMES = {"0", "S", "k", "s", "rec"}
-
-
 def _parse_binder(node, what, depth):
     """(name <sort>) pairs used by all binding constructs; depth is that of
     the sort in its tree."""
     if not isinstance(node, list) or len(node) != 2:
         _err(node, f"expected a (name sort) binder for {what}")
     name = _sym(node[0], "a variable name")
-    if name in _RESERVED_IND_NAMES or _is_numeral(name):
+    if name in REL_AXIOMS or _is_numeral(name):  # a constant's name
         _err(node[0], f"{name} is reserved and cannot be bound")
     return name, parse_sort(node[1], depth)
 

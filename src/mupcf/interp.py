@@ -97,8 +97,8 @@ def const_realizer(c):
 _REL_CONSTANTS = {ax: c for c, ax in REL_AXIOMS.items()}
 
 
-def axiom_realizer(theory, name, args):
-    inst = theory.instantiate(name, args)
+def axiom_realizer(theory, name, args, instances=None):
+    inst = theory.instance(name, args, {} if instances is None else instances)
     if name in _REL_CONSTANTS:
         return const_realizer(IConst(_REL_CONSTANTS[name], args))
     match name:
@@ -122,13 +122,15 @@ def axiom_realizer(theory, name, args):
     raise InternalError(f"no realizer for axiom {name}")
 
 
-def interp_proof(proof, theory, goal):
+def interp_proof(proof, theory, goal, instances=None):
     """Translate a checked proof into a term. Hypothesis names become free
     term variables at the types of their formulas, labels become free mu
-    labels; the output channel label stays reserved for extraction."""
+    labels; the output channel label stays reserved for extraction. The
+    check and the realizers share the table instances (Theory.instance)."""
+    instances = {} if instances is None else instances
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
-    check_proof(proof, theory, goal)
+    check_proof(proof, theory, goal, instances)
     realizers = {}  # (name, args) -> realizer term, for this call only
 
     def go(p):
@@ -140,7 +142,8 @@ def interp_proof(proof, theory, goal):
         if cls is Ax:
             key = (p.name, p.args)
             if key not in realizers:
-                realizers[key] = axiom_realizer(theory, p.name, p.args)
+                realizers[key] = axiom_realizer(theory, p.name, p.args,
+                                                instances)
             return realizers[key]
         if cls is ImpIntro:
             return Lam(p.hyp, interp_type(p.formula), go(p.body))

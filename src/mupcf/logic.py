@@ -105,17 +105,22 @@ def const_sort(c):
     return s
 
 
+# the sort of each combinator family at its sort arguments, whose number is
+# that of its evidence axiom (REL_AXIOMS, SCHEME_KINDS)
+_FAMILY_SORTS = {
+    "k": lambda a, b: arrow(a, b, a),
+    "s": lambda a, b, c: arrow(arrow(a, b, c), arrow(a, b), a, c),
+    "rec": lambda a: arrow(a, arrow(IOTA, a, a), IOTA, a),
+}
+
+
 @lru_cache(maxsize=256)
 def _const_sort(name, sort_args):
     # a bounded pure memo: sorts are immutable, so sharing them is safe
-    match name, sort_args:
-        case "k", (a, b):
-            return arrow(a, b, a)
-        case "s", (a, b, c):
-            return arrow(arrow(a, b, c), arrow(a, b), a, c)
-        case "rec", (a,):
-            return arrow(a, arrow(IOTA, a, a), IOTA, a)
-    return None
+    if name not in _FAMILY_SORTS \
+            or len(sort_args) != len(SCHEME_KINDS[REL_AXIOMS[name]]):
+        return None
+    return _FAMILY_SORTS[name](*sort_args)
 
 
 def infer_sort(t):
@@ -721,6 +726,14 @@ class Theory:
                             + (f": {what}" if what else ""))
         return fn(self, args)
 
+    def instance(self, ax_name, args, table):
+        """instantiate, through a table keyed by (theory name, axiom, args)."""
+        key = (self.name, ax_name, args)
+        f = table.get(key)
+        if f is None:
+            f = table[key] = self.instantiate(ax_name, args)
+        return f
+
 
 def _need(cond, msg):
     if not cond:
@@ -892,32 +905,46 @@ def relativized_counterpart(theory):
 
 
 def _check_label_formula(f, has_rel):
-    wf_formula(f, has_rel)
+    fv = wf_formula(f, has_rel)
     if polarity(f) == "positive":
         raise UserError(
             f"label formula must be negative, got positive: {formula_sexp(f)}")
+    return fv
 
 
-def check_proof(proof, theory, goal):
+def _merge(a, b):
+    """Union of two free-variable maps; None if either is None or a name
+    has two sorts."""
+    if a is None or b is None:
+        return None
+    if not a or not b:
+        return a or b
+    out = dict(a)
+    for n, s in b.items():
+        if out.setdefault(n, s) != s:
+            return None
+    return out
+
+
+def check_proof(proof, theory, goal, instances=None):
     """Check a proof against a goal sequent. Hypotheses may go unused
     (weakening is implicit); eigenvariable conditions are checked against the
     hypotheses and labels a subproof actually uses. Returns the goal sequent.
-    """
-    gamma, delta = {}, {}
+    instances is the table of axiom instances (Theory.instance) that one
+    extraction shares; a lone check makes its own."""
+    gamma, delta = {}, {}  # name -> (formula, its free variables)
     for name, f in goal.hyps:
         if name in gamma:
             raise UserError(f"duplicate hypothesis name {name}")
-        wf_formula(f, theory.has_rel)
-        gamma[name] = f
+        gamma[name] = f, wf_formula(f, theory.has_rel)
     for name, f in goal.labels:
         if name in delta or name == KAPPA:
             raise UserError(f"bad label name {name}")
-        _check_label_formula(f, theory.has_rel)
-        delta[name] = f
+        delta[name] = f, _check_label_formula(f, theory.has_rel)
     wf_formula(goal.concl, theory.has_rel)
 
-    # each distinct axiom instance is built and validated once per check
-    concl, _, _ = _check_node(proof, theory, gamma, delta, {})
+    concl = _check_node(proof, theory, gamma, delta,
+                        {} if instances is None else instances)[0]
     if not alpha_eq(concl, goal.concl):
         raise UserError(
             "proof concludes " + formula_sexp(concl)
@@ -926,13 +953,17 @@ def check_proof(proof, theory, goal):
 
 
 def _check_node(p, theory, gamma, delta, instances):
-    """Conclusion of p and the hypotheses and labels it uses. instances maps
-    (name, args) to the axiom instances built so far in this check."""
+    """Conclusion of p, its free variables, and the hypotheses and labels p
+    uses. The free variables come as a map name -> sort when the conclusion
+    is known to be well formed, else None; the map may list extra names, at
+    consistent sorts. So a quantifier introduction re-walks its conclusion
+    only when the map cannot vouch for the bound variable, and every error
+    still comes from wf_formula."""
     cls = p.__class__
     if cls is ImpElim:
         fn, arg = p.fn, p.arg
-        cf, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
-        ca, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
+        cf, fv, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
+        ca, _, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
         if cf.__class__ is not Imp:
             raise UserError(
                 "implication elimination on " + formula_sexp(cf))
@@ -940,10 +971,10 @@ def _check_node(p, theory, gamma, delta, instances):
             raise UserError(
                 "argument proves " + formula_sexp(ca)
                 + " but " + formula_sexp(cf.left) + " is required")
-        return cf.right, uh1 | uh2, ul1 | ul2
+        return cf.right, fv, uh1 | uh2, ul1 | ul2
     if cls is ForallElim:
         t = p.term
-        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
         if c.__class__ is not Forall:
             raise UserError("quantifier elimination on " + formula_sexp(c))
         ts = infer_sort(t)
@@ -951,73 +982,86 @@ def _check_node(p, theory, gamma, delta, instances):
             raise UserError(
                 f"instantiating a {sort_sexp(c.sort)} quantifier with "
                 f"{ind_sexp(t)} : {sort_sexp(ts)}")
-        return subst_formula(c.body, {c.var: t}), uh, ul
+        x = c.var
+        if fv is not None:
+            if t.__class__ is IVar and t.name == x:
+                # in a well-formed c, x occurs in the body at ts only
+                return c.body, {**fv, x: ts}, uh, ul
+            try:
+                tv = ind_free_vars(t)
+            except UserError:
+                tv = None
+            if x in fv:
+                fv = {n: s for n, s in fv.items() if n != x}
+            fv = _merge(fv, tv)
+        return subst_formula(c.body, {x: t}), fv, uh, ul
     if cls is Ax:
-        key = (p.name, p.args)
-        f = instances.get(key)
-        if f is None:
-            f = instances[key] = theory.instantiate(p.name, p.args)
-        return f, set(), set()
+        return theory.instance(p.name, p.args, instances), {}, set(), set()
     if cls is ImpIntro:
         h, f = p.hyp, p.formula
         if h in gamma:
             raise UserError(f"hypothesis name {h} shadows an existing one")
-        wf_formula(f, theory.has_rel)
-        c, uh, ul = _check_node(p.body, theory, {**gamma, h: f}, delta,
-                                instances)
-        return Imp(f, c), uh - {h}, ul
+        fh = wf_formula(f, theory.has_rel)
+        c, fv, uh, ul = _check_node(p.body, theory, {**gamma, h: (f, fh)},
+                                    delta, instances)
+        return Imp(f, c), _merge(fh, fv), uh - {h}, ul
     if cls is Id:
         h = p.hyp
         if h not in gamma:
             raise UserError(f"unknown hypothesis {h}")
-        return gamma[h], {h}, set()
+        f, fv = gamma[h]
+        return f, fv, {h}, set()
     if cls is ForallIntro:
         x, sort = p.var, p.sort
-        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
         for h in uh:
-            if x in fv_formula(gamma[h]):
+            if x in gamma[h][1]:
                 raise UserError(
                     f"eigenvariable {x} is free in used hypothesis {h}")
         for l in ul:
-            if x in fv_formula(delta[l]):
+            if x in delta[l][1]:
                 raise UserError(
                     f"eigenvariable {x} is free in used label {l}")
         f = Forall(x, sort, c)
-        wf_formula(f, theory.has_rel)
-        return f, uh, ul
+        if fv is None or fv.get(x, sort) != sort:
+            fv = wf_formula(f, theory.has_rel)
+        return f, fv, uh, ul
     if cls is AndIntro:
-        cl, uh1, ul1 = _check_node(p.left, theory, gamma, delta, instances)
-        cr, uh2, ul2 = _check_node(p.right, theory, gamma, delta, instances)
-        return And(cl, cr), uh1 | uh2, ul1 | ul2
+        cl, fl, uh1, ul1 = _check_node(p.left, theory, gamma, delta,
+                                       instances)
+        cr, fr, uh2, ul2 = _check_node(p.right, theory, gamma, delta,
+                                       instances)
+        return And(cl, cr), _merge(fl, fr), uh1 | uh2, ul1 | ul2
     if cls is AndElim:
         i = p.index
         if i not in (1, 2):
             raise UserError("projection index must be 1 or 2")
-        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
         if c.__class__ is not And:
             raise UserError(
                 "conjunction elimination on " + formula_sexp(c))
-        return (c.left if i == 1 else c.right), uh, ul
+        return (c.left if i == 1 else c.right), fv, uh, ul
     if cls is BotIntro:
         label = p.label
         if label not in delta:
             raise UserError(f"unknown label {label}")
-        c, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
-        if not alpha_eq(c, delta[label]):
+        c, _, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        want = delta[label][0]
+        if not alpha_eq(c, want):
             raise UserError(
-                "label " + label + " expects " + formula_sexp(delta[label])
+                "label " + label + " expects " + formula_sexp(want)
                 + " but the subproof gives " + formula_sexp(c))
-        return BOT, uh, ul | {label}
+        return BOT, {}, uh, ul | {label}
     if cls is BotElim:
         label, f = p.label, p.formula
         if label in delta or label == KAPPA:
             raise UserError(f"bad label name {label}")
-        _check_label_formula(f, theory.has_rel)
-        c, uh, ul = _check_node(p.body, theory, gamma, {**delta, label: f},
-                                instances)
+        fl = _check_label_formula(f, theory.has_rel)
+        c, _, uh, ul = _check_node(p.body, theory, gamma,
+                                   {**delta, label: (f, fl)}, instances)
         if c.__class__ is not Bot:
             raise UserError(
                 "activation requires a proof of absurdity, got "
                 + formula_sexp(c))
-        return f, uh, ul - {label}
+        return f, fl, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")

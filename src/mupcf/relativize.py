@@ -45,20 +45,14 @@ def rel_formula(f):
 
 
 class _Relativizer:
-    def __init__(self, theory, proof):
+    def __init__(self, theory, proof, instances):
         self.theory = theory
         self.rtheory = relativized_counterpart(theory)
         self.avoid = collect_names(proof) | {KAPPA}
         self.dummies = {}  # var name -> (sort, hypothesis name)
-        # (theory name, axiom name, args) -> instance. The instances are
-        # pure; the replayed subproofs are not kept, as they draw fresh names
-        self.instances = {}
-
-    def instance(self, theory, name, args):
-        key = (theory.name, name, args)
-        if key not in self.instances:
-            self.instances[key] = theory.instantiate(name, args)
-        return self.instances[key]
+        # the table of axiom instances (Theory.instance); the replayed
+        # subproofs are not kept, as they draw fresh names
+        self.instances = instances
 
     def fresh(self, base):
         n = freshen(base, self.avoid)
@@ -104,10 +98,11 @@ class _Relativizer:
                 if not isinstance(src_formula, Forall) or src_formula.sort != sort:
                     raise InternalError("axiom replay shape mismatch")
                 xv = IVar(x, sort)
+                src_body = src_formula.body
+                if src_formula.var != x:  # x for x changes no well-formed body
+                    src_body = subst_formula(src_body, {src_formula.var: xv})
                 inner = self._derive_closure(
-                    rest,
-                    subst_formula(src_formula.body, {src_formula.var: xv}),
-                    ForallElim(src_proof, xv))
+                    rest, src_body, ForallElim(src_proof, xv))
                 return ForallIntro(x, sort, ImpIntro(self.fresh(f"r_{x}"),
                                                      guard, inner))
         raise InternalError(
@@ -116,10 +111,10 @@ class _Relativizer:
     def wrap_axiom(self, name, args):
         if name == "dc":
             return self._wrap_dc(args)
-        target = rel_formula(self.instance(self.theory, name, args))
+        target = rel_formula(self.theory.instance(name, args, self.instances))
         args_r = tuple(
             rel_formula(a) if isinstance(a, Formula) else a for a in args)
-        src = self.instance(self.rtheory, name, args_r)
+        src = self.rtheory.instance(name, args_r, self.instances)
         return self._derive_closure(target, src, Ax(name, args_r))
 
     def _wrap_dc(self, args):
@@ -133,8 +128,8 @@ class _Relativizer:
                         And(rel_pred(IVar(y.name, sigma), sigma), b_r))
         args_r = (a_guarded, x, y, z)
 
-        target = rel_formula(self.instance(self.theory, "dc", args))
-        cawr_inst = self.instance(self.rtheory, "dc", args_r)
+        target = rel_formula(self.theory.instance("dc", args, self.instances))
+        cawr_inst = self.rtheory.instance("dc", args_r, self.instances)
         params = _scheme_params(b, {x.name, y.name, z.name})
 
         # peel the parameter closures off both statements in lockstep
@@ -272,16 +267,18 @@ class _Relativizer:
         raise InternalError(f"bad proof node {p!r}")
 
 
-def rel_proof(proof, theory, goal):
+def rel_proof(proof, theory, goal, instances=None):
     """Translate a closed proof into the guarded theory. Returns the new
-    proof, the guarded theory, and the new goal sequent."""
+    proof, the guarded theory, and the new goal sequent. The check and the
+    replayed axiom leaves share the table instances (Theory.instance)."""
     if goal.hyps or goal.labels:
         raise UserError("relativization expects an empty context")
     if fv_formula(goal.concl):
         raise UserError("relativization expects a closed conclusion")
-    check_proof(proof, theory, goal)
+    instances = {} if instances is None else instances
+    check_proof(proof, theory, goal, instances)
 
-    r = _Relativizer(theory, proof)
+    r = _Relativizer(theory, proof, instances)
     body = r.go(proof, {})
     # variables that occur only inside instantiating terms never got bound
     # evidence; quantify them out and instantiate canonically
@@ -302,7 +299,7 @@ def rel_individual_proof(t):
     proof and its goal sequent; the proof checks in the pawr theory (and so
     in any extension of it)."""
     sort = infer_sort(t)
-    r = _Relativizer(THEORIES["paw"], Id("h"))
+    r = _Relativizer(THEORIES["paw"], Id("h"), {})
     for name in ind_free_vars(t):
         r.avoid.add(name)
     relenv, binders = {}, []

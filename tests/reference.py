@@ -8,13 +8,24 @@ environment machine, is checked against it.
 
 g_alpha_eq compares target terms of mupcf.cps up to the names of their
 binders.
+
+check_proof is the proof checker of mupcf.logic as it was before it
+carried free-variable maps: it re-validates the conclusion at every
+quantifier introduction and substitutes at every elimination. The library's
+checker must give the same conclusion or the same error.
 """
 
 from mupcf.cps import GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar
-from mupcf.errors import InternalError
+from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TProd,
     free_vars, freshen, lapp,
+)
+from mupcf.logic import (
+    And, AndElim, AndIntro, Ax, BOT, Bot, BotElim, BotIntro, Forall,
+    ForallElim, ForallIntro, Id, Imp, ImpElim, ImpIntro, KAPPA, alpha_eq,
+    formula_sexp, fv_formula, infer_sort, ind_sexp, polarity, sort_sexp,
+    subst_formula, wf_formula,
 )
 
 
@@ -240,3 +251,132 @@ def _canon(t, ren, counter):
 
 def g_alpha_eq(a, b):
     return _canon(a, {}, [0]) == _canon(b, {}, [0])
+
+
+# ---------- reference proof checker ----------
+
+
+def _check_label_formula(f, has_rel):
+    wf_formula(f, has_rel)
+    if polarity(f) == "positive":
+        raise UserError(
+            f"label formula must be negative, got positive: {formula_sexp(f)}")
+
+
+def check_proof(proof, theory, goal):
+    """The goal sequent if proof checks against it; raises UserError."""
+    gamma, delta = {}, {}
+    for name, f in goal.hyps:
+        if name in gamma:
+            raise UserError(f"duplicate hypothesis name {name}")
+        wf_formula(f, theory.has_rel)
+        gamma[name] = f
+    for name, f in goal.labels:
+        if name in delta or name == KAPPA:
+            raise UserError(f"bad label name {name}")
+        _check_label_formula(f, theory.has_rel)
+        delta[name] = f
+    wf_formula(goal.concl, theory.has_rel)
+
+    concl, _, _ = check_node(proof, theory, gamma, delta, {})
+    if not alpha_eq(concl, goal.concl):
+        raise UserError(
+            "proof concludes " + formula_sexp(concl)
+            + " but the goal is " + formula_sexp(goal.concl))
+    return goal
+
+
+def check_node(p, theory, gamma, delta, instances):
+    """Conclusion of p and the hypotheses and labels it uses."""
+    cls = p.__class__
+    if cls is ImpElim:
+        cf, uh1, ul1 = check_node(p.fn, theory, gamma, delta, instances)
+        ca, uh2, ul2 = check_node(p.arg, theory, gamma, delta, instances)
+        if cf.__class__ is not Imp:
+            raise UserError(
+                "implication elimination on " + formula_sexp(cf))
+        if not alpha_eq(cf.left, ca):
+            raise UserError(
+                "argument proves " + formula_sexp(ca)
+                + " but " + formula_sexp(cf.left) + " is required")
+        return cf.right, uh1 | uh2, ul1 | ul2
+    if cls is ForallElim:
+        t = p.term
+        c, uh, ul = check_node(p.body, theory, gamma, delta, instances)
+        if c.__class__ is not Forall:
+            raise UserError("quantifier elimination on " + formula_sexp(c))
+        ts = infer_sort(t)
+        if ts != c.sort:
+            raise UserError(
+                f"instantiating a {sort_sexp(c.sort)} quantifier with "
+                f"{ind_sexp(t)} : {sort_sexp(ts)}")
+        return subst_formula(c.body, {c.var: t}), uh, ul
+    if cls is Ax:
+        key = (p.name, p.args)
+        f = instances.get(key)
+        if f is None:
+            f = instances[key] = theory.instantiate(p.name, p.args)
+        return f, set(), set()
+    if cls is ImpIntro:
+        h, f = p.hyp, p.formula
+        if h in gamma:
+            raise UserError(f"hypothesis name {h} shadows an existing one")
+        wf_formula(f, theory.has_rel)
+        c, uh, ul = check_node(p.body, theory, {**gamma, h: f}, delta,
+                               instances)
+        return Imp(f, c), uh - {h}, ul
+    if cls is Id:
+        h = p.hyp
+        if h not in gamma:
+            raise UserError(f"unknown hypothesis {h}")
+        return gamma[h], {h}, set()
+    if cls is ForallIntro:
+        x, sort = p.var, p.sort
+        c, uh, ul = check_node(p.body, theory, gamma, delta, instances)
+        for h in uh:
+            if x in fv_formula(gamma[h]):
+                raise UserError(
+                    f"eigenvariable {x} is free in used hypothesis {h}")
+        for l in ul:
+            if x in fv_formula(delta[l]):
+                raise UserError(
+                    f"eigenvariable {x} is free in used label {l}")
+        f = Forall(x, sort, c)
+        wf_formula(f, theory.has_rel)
+        return f, uh, ul
+    if cls is AndIntro:
+        cl, uh1, ul1 = check_node(p.left, theory, gamma, delta, instances)
+        cr, uh2, ul2 = check_node(p.right, theory, gamma, delta, instances)
+        return And(cl, cr), uh1 | uh2, ul1 | ul2
+    if cls is AndElim:
+        i = p.index
+        if i not in (1, 2):
+            raise UserError("projection index must be 1 or 2")
+        c, uh, ul = check_node(p.body, theory, gamma, delta, instances)
+        if c.__class__ is not And:
+            raise UserError(
+                "conjunction elimination on " + formula_sexp(c))
+        return (c.left if i == 1 else c.right), uh, ul
+    if cls is BotIntro:
+        label = p.label
+        if label not in delta:
+            raise UserError(f"unknown label {label}")
+        c, uh, ul = check_node(p.body, theory, gamma, delta, instances)
+        if not alpha_eq(c, delta[label]):
+            raise UserError(
+                "label " + label + " expects " + formula_sexp(delta[label])
+                + " but the subproof gives " + formula_sexp(c))
+        return BOT, uh, ul | {label}
+    if cls is BotElim:
+        label, f = p.label, p.formula
+        if label in delta or label == KAPPA:
+            raise UserError(f"bad label name {label}")
+        _check_label_formula(f, theory.has_rel)
+        c, uh, ul = check_node(p.body, theory, gamma, {**delta, label: f},
+                               instances)
+        if c.__class__ is not Bot:
+            raise UserError(
+                "activation requires a proof of absurdity, got "
+                + formula_sexp(c))
+        return f, uh, ul - {label}
+    raise InternalError(f"bad proof node {p!r}")

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from mupcf import extract, interp, relativize
+from mupcf import extract, interp, logic, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
@@ -140,8 +140,9 @@ def test_individual_embedding_takes_evidence_for_variables():
 
 def test_extraction_checks_each_proof_once_per_role(monkeypatch):
     """The input proof is checked once (by rel_proof, on the stripped proof)
-    and the relativized proof once (by interp_proof), and each pass builds
-    every distinct axiom instance once."""
+    and the relativized proof once (by interp_proof), and the passes share
+    one table of axiom instances: each distinct instance is built once per
+    extraction."""
     entered = []  # passes in the order they start
     running = []  # the passes running, innermost last
     built = []    # (pass, theory, axiom, args) per Theory.instantiate call
@@ -177,8 +178,45 @@ def test_extraction_checks_each_proof_once_per_role(monkeypatch):
         assert entered == [
             "relativize", "check in mupcf.relativize",
             "interp", "check in mupcf.interp"], name
-        assert {p for p, *_ in built} == set(entered), name
-        assert max(Counter(built).values()) == 1, name
+        assert max(Counter(b[1:] for b in built).values()) == 1, name
+        # the compilation finds every instance it types in the table
+        assert "interp" not in {p for p, *_ in built}, name
+
+
+def test_extraction_call_counts_stay_pinned(monkeypatch):
+    """Deterministic work of one add0-total extraction: every distinct axiom
+    instance is built once, and the checker neither re-walks nor
+    re-substitutes what it has already checked (before the checker carried
+    free variables and the passes shared one instance table: 58 instance
+    builds, 136 wf_formula and 190 subst_formula calls)."""
+    calls = Counter()
+    instances = set()
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    wf = counted(logic, "wf_formula")
+    monkeypatch.setattr(logic, "wf_formula", wf)
+    subst = counted(logic, "subst_formula")
+    for mod in (logic, relativize):
+        monkeypatch.setattr(mod, "subst_formula", subst)
+    instantiate = type(PAW).instantiate
+
+    def build(theory, name, args):
+        instances.add((theory.name, name, args))
+        calls["instantiate"] += 1
+        return instantiate(theory, name, args)
+
+    monkeypatch.setattr(type(PAW), "instantiate", build)
+    extract_program(*_entry("add0-total"))
+    assert calls["instantiate"] == len(instances) == 24
+    assert calls["wf_formula"] <= 85, calls
+    assert calls["subst_formula"] <= 105, calls
 
 
 @pytest.mark.parametrize("name", PI02)
