@@ -22,7 +22,7 @@ from .format import (
     digits_error, formula_sexp, parse_file, proof_sexp, term_sexp, type_sexp,
 )
 from .interp import interp_envs, interp_proof
-from .lambdamu import eval_nat, typecheck
+from .lambdamu import NAT, eval_nat, typecheck
 from .logic import check_proof
 from .relativize import rel_proof
 
@@ -140,7 +140,10 @@ def _cmd_interp(ws, args):
 def _cmd_eval(ws, args):
     name = _pick(ws.terms, "term", args.name)
     t = ws.terms[name]
-    typecheck(t)
+    ty = typecheck(t)
+    if ty != NAT:
+        raise UserError(
+            f"eval runs a program of type nat, not {type_sexp(ty)}")
     value, steps = eval_nat(t, args.fuel)
     payload = {"command": "eval", "name": name, "value": value,
                "steps": steps}

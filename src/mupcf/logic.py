@@ -123,45 +123,65 @@ def _const_sort(name, sort_args):
     return _FAMILY_SORTS[name](*sort_args)
 
 
-def infer_sort(t):
-    """Sort of an individual; the inline sort on IVar is authoritative."""
-    cls = t.__class__
-    if cls is IApp:
-        fn, arg = t.fn, t.arg
-        fs = infer_sort(fn)
-        if fs.__class__ is not SArrow:
-            raise UserError(
-                f"applied non-function individual {ind_sexp(fn)}")
-        ags = infer_sort(arg)
-        if ags != fs.left:
-            raise UserError(_sort_mismatch(fn, fs, arg, ags))
-        return fs.right
+def _ind_walk(t, bound, fail):
+    """Sort of t (None after an error) and its free variables, name -> sort,
+    in first-occurrence order. Every error goes to fail(msg), except a
+    variable used at two sorts, which raises at once. bound maps the names
+    bound around t to their binders' sorts."""
+    cls = t.__class__  # class dispatch: the checker's hottest walk
     if cls is IVar:
-        return t.sort
+        name, sort = t.name, t.sort
+        declared = bound.get(name)
+        if declared is not None and declared != sort:
+            fail(f"variable {name} used at {sort_sexp(sort)} but "
+                 f"declared at {sort_sexp(declared)}")
+        return sort, {name: sort}
     if cls is IConst:
-        return const_sort(t)
-    raise InternalError(f"bad individual {t!r}")
+        try:
+            return const_sort(t), {}
+        except UserError as ex:
+            fail(str(ex))
+            return None, {}
+    if cls is not IApp:
+        raise InternalError(f"bad individual {t!r}")
+    fn, arg = t.fn, t.arg
+    fs, fv = _ind_walk(fn, bound, fail)
+    if fs is not None and fs.__class__ is not SArrow:
+        fail(f"applied non-function individual {ind_sexp(fn)}")
+        fs = None
+    ags, av = _ind_walk(arg, bound, fail)
+    if not fv:
+        fv = av
+    else:
+        for n, s in av.items():
+            if fv.setdefault(n, s) != s:
+                raise UserError(f"variable {n} used at two sorts")
+    if fs is None or ags is None:
+        return None, fv
+    if ags != fs.left:
+        fail(f"sort mismatch: {ind_sexp(fn)} expects {sort_sexp(fs.left)}, "
+             f"got {ind_sexp(arg)} : {sort_sexp(ags)}")
+        return None, fv
+    return fs.right, fv
 
 
-def _sort_mismatch(fn, fs, arg, ags):
-    return (f"sort mismatch: {ind_sexp(fn)} expects {sort_sexp(fs.left)}, "
-            f"got {ind_sexp(arg)} : {sort_sexp(ags)}")
+def _raise(msg):
+    raise UserError(msg)
+
+
+def _ignore(msg):
+    pass
+
+
+def infer_sort(t):
+    """Sort of an individual; the inline sort on IVar is authoritative.
+    Raises the first error."""
+    return _ind_walk(t, {}, _raise)[0]
 
 
 def ind_free_vars(t):
-    cls = t.__class__
-    if cls is IApp:
-        out = ind_free_vars(t.fn)
-        for n, s in ind_free_vars(t.arg).items():
-            if n in out and out[n] != s:
-                raise UserError(f"variable {n} used at two sorts")
-            out[n] = s
-        return out
-    if cls is IVar:
-        return {t.name: t.sort}
-    if cls is IConst:
-        return {}
-    raise InternalError(f"bad individual {t!r}")
+    """Free variables, name -> sort; raises only on one name at two sorts."""
+    return _ind_walk(t, {}, _ignore)[1]
 
 
 def ind_subst(t, mapping):
@@ -281,33 +301,6 @@ def closure(params, body):
     return out
 
 
-def fv_formula(f):
-    """Free variables, name -> sort, in first-occurrence order (dicts keep
-    insertion order; scheme closures rely on this)."""
-    out = {}
-
-    def go(f, bound):
-        cls = f.__class__
-        if cls is Imp or cls is And:
-            go(f.left, bound)
-            go(f.right, bound)
-        elif cls is Atom:
-            for t in f.args:
-                for n, s in ind_free_vars(t).items():
-                    if n in bound:
-                        continue
-                    if n in out and out[n] != s:
-                        raise UserError(f"variable {n} used at two sorts")
-                    out.setdefault(n, s)
-        elif cls is Forall:
-            go(f.body, bound | {f.var})
-        elif cls is not Bot:
-            raise InternalError(f"bad formula {f!r}")
-
-    go(f, frozenset())
-    return out
-
-
 def subst_formula(f, mapping):
     """Capture-avoiding simultaneous substitution of individuals for free
     variable names.
@@ -416,101 +409,72 @@ def alpha_eq(f, g):
     return go(f, g, {}, {}, 0)
 
 
+def _formula_walk(f, bound, has_rel, out, fail):
+    """Add the free variables of f to out, name -> sort, in first-occurrence
+    order, and check its predicate signatures and sorts. Errors go to fail,
+    as in _ind_walk."""
+    cls = f.__class__
+    if cls is Imp or cls is And:
+        _formula_walk(f.left, bound, has_rel, out, fail)
+        _formula_walk(f.right, bound, has_rel, out, fail)
+    elif cls is Atom:
+        p, args = f.pred, f.args
+        arity = PREDICATES[p][1] if p in PREDICATES else None
+        if arity is None:
+            fail(f"unknown predicate {p}")
+        elif p == "rel" and not has_rel:
+            fail("rel atom outside a relativized signature")
+        elif len(args) != arity:
+            fail(f"{p} expects {arity} argument(s)")
+        sorts = []
+        for t in args:
+            sort, names = _ind_walk(t, bound, fail)
+            sorts.append(sort)
+            for n, s in names.items():
+                if n in bound:
+                    continue
+                if out.setdefault(n, s) != s:
+                    raise UserError(f"variable {n} used at two sorts")
+        if len(args) != arity or None in sorts:
+            return
+        if p == "neq" and sorts[0] != sorts[1]:
+            fail("inequality between different sorts")
+        if p == "rel" and sorts[0] != IOTA:
+            fail("rel atom takes a base-sort individual")
+    elif cls is Forall:
+        _formula_walk(f.body, {**bound, f.var: f.sort}, has_rel, out, fail)
+    elif cls is not Bot:
+        raise InternalError(f"bad formula {f!r}")
+
+
 def wf_formula(f, has_rel):
     """Check predicate signatures and sort consistency; raises UserError.
     Returns the free variables, as fv_formula does.
 
-    One walk infers the sorts and collects the free variables. A variable
-    used at two sorts anywhere in f is reported first; otherwise the first
-    error met left to right is. So the walk raises a clash at once, keeps
-    the first other error, and raises that only once the walk is done."""
+    A variable used at two sorts anywhere in f is reported first; otherwise
+    the first error met left to right is. So the walk raises a clash at
+    once, keeps the other errors, and raises the first only once the walk
+    is done."""
+    out, errors = {}, []
+    _formula_walk(f, {}, has_rel, out, errors.append)
+    if errors:
+        raise UserError(errors[0])
+    return out
+
+
+def fv_formula(f):
+    """Free variables, name -> sort, in first-occurrence order (dicts keep
+    insertion order; scheme closures rely on this). Raises only on one name
+    at two sorts."""
     out = {}
-    first_error = None
-
-    def fail(msg):
-        nonlocal first_error
-        if first_error is None:
-            first_error = msg
-
-    def ind(t, bound):
-        """Sort of t (None after an error) and its free variables, in the
-        order and with the clash checks of ind_free_vars."""
-        cls = t.__class__  # class dispatch: the checker's hottest walk
-        if cls is IVar:
-            name, sort = t.name, t.sort
-            declared = bound.get(name)
-            if declared is not None and declared != sort:
-                fail(f"variable {name} used at {sort_sexp(sort)} but "
-                     f"declared at {sort_sexp(declared)}")
-            return sort, {name: sort}
-        if cls is IConst:
-            try:
-                return const_sort(t), {}
-            except UserError as ex:
-                fail(str(ex))
-                return None, {}
-        if cls is not IApp:
-            raise InternalError(f"bad individual {t!r}")
-        fn, arg = t.fn, t.arg
-        fs, fv = ind(fn, bound)
-        if fs is not None and not isinstance(fs, SArrow):
-            fail(f"applied non-function individual {ind_sexp(fn)}")
-            fs = None
-        ags, av = ind(arg, bound)
-        if not fv:
-            fv = av
-        else:
-            for n, s in av.items():
-                if fv.setdefault(n, s) != s:
-                    raise UserError(f"variable {n} used at two sorts")
-        if fs is None or ags is None:
-            return None, fv
-        if ags != fs.left:
-            fail(_sort_mismatch(fn, fs, arg, ags))
-            return None, fv
-        return fs.right, fv
-
-    def go(f, bound):
-        cls = f.__class__
-        if cls is Imp or cls is And:
-            go(f.left, bound)
-            go(f.right, bound)
-        elif cls is Atom:
-            p, args = f.pred, f.args
-            if p not in PREDICATES:
-                fail(f"unknown predicate {p}")
-            elif p == "rel" and not has_rel:
-                fail("rel atom outside a relativized signature")
-            elif len(args) != PREDICATES[p][1]:
-                fail(f"{p} expects {PREDICATES[p][1]} argument(s)")
-            sorts = []
-            for t in args:
-                sort, names = ind(t, bound)
-                sorts.append(sort)
-                for n, s in names.items():
-                    if n in bound:
-                        continue
-                    if out.setdefault(n, s) != s:
-                        raise UserError(f"variable {n} used at two sorts")
-            if first_error is not None:
-                return
-            if p == "neq" and sorts[0] != sorts[1]:
-                fail("inequality between different sorts")
-            if p == "rel" and sorts[0] != IOTA:
-                fail("rel atom takes a base-sort individual")
-        elif cls is Forall:
-            go(f.body, {**bound, f.var: f.sort})
-        elif cls is not Bot:
-            raise InternalError(f"bad formula {f!r}")
-
-    go(f, {})
-    if first_error is not None:
-        raise UserError(first_error)
+    _formula_walk(f, {}, True, out, _ignore)
     return out
 
 
 def polarity(f):
-    """'negative', 'positive', or 'both' per the two polarity grammars."""
+    """'negative' or 'positive'. The atom classes are disjoint and bot is
+    negative, so every formula lies in exactly one of the two grammars, and
+    the negative grammar alone decides which."""
 
     def neg(f):
         cls = f.__class__
@@ -526,28 +490,7 @@ def polarity(f):
             return neg(f.left) and neg(f.right)
         raise InternalError(f"bad formula {f!r}")
 
-    def pos(f):
-        cls = f.__class__
-        if cls is Imp:
-            return pos(f.right)
-        if cls is Atom:
-            return PREDICATES[f.pred][0] == "positive"
-        if cls is Bot:
-            return False
-        if cls is Forall:
-            return pos(f.body)
-        if cls is And:
-            return pos(f.left) or pos(f.right)
-        raise InternalError(f"bad formula {f!r}")
-
-    n, p = neg(f), pos(f)
-    if n and p:
-        return "both"
-    if n:
-        return "negative"
-    if p:
-        return "positive"
-    raise InternalError("formula in neither polarity class")
+    return "negative" if neg(f) else "positive"
 
 
 def rel_pred(t, sort):
@@ -588,7 +531,7 @@ KAPPA = "kappa"  # reserved output channel label
 
 class Sequent(Node):
     """hyps |- concl | labels. Hypotheses and labels are name-keyed; every
-    label formula must be negative (or satisfy both grammars)."""
+    label formula must be negative."""
 
     hyps: tuple = ()
     concl: Formula = BOT
@@ -740,8 +683,10 @@ def _need(cond, msg):
         raise UserError(msg)
 
 
-def _scheme_params(a, excluded):
-    return [(n, s) for n, s in fv_formula(a).items() if n not in excluded]
+def _scheme_params(fv, excluded):
+    """The parameters of a scheme instance: its formula's free variables fv
+    (name -> sort) less the scheme's own."""
+    return [(n, s) for n, s in fv.items() if n not in excluded]
 
 
 def _guard(th, x, f):
@@ -761,8 +706,7 @@ def _ax_leib(th, args):
     _need(x.sort == y.sort, "leib variables must share a sort")
     _need(y.name not in fv and y.name != x.name, "leib replacement variable must be fresh")
     _need(fv.get(x.name, x.sort) == x.sort, "leib variable sort mismatch")
-    params = _scheme_params(a, {x.name})
-    _need(all(n != y.name for n, _ in params), "leib replacement variable must be fresh")
+    params = _scheme_params(fv, {x.name})
     body = f_imps(f_not(a), subst_formula(a, {x.name: y}), f_neq(x, y))
     return closure(params + [(x.name, x.sort), (y.name, y.sort)], body)
 
@@ -779,7 +723,7 @@ def _ax_ind(th, args):
     _need(fv.get(x.name, IOTA) == IOTA, "induction variable sort mismatch")
     base = subst_formula(a, {x.name: ZERO})
     step = Imp(a, subst_formula(a, {x.name: IApp(SUCC, x)}))
-    return closure(_scheme_params(a, {x.name}),
+    return closure(_scheme_params(fv, {x.name}),
                    f_imps(base, Forall(x.name, IOTA, _guard(th, x, step)),
                           Forall(x.name, IOTA, _guard(th, x, a))))
 
@@ -834,7 +778,7 @@ def _dc_vars(th, args):
     fv = wf_formula(b, th.has_rel)
     for v in (x, y, z):
         _need(fv.get(v.name, v.sort) == v.sort, "dc: variable sort mismatch")
-    return b, x, y, z, _scheme_params(b, names), set(fv) | names
+    return b, x, y, z, _scheme_params(fv, names), set(fv) | names
 
 
 def _ax_dc_plain(th, args):
@@ -977,7 +921,7 @@ def _check_node(p, theory, gamma, delta, instances):
         c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
         if c.__class__ is not Forall:
             raise UserError("quantifier elimination on " + formula_sexp(c))
-        ts = infer_sort(t)
+        ts, tv = _ind_walk(t, {}, _raise)
         if ts != c.sort:
             raise UserError(
                 f"instantiating a {sort_sexp(c.sort)} quantifier with "
@@ -987,10 +931,6 @@ def _check_node(p, theory, gamma, delta, instances):
             if t.__class__ is IVar and t.name == x:
                 # in a well-formed c, x occurs in the body at ts only
                 return c.body, {**fv, x: ts}, uh, ul
-            try:
-                tv = ind_free_vars(t)
-            except UserError:
-                tv = None
             if x in fv:
                 fv = {n: s for n, s in fv.items() if n != x}
             fv = _merge(fv, tv)

@@ -16,10 +16,9 @@ from .lambdamu import freshen
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, Forall,
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, THEORIES, _scheme_params,
+    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, _scheme_params,
     alpha_eq, check_proof, collect_names, f_rel, formula_sexp, fv_formula,
-    ind_free_vars, infer_sort, rel_pred, relativized_counterpart,
-    subst_formula, zero_ind,
+    rel_pred, relativized_counterpart, subst_formula, zero_ind,
 )
 
 
@@ -130,7 +129,7 @@ class _Relativizer:
 
         target = rel_formula(self.theory.instance("dc", args, self.instances))
         cawr_inst = self.rtheory.instance("dc", args_r, self.instances)
-        params = _scheme_params(b, {x.name, y.name, z.name})
+        params = _scheme_params(fv_formula(b), {x.name, y.name, z.name})
 
         # peel the parameter closures off both statements in lockstep
         cur_t, cur_c = target, cawr_inst
@@ -291,26 +290,3 @@ def rel_proof(proof, theory, goal, instances=None):
 
     new_goal = Sequent(concl=rel_formula(goal.concl))
     return body, r.rtheory, new_goal
-
-
-def rel_individual_proof(t):
-    """A guarded-theory proof that the realizability predicate holds of an
-    individual, universally guarded over its free variables. Returns the
-    proof and its goal sequent; the proof checks in the pawr theory (and so
-    in any extension of it)."""
-    sort = infer_sort(t)
-    r = _Relativizer(THEORIES["paw"], Id("h"), {})
-    for name in ind_free_vars(t):
-        r.avoid.add(name)
-    relenv, binders = {}, []
-    for name, vsort in ind_free_vars(t).items():
-        hyp = r.fresh(f"r_{name}")
-        relenv[name] = hyp
-        binders.append((name, vsort, hyp))
-    body = r.dr(t, relenv)
-    goal = rel_pred(t, sort)
-    for name, vsort, hyp in reversed(binders):
-        guard = rel_pred(IVar(name, vsort), vsort)
-        body = ForallIntro(name, vsort, ImpIntro(hyp, guard, body))
-        goal = Forall(name, vsort, Imp(guard, goal))
-    return body, Sequent(concl=goal)

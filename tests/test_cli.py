@@ -627,6 +627,21 @@ def test_negative_fuel_is_a_user_error(capsys, monkeypatch, source, message,
             "error": {"category": "user-error", "message": message}}
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("program,ty", [
+    ("(lam (x nat) x)", "(-> nat nat)"),
+    ("(pair 1 2)", "(* nat nat)"),
+    ("(app (fix bot) (lam (x bot) x))", "bot"),
+], ids=["arrow", "pair", "bot"])
+def test_eval_rejects_programs_not_of_type_nat(capsys, tmp_path, program, ty,
+                                               fmt):
+    f = tmp_path / "p.term"
+    f.write_text(f"(term p {program})\n")
+    code, out, err = _run(capsys, ["eval", str(f), "--format", fmt])
+    _expect_user_error(fmt, code, out, err,
+                       f"eval runs a program of type nat, not {ty}")
+
+
 def test_eval_rejects_proof_declarations(capsys):
     code, _, err = _run(capsys, ["eval", str(CORPUS / "dne.proof")])
     assert code == 1

@@ -2,10 +2,12 @@
 
 The references below are the straightforward versions of `wf_formula` and
 `subst_formula`: well-formedness as a free-variable pass followed by a sort
-pass, and substitution that recomputes its capture set at every binder. The
-tests compare the two on generated formulas, with clashes, ill-sorted
-applications, unknown predicates and constants, `rel` atoms outside a
-relativized signature and wrong arities.
+pass, and substitution that recomputes its capture set at every binder. They
+and the references of the views `infer_sort`, `ind_free_vars`, `fv_formula`
+and `polarity` are single-purpose walks that share no code with the library's
+walks. The tests compare the two sides on generated formulas, with clashes,
+ill-sorted applications, unknown predicates and constants, `rel` atoms
+outside a relativized signature and wrong arities.
 """
 
 import itertools
@@ -24,8 +26,8 @@ from mupcf.logic import (
     And, AndIntro, Atom, Ax, BOT, Bot, Forall, ForallIntro, IApp, IConst,
     IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SCHEME_KINDS, SUCC,
     Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
-    fv_formula, ind_free_vars, ind_sexp, ind_subst, rel_pred, sort_sexp,
-    subst_formula, wf_formula,
+    fv_formula, ind_free_vars, ind_sexp, ind_subst, infer_sort, polarity,
+    rel_pred, sort_sexp, subst_formula, wf_formula,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -33,7 +35,61 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # ---------------------------------------------------------------- references
 
 
-def _ref_infer_sort(t, env):
+def _ref_ind_free_vars(t):
+    match t:
+        case IVar(name, sort):
+            return {name: sort}
+        case IConst():
+            return {}
+        case IApp(fn, arg):
+            out = _ref_ind_free_vars(fn)
+            for n, s in _ref_ind_free_vars(arg).items():
+                if out.setdefault(n, s) != s:
+                    raise UserError(f"variable {n} used at two sorts")
+            return out
+    raise InternalError(f"bad individual {t!r}")
+
+
+def _ref_fv_formula(f, bound=frozenset(), out=None):
+    out = {} if out is None else out
+    match f:
+        case Atom(_, args):
+            for t in args:
+                for n, s in _ref_ind_free_vars(t).items():
+                    if n not in bound and out.setdefault(n, s) != s:
+                        raise UserError(f"variable {n} used at two sorts")
+        case Imp(a, b) | And(a, b):
+            _ref_fv_formula(a, bound, out)
+            _ref_fv_formula(b, bound, out)
+        case Forall(x, _, body):
+            _ref_fv_formula(body, bound | {x}, out)
+        case Bot():
+            pass
+        case _:
+            raise InternalError(f"bad formula {f!r}")
+    return out
+
+
+def _ref_grammars(f):
+    """Whether f is in the negative grammar, and whether in the positive."""
+    match f:
+        case Atom(p, _):
+            pol = PREDICATES[p][0]
+            return pol == "negative", pol == "positive"
+        case Bot():
+            return True, False
+        case Imp(_, b) | Forall(_, _, b):
+            return _ref_grammars(b)
+        case And(a, b):
+            (na, pa), (nb, pb) = _ref_grammars(a), _ref_grammars(b)
+            return na and nb, pa or pb
+    raise InternalError(f"bad formula {f!r}")
+
+
+def _ref_infer_sort(t, env, clash=False):
+    """The sort of t, or the first error left to right. With clash, one name
+    at two sorts in an application is an error too, met once its function
+    and argument are sorted (infer_sort's order)."""
     match t:
         case IVar(name, sort):
             if name in env and env[name] != sort:
@@ -44,11 +100,13 @@ def _ref_infer_sort(t, env):
         case IConst():
             return const_sort(t)
         case IApp(fn, arg):
-            fs = _ref_infer_sort(fn, env)
+            fs = _ref_infer_sort(fn, env, clash)
             if not isinstance(fs, SArrow):
                 raise UserError(
                     f"applied non-function individual {ind_sexp(fn)}")
-            ags = _ref_infer_sort(arg, env)
+            ags = _ref_infer_sort(arg, env, clash)
+            if clash:
+                _ref_ind_free_vars(t)
             if ags != fs.left:
                 raise UserError(
                     f"sort mismatch: {ind_sexp(fn)} expects "
@@ -85,7 +143,7 @@ def _ref_sort_pass(f, has_rel, env):
 
 
 def _ref_wf_formula(f, has_rel):
-    fv = fv_formula(f)  # rejects one name at two sorts among frees
+    fv = _ref_fv_formula(f)  # rejects one name at two sorts among frees
     _ref_sort_pass(f, has_rel, {})
     return fv
 
@@ -111,9 +169,9 @@ def _ref_subst_formula(f, mapping):
                     return f
             clash = set()
             for t in mapping.values():
-                clash |= ind_free_vars(t).keys()
+                clash |= _ref_ind_free_vars(t).keys()
             if x in clash:
-                avoid = clash | fv_formula(body).keys() | set(mapping)
+                avoid = clash | _ref_fv_formula(body).keys() | set(mapping)
                 x2 = freshen(x, avoid)
                 body = _ref_subst_formula(body, {x: IVar(x2, sort)})
                 x = x2
@@ -240,14 +298,44 @@ def _printed(outcome):
     return outcome
 
 
+def _atoms(f):
+    match f:
+        case Atom():
+            yield f
+        case Imp(a, b) | And(a, b):
+            yield from _atoms(a)
+            yield from _atoms(b)
+        case Forall(_, _, body):
+            yield from _atoms(body)
+
+
 def test_wf_formula_agrees_with_two_pass_reference():
+    """wf_formula, and its views on the same formulas and their
+    individuals."""
     seen = dict.fromkeys(_WF_MESSAGES, 0)
     ok = precedence = 0
+    views = dict.fromkeys(["clash", "sort", "ind-error", "negative",
+                           "positive"], 0)
     for seed in range(2500):
         f, has_rel, _, _ = _case(seed)
         want = _printed(_outcome(_ref_wf_formula, f, has_rel))
         got = _printed(_outcome(wf_formula, f, has_rel))
         assert got == want, (seed, f)
+        assert _printed(_outcome(fv_formula, f)) \
+            == _printed(_outcome(_ref_fv_formula, f)), (seed, f)
+        atoms = list(_atoms(f))
+        for t in (t for a in atoms for t in a.args):
+            assert _printed(_outcome(ind_free_vars, t)) \
+                == _printed(_outcome(_ref_ind_free_vars, t)), (seed, t)
+            sort = _outcome(infer_sort, t)
+            assert sort == _outcome(_ref_infer_sort, t, {}, True), (seed, t)
+            views["sort" if sort[0] == "ok" else "clash"
+                  if "two sorts" in sort[1] else "ind-error"] += 1
+        if all(a.pred in PREDICATES for a in atoms):
+            neg, pos = _ref_grammars(f)
+            assert neg != pos, (seed, f)  # exactly one grammar holds
+            assert polarity(f) == ("negative" if neg else "positive")
+            views[polarity(f)] += 1
         if want[0] == "ok":
             ok += 1
             continue
@@ -259,6 +347,7 @@ def test_wf_formula_agrees_with_two_pass_reference():
     assert ok >= 800
     assert precedence >= 50
     assert all(n >= 10 for n in seen.values()), seen
+    assert all(n >= 40 for n in views.values()), views
 
 
 # ------------------------------------------------------------ axiom schemes

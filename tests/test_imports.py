@@ -57,33 +57,31 @@ REACH_ALLOWED = {
     "format.proof_decl":
         "the documented declaration printer (README module map); the "
         "tests print corpus proofs back to source with it",
-    "relativize.rel_individual_proof":
-        "its tests are the only direct check of the rel evidence built for "
-        "open and higher-sort individuals",
 }
 
 
-def _bench_mentions(bench_dir):
-    """Every name and attribute in the benchmark's non-test code, and each
-    dot-separated part of every string in it."""
+def _bench_roots(bench_dir):
+    """The (module, name) pairs that the benchmark's non-test code imports
+    from mupcf, or lists in a WRAPPED table of (module, attribute, span)."""
     out = set()
     for path in sorted(bench_dir.glob("*.py")):
         if path.name.startswith("test_"):
             continue
         for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(n, ast.Name):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                out.update(n.value.split("."))
+            if isinstance(n, ast.ImportFrom) and (n.module or "").startswith(
+                    "mupcf."):
+                out.update((n.module[6:], a.name) for a in n.names)
+            elif isinstance(n, ast.Assign) and any(
+                    getattr(t, "id", None) == "WRAPPED" for t in n.targets):
+                out.update((m[6:], attr)
+                           for m, attr, _ in ast.literal_eval(n.value))
     return out
 
 
 def _unreachable(src_dir, bench_dir):
     """The module-level definitions of the package in src_dir that no walk
     from cli.main, a module-level statement, a dunder such as __version__
-    or a name the benchmark mentions reaches, as "module.name"."""
+    or a benchmark root (_bench_roots) reaches, as "module.name"."""
     defs, imports, roots = {}, {}, []
     for path in sorted(src_dir.glob("*.py")):
         mod = path.stem
@@ -108,9 +106,9 @@ def _unreachable(src_dir, bench_dir):
             mod, name = imports[mod][name]
         return (mod, name) if (mod, name) in defs else None
 
-    bench = _bench_mentions(bench_dir)
+    bench = {resolve(m, n) for m, n in _bench_roots(bench_dir)}
     todo = roots + [(m, defs[m, n]) for m, n in defs
-                    if n in bench or n.startswith("__")
+                    if (m, n) in bench or n.startswith("__")
                     or (m, n) == ("cli", "main")]
     seen = {id(node) for _, node in todo}
     while todo:
@@ -143,10 +141,16 @@ def test_the_scan_sees_an_unreachable_definition(tmp_path):
         "def used():\n    return helper()\n\n"
         "def helper():\n    return 1\n\n"
         "def planted():\n    return helper()\n\n"
-        "def timed():\n    return 0\n\n__version__ = '1'\n"
+        "def timed():\n    return 0\n\n"
+        "def imported():\n    return 2\n\n__version__ = '1'\n"
         "print(TABLE)\n")
-    (bench / "run.py").write_text("WRAP = ('mupcf.util.timed',)\n")
-    (bench / "test_run.py").write_text("from util import planted\n")
+    (bench / "spans.py").write_text(
+        "WRAPPED = [('mupcf.util', 'timed', 'util.timed')]\n")
+    # a name the benchmark only mentions, or imports in its tests, is no root
+    (bench / "run.py").write_text(
+        "from mupcf.util import imported\n"
+        "NAMES = ('mupcf.util.planted', imported)\n")
+    (bench / "test_run.py").write_text("from mupcf.util import planted\n")
     assert _unreachable(src, bench) == ["util.planted"]
 
 

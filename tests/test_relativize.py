@@ -7,11 +7,12 @@ import pytest
 
 from mupcf.errors import UserError
 from mupcf.logic import (
-    And, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IOTA, IVar, Imp,
-    SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, f_eq, f_neq,
-    f_rel, formula_sexp, polarity, rel_pred, subst_formula,
+    And, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar,
+    Id, Imp, ImpElim, SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow,
+    check_proof, f_eq, f_neq, f_rel, formula_sexp, infer_sort, polarity,
+    rel_pred, subst_formula,
 )
-from mupcf.relativize import rel_formula, rel_individual_proof, rel_proof
+from mupcf.relativize import rel_formula, rel_proof
 
 from corpus_files import entries
 
@@ -81,8 +82,8 @@ def test_rel_preserves_negative_polarity():
     rng = random.Random(7)
     for _ in range(200):
         f = _rand_formula(rng, [], 4)
-        assert polarity(f) in ("negative", "both")
-        assert polarity(rel_formula(f)) in ("negative", "both")
+        assert polarity(f) == "negative"
+        assert polarity(rel_formula(f)) == "negative"
 
 
 # ---------- proofs ----------
@@ -169,33 +170,56 @@ def test_rejects_broken_proof():
 
 # ---------- individual evidence ----------
 
+
+def _relativize_refl(t, binders=()):
+    """rel_proof of refl instantiated at t, under forall-intros of binders
+    (outermost first); the result is checked in pawr."""
+    proof, concl = ForallElim(Ax("refl", (infer_sort(t),)), t), f_eq(t, t)
+    for name, sort in reversed(binders):
+        proof = ForallIntro(name, sort, proof)
+        concl = Forall(name, sort, concl)
+    pr, rth, rgoal = rel_proof(proof, PAW, Sequent(concl=concl))
+    assert rth.name == "pawr"
+    check_proof(pr, rth, rgoal)
+    return pr, rgoal
+
+
+def _evidence(pr, t):
+    """The proof that pr passes for the guard of the instance at t."""
+    while not (pr.__class__ is ImpElim and pr.fn.__class__ is ForallElim
+               and pr.fn.term == t):
+        pr = pr.body
+    return pr.arg
+
+
 def test_individual_evidence_for_a_variable():
-    pf, goal = rel_individual_proof(IVar("x", IOTA))
-    x = IVar("x", IOTA)
-    assert goal.concl == Forall("x", IOTA, Imp(f_rel(x), f_rel(x)))
-    check_proof(pf, THEORIES["pawr"], goal)
+    y = IVar("y", IOTA)
+    pr, goal = _relativize_refl(y, [("y", IOTA)])
+    assert goal.concl == Forall("y", IOTA, Imp(f_rel(y), f_eq(y, y)))
+    assert _evidence(pr, y) == Id("r_y")
 
 
 def test_individual_evidence_for_closed_terms():
-    pf, goal = rel_individual_proof(IApp(SUCC, ZERO))
-    assert goal.concl == f_rel(IApp(SUCC, ZERO))
-    check_proof(pf, THEORIES["pawr"], goal)
+    one = IApp(SUCC, ZERO)
+    pr, _ = _relativize_refl(one)
+    assert _evidence(pr, one) == ImpElim(ForallElim(Ax("rel-succ"), ZERO),
+                                         Ax("rel-0"))
 
-    from mupcf.logic import IConst, infer_sort
     k = IConst("k", (IOTA, arrow(IOTA, IOTA)))
-    pf, goal = rel_individual_proof(k)
     assert infer_sort(k) == arrow(IOTA, arrow(IOTA, IOTA), IOTA)
-    assert goal.concl == rel_pred(k, infer_sort(k))
-    check_proof(pf, THEORIES["pawr"], goal)
+    pr, _ = _relativize_refl(k)
+    assert _evidence(pr, k) == Ax("rel-k", k.sort_args)
 
 
 def test_individual_evidence_composes_over_application():
-    f = IVar("f", arrow(IOTA, IOTA))
-    pf, goal = rel_individual_proof(IApp(f, IVar("y", IOTA)))
-    check_proof(pf, THEORIES["pawr"], goal)
-    check_proof(pf, THEORIES["cawr"], goal)
+    f, y = IVar("f", arrow(IOTA, IOTA)), IVar("y", IOTA)
+    pr, goal = _relativize_refl(IApp(f, y), [("f", f.sort), ("y", IOTA)])
+    assert _evidence(pr, IApp(f, y)) == ImpElim(ForallElim(Id("r_f"), y),
+                                                Id("r_y"))
+    check_proof(pr, THEORIES["cawr"], goal)
 
 
 def test_individual_evidence_rejects_ill_sorted_terms():
+    proof = ForallElim(Ax("refl", (IOTA,)), IApp(ZERO, ZERO))
     with pytest.raises(UserError, match="non-function"):
-        rel_individual_proof(IApp(ZERO, ZERO))
+        rel_proof(proof, PAW, Sequent(concl=f_eq(ZERO, ZERO)))
