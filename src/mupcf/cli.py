@@ -5,7 +5,9 @@ Subcommands: check, relativize, interp, eval, cps, extract.  Exit codes:
 exhausted, 3 internal invariant breach.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
-argument parser on the first call and keeps nothing else between calls.
+argument parser on the first call. Between calls the library keeps only
+bounded memos of pure values: that parser, the sorts of constants, and
+each axiom instance and its realizer.
 """
 
 import argparse

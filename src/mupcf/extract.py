@@ -13,7 +13,7 @@ from .errors import FuelExhausted, InternalError, UserError
 from .interp import const_realizer, interp_proof, rel_type
 from .lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, Term, eval_nat,
-    free_vars, freshen, typecheck,
+    freshen, typecheck,
 )
 from .logic import (
     Atom, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id,
@@ -141,19 +141,16 @@ def extract_program(proof, theory, goal):
 
     The proof is checked once, by rel_proof on the stripped proof, where the
     input is the first subproof the checker walks; interp_proof then checks
-    the relativized proof. Both passes share one table of axiom instances,
-    so each distinct instance is built once."""
+    the relativized proof. M is closed, as it was checked in an empty
+    context, so the names d and w capture nothing."""
     g = pi02_goal(goal.concl)
     stripped, sgoal = prepare_goal(proof, goal)
-    instances = {}
-    rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal, instances)
-    m = interp_proof(rpf, rtheory, rgoal, instances)
-    d = freshen("d", free_vars(m))
-    w = freshen("w", {d})
-    e = Lam(d, rel_type(g.x_sort),
+    rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal)
+    m = interp_proof(rpf, rtheory, rgoal)
+    e = Lam("d", rel_type(g.x_sort),
             Mu(KAPPA, NAT,
-               LApp(LApp(m, LVar(d)),
-                    Lam(w, NAT, Named(KAPPA, LVar(w))))))
+               LApp(LApp(m, LVar("d")),
+                    Lam("w", NAT, Named(KAPPA, LVar("w"))))))
     want = TArr(rel_type(g.x_sort), NAT)
     got = typecheck(e)
     if got != want:

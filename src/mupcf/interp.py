@@ -3,11 +3,13 @@
 Formulas map to simple types: absurdity and inequalities to the empty type,
 the realizability atom to nat, implication to arrow, conjunction to product;
 quantifiers and individuals are erased. Proof rules map one-for-one onto the
-term formers, with context labels becoming mu labels. Axiom instances map to
-fixed realizer programs; the two axiom families that only exist to keep the
-unrelativized theories interpretable (numeric induction and choice before
-relativization) get well-typed but computationally empty realizers.
+term formers, with context labels becoming mu labels. Each axiom instance
+maps to a fixed realizer program; the two axiom families that only exist to
+keep the unrelativized theories interpretable (numeric induction and choice
+before relativization) get well-typed but computationally empty realizers.
 """
+
+from functools import lru_cache
 
 from .errors import InternalError
 from .lambdamu import (
@@ -97,8 +99,10 @@ def const_realizer(c):
 _REL_CONSTANTS = {ax: c for c, ax in REL_AXIOMS.items()}
 
 
-def axiom_realizer(theory, name, args, instances=None):
-    inst = theory.instance(name, args, {} if instances is None else instances)
+@lru_cache(maxsize=256)
+def axiom_realizer(theory, name, args):
+    # a bounded pure memo, like Theory.instantiate: terms are immutable
+    inst = theory.instantiate(name, args)
     if name in _REL_CONSTANTS:
         return const_realizer(IConst(_REL_CONSTANTS[name], args))
     match name:
@@ -122,16 +126,13 @@ def axiom_realizer(theory, name, args, instances=None):
     raise InternalError(f"no realizer for axiom {name}")
 
 
-def interp_proof(proof, theory, goal, instances=None):
+def interp_proof(proof, theory, goal):
     """Translate a checked proof into a term. Hypothesis names become free
     term variables at the types of their formulas, labels become free mu
-    labels; the output channel label stays reserved for extraction. The
-    check and the realizers share the table instances (Theory.instance)."""
-    instances = {} if instances is None else instances
+    labels; the output channel label stays reserved for extraction."""
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
-    check_proof(proof, theory, goal, instances)
-    realizers = {}  # (name, args) -> realizer term, for this call only
+    check_proof(proof, theory, goal)
 
     def go(p):
         cls = p.__class__
@@ -140,11 +141,7 @@ def interp_proof(proof, theory, goal, instances=None):
         if cls is ForallElim or cls is ForallIntro:
             return go(p.body)
         if cls is Ax:
-            key = (p.name, p.args)
-            if key not in realizers:
-                realizers[key] = axiom_realizer(theory, p.name, p.args,
-                                                instances)
-            return realizers[key]
+            return axiom_realizer(theory, p.name, p.args)
         if cls is ImpIntro:
             return Lam(p.hyp, interp_type(p.formula), go(p.body))
         if cls is Id:

@@ -285,23 +285,6 @@ def _typecheck(t, env, lenv):
 # ---------- names ----------
 
 
-def free_vars(t):
-    cls = t.__class__
-    if cls is LApp:
-        return free_vars(t.fn) | free_vars(t.arg)
-    if cls is LVar:
-        return {t.name}
-    if cls is Lam:
-        return free_vars(t.body) - {t.var}
-    if cls is Num or cls is Prim:
-        return set()
-    if cls is Pair:
-        return free_vars(t.left) | free_vars(t.right)
-    if cls is Proj or cls is Named or cls is Mu:
-        return free_vars(t.body)
-    raise InternalError(f"bad term {t!r}")
-
-
 def freshen(base, avoid):
     """Name-derived freshness: base, base1, base2, ... No global state, so
     equal inputs always reduce to byte-identical outputs."""

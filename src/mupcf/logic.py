@@ -649,15 +649,18 @@ REL_AXIOMS = {"0": "rel-0", "S": "rel-succ", "k": "rel-k", "s": "rel-s",
               "rec": "rel-rec"}
 
 
-@dataclass
+@dataclass(eq=False)  # hashes by identity, as the instance memo needs
 class Theory:
     name: str
     has_rel: bool
     schemes: dict = field(default_factory=dict)
 
+    @lru_cache(maxsize=256)
     def instantiate(self, ax_name, args):
         """Closed axiom instance. The count and kinds of the arguments are
-        checked here, the rest by the scheme."""
+        checked here, the rest by the scheme. A bounded pure memo, like
+        _const_sort: an instance depends on nothing but its theory, axiom
+        and arguments, and a rejected one raises again on every call."""
         fn = self.schemes.get(ax_name)
         if fn is None:
             raise UserError(f"theory {self.name} has no axiom {ax_name}")
@@ -668,14 +671,6 @@ class Theory:
             raise UserError(f"axiom {ax_name} takes {len(kinds)} argument(s)"
                             + (f": {what}" if what else ""))
         return fn(self, args)
-
-    def instance(self, ax_name, args, table):
-        """instantiate, through a table keyed by (theory name, axiom, args)."""
-        key = (self.name, ax_name, args)
-        f = table.get(key)
-        if f is None:
-            f = table[key] = self.instantiate(ax_name, args)
-        return f
 
 
 def _need(cond, msg):
@@ -870,12 +865,11 @@ def _merge(a, b):
     return out
 
 
-def check_proof(proof, theory, goal, instances=None):
+def check_proof(proof, theory, goal):
     """Check a proof against a goal sequent. Hypotheses may go unused
     (weakening is implicit); eigenvariable conditions are checked against the
-    hypotheses and labels a subproof actually uses. Returns the goal sequent.
-    instances is the table of axiom instances (Theory.instance) that one
-    extraction shares; a lone check makes its own."""
+    hypotheses and labels a subproof actually uses. Returns the goal
+    sequent."""
     gamma, delta = {}, {}  # name -> (formula, its free variables)
     for name, f in goal.hyps:
         if name in gamma:
@@ -887,8 +881,7 @@ def check_proof(proof, theory, goal, instances=None):
         delta[name] = f, _check_label_formula(f, theory.has_rel)
     wf_formula(goal.concl, theory.has_rel)
 
-    concl = _check_node(proof, theory, gamma, delta,
-                        {} if instances is None else instances)[0]
+    concl = _check_node(proof, theory, gamma, delta)[0]
     if not alpha_eq(concl, goal.concl):
         raise UserError(
             "proof concludes " + formula_sexp(concl)
@@ -896,7 +889,7 @@ def check_proof(proof, theory, goal, instances=None):
     return goal
 
 
-def _check_node(p, theory, gamma, delta, instances):
+def _check_node(p, theory, gamma, delta):
     """Conclusion of p, its free variables, and the hypotheses and labels p
     uses. The free variables come as a map name -> sort when the conclusion
     is known to be well formed, else None; the map may list extra names, at
@@ -906,8 +899,8 @@ def _check_node(p, theory, gamma, delta, instances):
     cls = p.__class__
     if cls is ImpElim:
         fn, arg = p.fn, p.arg
-        cf, fv, uh1, ul1 = _check_node(fn, theory, gamma, delta, instances)
-        ca, _, uh2, ul2 = _check_node(arg, theory, gamma, delta, instances)
+        cf, fv, uh1, ul1 = _check_node(fn, theory, gamma, delta)
+        ca, _, uh2, ul2 = _check_node(arg, theory, gamma, delta)
         if cf.__class__ is not Imp:
             raise UserError(
                 "implication elimination on " + formula_sexp(cf))
@@ -918,7 +911,7 @@ def _check_node(p, theory, gamma, delta, instances):
         return cf.right, fv, uh1 | uh2, ul1 | ul2
     if cls is ForallElim:
         t = p.term
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
         if c.__class__ is not Forall:
             raise UserError("quantifier elimination on " + formula_sexp(c))
         ts, tv = _ind_walk(t, {}, _raise)
@@ -936,14 +929,14 @@ def _check_node(p, theory, gamma, delta, instances):
             fv = _merge(fv, tv)
         return subst_formula(c.body, {x: t}), fv, uh, ul
     if cls is Ax:
-        return theory.instance(p.name, p.args, instances), {}, set(), set()
+        return theory.instantiate(p.name, p.args), {}, set(), set()
     if cls is ImpIntro:
         h, f = p.hyp, p.formula
         if h in gamma:
             raise UserError(f"hypothesis name {h} shadows an existing one")
         fh = wf_formula(f, theory.has_rel)
         c, fv, uh, ul = _check_node(p.body, theory, {**gamma, h: (f, fh)},
-                                    delta, instances)
+                                    delta)
         return Imp(f, c), _merge(fh, fv), uh - {h}, ul
     if cls is Id:
         h = p.hyp
@@ -953,30 +946,27 @@ def _check_node(p, theory, gamma, delta, instances):
         return f, fv, {h}, set()
     if cls is ForallIntro:
         x, sort = p.var, p.sort
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
-        for h in uh:
-            if x in gamma[h][1]:
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
+        for kind, ctx, used in (("hypothesis", gamma, uh),
+                                ("label", delta, ul)):
+            if any(x in ctx[n][1] for n in used):
+                # report the first in binding order, whatever the hash seed
+                n = next(n for n in ctx if n in used and x in ctx[n][1])
                 raise UserError(
-                    f"eigenvariable {x} is free in used hypothesis {h}")
-        for l in ul:
-            if x in delta[l][1]:
-                raise UserError(
-                    f"eigenvariable {x} is free in used label {l}")
+                    f"eigenvariable {x} is free in used {kind} {n}")
         f = Forall(x, sort, c)
         if fv is None or fv.get(x, sort) != sort:
             fv = wf_formula(f, theory.has_rel)
         return f, fv, uh, ul
     if cls is AndIntro:
-        cl, fl, uh1, ul1 = _check_node(p.left, theory, gamma, delta,
-                                       instances)
-        cr, fr, uh2, ul2 = _check_node(p.right, theory, gamma, delta,
-                                       instances)
+        cl, fl, uh1, ul1 = _check_node(p.left, theory, gamma, delta)
+        cr, fr, uh2, ul2 = _check_node(p.right, theory, gamma, delta)
         return And(cl, cr), _merge(fl, fr), uh1 | uh2, ul1 | ul2
     if cls is AndElim:
         i = p.index
         if i not in (1, 2):
             raise UserError("projection index must be 1 or 2")
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
         if c.__class__ is not And:
             raise UserError(
                 "conjunction elimination on " + formula_sexp(c))
@@ -985,7 +975,7 @@ def _check_node(p, theory, gamma, delta, instances):
         label = p.label
         if label not in delta:
             raise UserError(f"unknown label {label}")
-        c, _, uh, ul = _check_node(p.body, theory, gamma, delta, instances)
+        c, _, uh, ul = _check_node(p.body, theory, gamma, delta)
         want = delta[label][0]
         if not alpha_eq(c, want):
             raise UserError(
@@ -998,7 +988,7 @@ def _check_node(p, theory, gamma, delta, instances):
             raise UserError(f"bad label name {label}")
         fl = _check_label_formula(f, theory.has_rel)
         c, _, uh, ul = _check_node(p.body, theory, gamma,
-                                   {**delta, label: (f, fl)}, instances)
+                                   {**delta, label: (f, fl)})
         if c.__class__ is not Bot:
             raise UserError(
                 "activation requires a proof of absurdity, got "

@@ -44,14 +44,11 @@ def rel_formula(f):
 
 
 class _Relativizer:
-    def __init__(self, theory, proof, instances):
+    def __init__(self, theory, proof):
         self.theory = theory
         self.rtheory = relativized_counterpart(theory)
         self.avoid = collect_names(proof) | {KAPPA}
         self.dummies = {}  # var name -> (sort, hypothesis name)
-        # the table of axiom instances (Theory.instance); the replayed
-        # subproofs are not kept, as they draw fresh names
-        self.instances = instances
 
     def fresh(self, base):
         n = freshen(base, self.avoid)
@@ -108,12 +105,13 @@ class _Relativizer:
             "axiom replay failed at " + formula_sexp(goal))
 
     def wrap_axiom(self, name, args):
+        # not memoized like an axiom instance: a replay draws fresh names
         if name == "dc":
             return self._wrap_dc(args)
-        target = rel_formula(self.theory.instance(name, args, self.instances))
+        target = rel_formula(self.theory.instantiate(name, args))
         args_r = tuple(
             rel_formula(a) if isinstance(a, Formula) else a for a in args)
-        src = self.rtheory.instance(name, args_r, self.instances)
+        src = self.rtheory.instantiate(name, args_r)
         return self._derive_closure(target, src, Ax(name, args_r))
 
     def _wrap_dc(self, args):
@@ -127,8 +125,8 @@ class _Relativizer:
                         And(rel_pred(IVar(y.name, sigma), sigma), b_r))
         args_r = (a_guarded, x, y, z)
 
-        target = rel_formula(self.theory.instance("dc", args, self.instances))
-        cawr_inst = self.rtheory.instance("dc", args_r, self.instances)
+        target = rel_formula(self.theory.instantiate("dc", args))
+        cawr_inst = self.rtheory.instantiate("dc", args_r)
         params = _scheme_params(fv_formula(b), {x.name, y.name, z.name})
 
         # peel the parameter closures off both statements in lockstep
@@ -266,18 +264,16 @@ class _Relativizer:
         raise InternalError(f"bad proof node {p!r}")
 
 
-def rel_proof(proof, theory, goal, instances=None):
+def rel_proof(proof, theory, goal):
     """Translate a closed proof into the guarded theory. Returns the new
-    proof, the guarded theory, and the new goal sequent. The check and the
-    replayed axiom leaves share the table instances (Theory.instance)."""
+    proof, the guarded theory, and the new goal sequent."""
     if goal.hyps or goal.labels:
         raise UserError("relativization expects an empty context")
     if fv_formula(goal.concl):
         raise UserError("relativization expects a closed conclusion")
-    instances = {} if instances is None else instances
-    check_proof(proof, theory, goal, instances)
+    check_proof(proof, theory, goal)
 
-    r = _Relativizer(theory, proof, instances)
+    r = _Relativizer(theory, proof)
     body = r.go(proof, {})
     # variables that occur only inside instantiating terms never got bound
     # evidence; quantify them out and instantiate canonically

@@ -19,7 +19,7 @@ from mupcf.cps import GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TProd,
-    free_vars, freshen, lapp,
+    freshen, lapp,
 )
 from mupcf.logic import (
     And, AndElim, AndIntro, Ax, BOT, Bot, BotElim, BotIntro, Forall,
@@ -50,6 +50,19 @@ def _map(t, go):
         case Named(l, b):
             return Named(l, go(b))
     raise InternalError(f"bad term {t!r}")
+
+
+def free_vars(t):
+    if isinstance(t, LVar):
+        return {t.name}
+    out = set()
+
+    def add(s):
+        out.update(free_vars(s))
+        return s
+
+    _map(t, add)
+    return out - {t.var} if isinstance(t, Lam) else out
 
 
 def free_labels(t):
@@ -333,14 +346,12 @@ def check_node(p, theory, gamma, delta, instances):
     if cls is ForallIntro:
         x, sort = p.var, p.sort
         c, uh, ul = check_node(p.body, theory, gamma, delta, instances)
-        for h in uh:
-            if x in fv_formula(gamma[h]):
-                raise UserError(
-                    f"eigenvariable {x} is free in used hypothesis {h}")
-        for l in ul:
-            if x in fv_formula(delta[l]):
-                raise UserError(
-                    f"eigenvariable {x} is free in used label {l}")
+        for kind, ctx, used in (("hypothesis", gamma, uh),
+                                ("label", delta, ul)):
+            for n in ctx:  # binding order
+                if n in used and x in fv_formula(ctx[n]):
+                    raise UserError(
+                        f"eigenvariable {x} is free in used {kind} {n}")
         f = Forall(x, sort, c)
         wf_formula(f, theory.has_rel)
         return f, uh, ul

@@ -7,8 +7,14 @@ rule's subproofs left to right before the rule's own side conditions, except
 where a case below says otherwise; the two-fault cases fix that order.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mupcf
 from mupcf.errors import UserError
 from mupcf.format import parse_source
 from mupcf.lambdamu import (
@@ -132,6 +138,47 @@ CHECK_PRECEDENCE = {
                          ids=[*CHECK_CASES.keys(), *CHECK_PRECEDENCE.keys()])
 def test_checker_diagnostic(proof, message):
     assert _check_message(proof) == message
+
+
+# Several used hypotheses (then labels) hold the eigenvariable of the inner
+# forall-intro; the one bound first is reported.
+SEEDED_CASES = {
+    "hypothesis": (
+        "(forall-intro (x iota) (imp-intro (h1 (neq x 0))"
+        " (imp-intro (h2 (neq x (S 0))) (imp-intro (h3 (neq x (S (S 0))))"
+        " (forall-intro (x iota)"
+        " (and-intro (id h3) (and-intro (id h2) (id h1))))))))",
+        "eigenvariable x is free in used hypothesis h1"),
+    "label": (
+        "(forall-intro (x iota) (bot-elim (l1 (neq (S x) 0))"
+        " (bot-elim (l2 (neq (S (S x)) 0))"
+        " (bot-elim (l3 (neq (S (S (S x))) 0))"
+        " (forall-intro (x iota) (and-intro"
+        " (bot-intro l3 (forall-elim (ax s-neq-0) (S (S x)))) (and-intro"
+        " (bot-intro l2 (forall-elim (ax s-neq-0) (S x)))"
+        " (bot-intro l1 (forall-elim (ax s-neq-0) x)))))))))",
+        "eigenvariable x is free in used label l1"),
+}
+
+
+@pytest.mark.parametrize("kind", SEEDED_CASES)
+def test_eigenvariable_diagnostic_ignores_the_hash_seed(kind, tmp_path):
+    """The used names are sets; the report must not follow their order,
+    which changes with PYTHONHASHSEED."""
+    proof, message = SEEDED_CASES[kind]
+    path = tmp_path / "eigen.proof"
+    path.write_text(f"(proof p (goal bot) {proof})\n")
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    errs = set()
+    for seed in range(8):
+        done = subprocess.run(
+            [sys.executable, "-m", "mupcf.cli", "check", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True)
+        assert done.returncode == 1, done.stderr
+        errs.add(done.stderr)
+    assert len(errs) == 1, errs
+    assert message in errs.pop()
 
 
 def test_checker_label_polarity_before_body():

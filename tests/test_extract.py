@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +9,18 @@ from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
     pi02_goal, prepare_goal, run_extraction, verify_witness,
 )
-from mupcf.interp import rel_type
+from mupcf.format import parse_file
+from mupcf.interp import interp_proof, rel_type
 from mupcf.lambdamu import LApp, NAT, Num, TArr, eval_nat, typecheck
 from mupcf.logic import (
     Ax, BOT, BotElim, BotIntro, Forall, ForallElim, ForallIntro, IApp,
     IConst, IOTA, IVar, Id, ImpElim, ImpIntro, SUCC, Sequent, THEORIES, ZERO,
     arrow, check_proof, f_exists, f_eq, f_neq, f_not, iapp, infer_sort,
 )
+from mupcf.relativize import rel_proof
 
 import corpus_files
+import reference
 
 PAW = THEORIES["paw"]
 
@@ -138,14 +142,30 @@ def test_individual_embedding_takes_evidence_for_variables():
 
 # ------------------------------------------------------------- programs
 
+def _clear_memos():
+    logic.Theory.instantiate.cache_clear()
+    interp.axiom_realizer.cache_clear()
+
+
+def _on_build(monkeypatch, record):
+    """Call record(theory name, axiom, args) for each instance a scheme
+    builds, that is, on each miss of the memo of Theory.instantiate."""
+    for th in THEORIES.values():
+        for name, fn in th.schemes.items():
+            def build(theory, args, name=name, fn=fn):
+                record(theory.name, name, args)
+                return fn(theory, args)
+            monkeypatch.setitem(th.schemes, name, build)
+
+
 def test_extraction_checks_each_proof_once_per_role(monkeypatch):
     """The input proof is checked once (by rel_proof, on the stripped proof)
-    and the relativized proof once (by interp_proof), and the passes share
-    one table of axiom instances: each distinct instance is built once per
-    extraction."""
+    and the relativized proof once (by interp_proof). From empty memos,
+    each distinct instance is built once per extraction, and never by the
+    compilation itself."""
     entered = []  # passes in the order they start
     running = []  # the passes running, innermost last
-    built = []    # (pass, theory, axiom, args) per Theory.instantiate call
+    built = []    # (pass, theory, axiom, args) per instance built
 
     def tagged(tag, fn):
         def run(*args):
@@ -164,14 +184,9 @@ def test_extraction_checks_each_proof_once_per_role(monkeypatch):
                         tagged("relativize", extract.rel_proof))
     monkeypatch.setattr(extract, "interp_proof",
                         tagged("interp", extract.interp_proof))
-    instantiate = type(PAW).instantiate
-
-    def counted(theory, name, args):
-        built.append((running[-1], theory.name, name, args))
-        return instantiate(theory, name, args)
-
-    monkeypatch.setattr(type(PAW), "instantiate", counted)
+    _on_build(monkeypatch, lambda *b: built.append((running[-1], *b)))
     for name in PI02:
+        _clear_memos()
         entered.clear()
         built.clear()
         extract_program(*_entry(name))
@@ -179,15 +194,15 @@ def test_extraction_checks_each_proof_once_per_role(monkeypatch):
             "relativize", "check in mupcf.relativize",
             "interp", "check in mupcf.interp"], name
         assert max(Counter(b[1:] for b in built).values()) == 1, name
-        # the compilation finds every instance it types in the table
+        # the compilation finds every instance it types in the memo
         assert "interp" not in {p for p, *_ in built}, name
 
 
 def test_extraction_call_counts_stay_pinned(monkeypatch):
-    """Deterministic work of one add0-total extraction: every distinct axiom
-    instance is built once, and the checker neither re-walks nor
-    re-substitutes what it has already checked (before the checker carried
-    free variables and the passes shared one instance table: 58 instance
+    """Deterministic work of one add0-total extraction from empty memos:
+    every distinct axiom instance is built once, and the checker neither
+    re-walks nor re-substitutes what it has already checked (before the
+    checker carried free variables and instances were shared: 58 instance
     builds, 136 wf_formula and 190 subst_formula calls)."""
     calls = Counter()
     instances = set()
@@ -205,18 +220,61 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     subst = counted(logic, "subst_formula")
     for mod in (logic, relativize):
         monkeypatch.setattr(mod, "subst_formula", subst)
-    instantiate = type(PAW).instantiate
 
-    def build(theory, name, args):
-        instances.add((theory.name, name, args))
-        calls["instantiate"] += 1
-        return instantiate(theory, name, args)
+    def build(*key):
+        instances.add(key)
+        calls["build"] += 1
 
-    monkeypatch.setattr(type(PAW), "instantiate", build)
+    _on_build(monkeypatch, build)
+    _clear_memos()
     extract_program(*_entry("add0-total"))
-    assert calls["instantiate"] == len(instances) == 24
+    assert calls["build"] == len(instances) == 24
     assert calls["wf_formula"] <= 85, calls
     assert calls["subst_formula"] <= 105, calls
+
+
+def test_a_second_extraction_builds_nothing():
+    """Instances and realizers depend on their arguments alone, so a second
+    extraction of the same proof finds all of them in the memos."""
+    _clear_memos()
+    first = extract_program(*_entry("add0-total"))
+    memos = (logic.Theory.instantiate, interp.axiom_realizer)
+    before = [m.cache_info() for m in memos]
+    assert extract_program(*_entry("add0-total")) == first
+    for memo, was in zip(memos, before):
+        now = memo.cache_info()
+        assert now.misses == was.misses and now.hits > was.hits, memo
+
+
+def test_a_rejected_instantiation_raises_on_every_call():
+    """Errors are never memoized: the same bad arguments are rejected with
+    the same message each time."""
+    x = IVar("x", IOTA)
+    bad = [("leib", (f_neq(x, ZERO), x, x)), ("ind", (BOT,)),
+           ("dc", (BOT, x, x, x)), ("no-such-axiom", ())]
+    for name, args in bad:
+        messages = []
+        for _ in range(3):
+            with pytest.raises(UserError) as ex:
+                PAW.instantiate(name, args)
+            messages.append(str(ex.value))
+        assert len(set(messages)) == 1, (name, messages)
+
+
+@pytest.mark.parametrize("name", [*PI02, "dc-succ"])
+def test_the_compiled_core_is_closed(name):
+    """The relativized proof is checked in an empty context, so its
+    compilation has no free variable that the names d and w of the
+    extracted program could capture."""
+    if name == "dc-succ":
+        ws = parse_file(Path(__file__).resolve().parent / "dc-succ.proof")
+        (goal, proof), = ws.proofs.values()
+        theory = ws.theory
+    else:
+        proof, theory, goal = _entry(name)
+    stripped, sgoal = prepare_goal(proof, goal)
+    m = interp_proof(*rel_proof(stripped, theory, sgoal))
+    assert reference.free_vars(m) == set()
 
 
 @pytest.mark.parametrize("name", PI02)

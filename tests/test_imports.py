@@ -154,6 +154,74 @@ def test_the_scan_sees_an_unreachable_definition(tmp_path):
     assert _unreachable(src, bench) == ["util.planted"]
 
 
+# ---------- every memo is bounded ----------
+
+_MEMOS = ("cache", "lru_cache")
+
+
+def _is_memo(n):
+    """Whether n names functools.cache or functools.lru_cache."""
+    if isinstance(n, ast.Attribute):
+        return n.attr in _MEMOS and getattr(n.value, "id", None) == "functools"
+    return isinstance(n, ast.Name) and n.id in _MEMOS
+
+
+def _unbounded_memos(path):
+    """The names of the functions in path that a functools memo wraps with
+    neither an integer maxsize nor zero arguments (a function of none holds
+    one value); "<line N>" for a memo that wraps no def."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    wraps = {}  # id of a decorator -> the def it decorates
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in fn.decorator_list:
+                wraps[id(d)] = fn
+    out, seen = [], set()
+    for n in ast.walk(tree):  # breadth first: a call before its func
+        if id(n) in seen:
+            continue
+        if isinstance(n, ast.Call) and _is_memo(n.func):
+            seen.add(id(n.func))
+            size = n.args[0] if n.args else next(
+                (k.value for k in n.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                continue
+        elif not _is_memo(n):
+            continue
+        fn = wraps.get(id(n))
+        a = fn and fn.args
+        if fn is None or any((a.posonlyargs, a.args, a.vararg, a.kwonlyargs,
+                              a.kwarg)):
+            out.append(fn.name if fn else f"<line {n.lineno}>")
+    return sorted(out)
+
+
+def test_every_memo_is_bounded():
+    unbounded = [(p.stem, name)
+                 for p in sorted((ROOT / "src" / "mupcf").glob("*.py"))
+                 for name in _unbounded_memos(p)]
+    assert unbounded == []
+
+
+def test_the_memo_scan_sees_each_unbounded_memo(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@functools.cache\ndef parser():\n    return 1\n\n"
+        "@lru_cache(maxsize=8)\ndef sized(x):\n    return x\n\n"
+        "@lru_cache(16)\ndef sized_positionally(x):\n    return x\n\n"
+        "@cache\ndef forever(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef unbounded(x):\n"
+        "    return x\n\n"
+        "@lru_cache\ndef default_size(x):\n    return x\n\n"
+        "class C:\n    @lru_cache()\n    def method(self):\n"
+        "        return 0\n\n"
+        "wrapped = lru_cache(maxsize=None)(len)\n"
+        "fine = functools.lru_cache(maxsize=4)(len)\n")
+    assert _unbounded_memos(f) == [
+        "<line 33>", "default_size", "forever", "method", "unbounded"]
+
+
 # ---------- syntax classes derive from lambdamu.Node ----------
 
 SYNTAX_MODULES = ("lambdamu", "logic", "cps", "extract")
