@@ -27,8 +27,8 @@ from .lambdamu import (
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, BotElim, BotIntro,
     Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent, SUCC,
-    THEORIES, ZERO, formula_sexp, ind_sexp, sort_sexp,
+    ImpElim, ImpIntro, MAX_DEPTH, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent,
+    SUCC, THEORIES, ZERO, formula_sexp, ind_sexp, sort_sexp,
 )
 
 # ---------------------------------------------------------------- reader
@@ -172,10 +172,11 @@ def _arity(node, n):
 # arrows, long applications and numeral individuals make deeper than the
 # input nests.  The depth argument of a parse function is the depth of the
 # node it builds in that tree: a root has depth 0, a child is one deeper
-# than its parent.  Comparing or hashing two such trees recurses in C once
-# per level, which on a default 8 MB stack overflows past about 12 500
-# levels, before the interpreter's recursion limit is reached.
-MAX_DEPTH = 10500
+# than its parent.  Comparing or hashing two program types recurses in C
+# once per level, which on a default 8 MB stack overflows past about 12 500
+# levels, before the interpreter's recursion limit is reached.  The logic
+# syntax compares by identity, but its walks recurse once per level too, and
+# its constructors refuse trees deeper than the same bound (logic.MAX_DEPTH).
 
 
 def _check_depth(node, depth):

@@ -8,7 +8,8 @@ by substitution (tests/reference.py). Types and terms print in the surface
 syntax of FORMAT.md.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from weakref import ref
 
 from .errors import FuelExhausted, InternalError, UserError
 
@@ -16,19 +17,33 @@ from .errors import FuelExhausted, InternalError, UserError
 class Node:
     """Base of every syntax tree: a subclass declares its fields only.
 
-    Each subclass becomes a dataclass with a plain __init__ and
-    __match_args__, and gets the __eq__ and __hash__ a frozen dataclass would
-    generate: equal when the classes are the same and the field tuples are
-    equal, hashed as the field tuple. Nodes are immutable by convention:
-    no code assigns a field after __init__.
+    Each subclass becomes a dataclass with __match_args__ and a __dict__
+    that holds exactly its fields. Nodes are immutable by convention: no
+    code assigns a field after construction.
+
+    By default a node class gets the __init__, __eq__ and __hash__ a frozen
+    dataclass would generate: equal when the classes are the same and the
+    field tuples are equal, hashed as the field tuple.
+
+    A class declared with `interned=True`, and every class below it, is
+    hash-consed instead (Filliatre-Conchon): its constructor returns the one
+    live node of that class with equal fields, found in the class's `_table`
+    of weak references, so equality is identity and the hash is the
+    identity hash, and neither recurses. A new node's constructor calls its
+    `_facts()`, which stores what the node's children determine (in slots,
+    outside the fields) and may raise to refuse the node. The table holds
+    only live nodes: an entry goes when its node dies.
     """
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, interned=False, **kwargs):
         super().__init_subclass__(**kwargs)
         # else dataclass builds a __doc__ with inspect.signature, at import
         cls.__doc__ = cls.__doc__ or cls.__name__
         dataclass(cls, eq=False, repr=False)
         names = [f.name for f in fields(cls)]
+        if interned or hasattr(cls, "_table"):
+            _intern(cls, names)
+            return
         mine = "".join(f"self.{n}," for n in names)
         theirs = "".join(f"other.{n}," for n in names)
         ns = {}
@@ -44,6 +59,38 @@ class Node:
         args = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
                          for f in fields(self))
         return f"{self.__class__.__qualname__}({args})"
+
+
+def _intern(cls, names):
+    """Give cls its own table and a hash-consing constructor (see Node)."""
+    table = cls._table = {}  # field tuple -> weak reference to its node
+    ns = {"get": table.get, "table": table, "new": object.__new__, "ref": ref}
+    params = []
+    for f in fields(cls):
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            ns[f"_{f.name}"] = f.default
+            params.append(f"{f.name}=_{f.name}")
+    sets = "".join(f"    node.{n} = {n}\n" for n in names)
+    exec(compile(
+         f"def __new__(cls, {', '.join(params)}):\n"
+         f"    key = ({''.join(f'{n},' for n in names)})\n"
+         "    old = get(key)\n"
+         "    if old is not None:\n"
+         "        node = old()\n"
+         "        if node is not None:\n"
+         "            return node\n"
+         "    node = new(cls)\n"
+         f"{sets}"
+         "    node._facts()\n"
+         "    def gone(r, key=key):\n"
+         "        if get(key) is r:\n"
+         "            del table[key]\n"
+         "    table[key] = ref(node, gone)\n"
+         "    return node\n", f"<{cls.__qualname__}.__new__>", "exec"), ns)
+    cls.__new__ = staticmethod(ns["__new__"])
+    del cls.__init__  # object.__init__ then accepts the constructor's arguments
 
 
 # ---------- types ----------

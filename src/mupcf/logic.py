@@ -8,6 +8,10 @@ Connective inventory is deliberately small: bot, implication, conjunction,
 universal quantification, and two atom families (inequality at every sort,
 negative; a unary realizability predicate at the base sort, positive).
 Negation, disjunction, existentials and equality are derived and never stored.
+
+Sorts, individuals and formulas are interned (see lambdamu.Node): equal
+trees are one object, and each node carries facts computed once from its
+children's, which the walks below read instead of walking again.
 """
 
 from dataclasses import dataclass, field
@@ -16,20 +20,68 @@ from functools import lru_cache, partial
 from .errors import InternalError, UserError
 from .lambdamu import Node, freshen
 
+# Trees deeper than this are refused where they are built. The reader
+# reports the position (format); the constructors of individuals and
+# formulas refuse what the checker or the relativizer would build deeper,
+# such as an instance that substitutes a deep individual into a deep body.
+MAX_DEPTH = 10500
+
+
+def _above(depth, what):
+    """The depth of a new node whose deepest part has the given depth."""
+    depth += 1
+    if depth > MAX_DEPTH:
+        raise UserError(f"{what} would nest more than {MAX_DEPTH} levels deep")
+    return depth
+
+
+def _merge(a, b):
+    """Union of two free-variable maps; None if either is None or a name
+    has two sorts. May return a or b itself: maps are never mutated."""
+    if a is None or b is None:
+        return None
+    if a is b or not b:
+        return a
+    if not a:
+        return b
+    out = a
+    for n, s in b.items():
+        t = out.get(n)
+        if t is None:
+            if out is a:
+                out = dict(a)
+            out[n] = s
+        elif t is not s:
+            return None
+    return out
+
+
+_NO_VARS = {}  # the free variables of a closed node, shared
+
+
 # ---------- sorts ----------
 
 
-class Sort(Node):
-    pass
+class Sort(Node, interned=True):
+    """A sort carries _depth, the height of its tree (a leaf is 0)."""
+
+    __slots__ = ("_depth",)
 
 
 class BaseSort(Sort):
     name: str
 
+    def _facts(self):
+        self._depth = 0
+
 
 class SArrow(Sort):
     left: Sort
     right: Sort
+
+    def _facts(self):
+        d, e = self.left._depth, self.right._depth
+        self._depth = 1 + (d if d > e else e)
 
 
 IOTA = BaseSort("iota")
@@ -57,23 +109,57 @@ def sort_sexp(s):
 # ---------- individuals ----------
 
 
-class Individual(Node):
-    pass
+class Individual(Node, interned=True):
+    """An individual carries facts:
+    - _depth, the height of its tree as the reader counts it, at most
+      MAX_DEPTH (a constructor raises UserError past it);
+    - _fv, its free variables, name -> sort, in first-occurrence order; None
+      if a name has two sorts;
+    - _sort, its sort if _ind_walk finds no error in it, else None."""
+
+    __slots__ = ("_depth", "_fv", "_sort")
 
 
 class IVar(Individual):
     name: str
     sort: Sort
 
+    def _facts(self):
+        sort = self.sort
+        d = sort._depth
+        # as the reader counts: a variable at the base sort is a leaf
+        self._depth = _above(d, "an individual") if d else 0
+        self._fv = {self.name: sort}
+        self._sort = sort
+
 
 class IConst(Individual):
     name: str
     sort_args: tuple = ()
 
+    def _facts(self):
+        args = self.sort_args
+        self._depth = (_above(max([s._depth for s in args]), "an individual")
+                       if args else 0)
+        self._fv = _NO_VARS
+        try:
+            self._sort = const_sort(self)
+        except UserError:
+            self._sort = None
+
 
 class IApp(Individual):
     fn: Individual
     arg: Individual
+
+    def _facts(self):
+        fn, arg = self.fn, self.arg
+        d, e = fn._depth, arg._depth
+        self._depth = _above(d if d > e else e, "an individual")
+        self._fv = fv = _merge(fn._fv, arg._fv)
+        fs, s = fn._sort, arg._sort
+        self._sort = (fs.right if fv is not None and s is not None
+                      and fs.__class__ is SArrow and fs.left is s else None)
 
 
 def iapp(fn, *args):
@@ -81,10 +167,6 @@ def iapp(fn, *args):
     for a in args:
         out = IApp(out, a)
     return out
-
-
-ZERO = IConst("0")
-SUCC = IConst("S")
 
 
 _SUCC_SORT = SArrow(IOTA, IOTA)
@@ -123,19 +205,41 @@ def _const_sort(name, sort_args):
     return _FAMILY_SORTS[name](*sort_args)
 
 
+ZERO = IConst("0")
+SUCC = IConst("S")
+
+
 def _ind_walk(t, bound, fail):
     """Sort of t (None after an error) and its free variables, name -> sort,
     in first-occurrence order. Every error goes to fail(msg), except a
     variable used at two sorts, which raises at once. bound maps the names
-    bound around t to their binders' sorts."""
-    cls = t.__class__  # class dispatch: the checker's hottest walk
+    bound around t to their binders' sorts.
+
+    t answers from its facts unless they record an error or bound gives
+    one of its free variables another sort; only then is t walked."""
+    if isinstance(t, Individual):
+        sort, fv = t._sort, t._fv
+        if sort is not None:
+            for n, s in fv.items():
+                declared = bound.get(n)
+                if declared is not None and declared is not s:
+                    break
+            else:
+                return sort, fv
+    return _ind_full_walk(t, bound, fail)
+
+
+def _ind_full_walk(t, bound, fail):
+    """_ind_walk of t, which walks t's own node; its children may still
+    answer from their facts."""
+    cls = t.__class__
     if cls is IVar:
         name, sort = t.name, t.sort
         declared = bound.get(name)
         if declared is not None and declared != sort:
             fail(f"variable {name} used at {sort_sexp(sort)} but "
                  f"declared at {sort_sexp(declared)}")
-        return sort, {name: sort}
+        return sort, t._fv
     if cls is IConst:
         try:
             return const_sort(t), {}
@@ -152,7 +256,8 @@ def _ind_walk(t, bound, fail):
     ags, av = _ind_walk(arg, bound, fail)
     if not fv:
         fv = av
-    else:
+    elif av:
+        fv = dict(fv)  # the children's maps may be their facts
         for n, s in av.items():
             if fv.setdefault(n, s) != s:
                 raise UserError(f"variable {n} used at two sorts")
@@ -185,9 +290,13 @@ def ind_free_vars(t):
 
 
 def ind_subst(t, mapping):
-    """Simultaneous substitution of individuals for variable names."""
+    """Simultaneous substitution of individuals for variable names; t
+    itself when no name it maps is free in t."""
     cls = t.__class__
     if cls is IApp:
+        fv = t._fv
+        if fv is not None and mapping.keys().isdisjoint(fv):
+            return t
         fn, arg = t.fn, t.arg
         fn2, arg2 = ind_subst(fn, mapping), ind_subst(arg, mapping)
         if fn2 is fn and arg2 is arg:
@@ -231,33 +340,81 @@ def zero_ind(sort):
 # ---------- formulas ----------
 
 
-class Formula(Node):
-    pass
+class Formula(Node, interned=True):
+    """A formula carries facts:
+    - _depth, as for an individual;
+    - _fv, its free variables, as fv_formula gives them, if _formula_walk
+      finds no error in it where rel atoms are allowed, else None;
+    - _rel, whether it has a rel atom."""
+
+    __slots__ = ("_depth", "_fv", "_rel")
 
 
 class Bot(Formula):
-    pass
+    def _facts(self):
+        self._depth = 0
+        self._fv = _NO_VARS
+        self._rel = False
 
 
 class Atom(Formula):
     pred: str
     args: tuple
 
+    def _facts(self):
+        pred, args = self.pred, self.args
+        self._depth = (_above(max([t._depth for t in args]), "a formula")
+                       if args else 0)
+        fv, sorts = _NO_VARS, [t._sort for t in args]
+        for t in args:
+            fv = _merge(fv, t._fv)
+        arity = PREDICATES[pred][1] if pred in PREDICATES else None
+        if (None in sorts or len(args) != arity
+                or (pred == "neq" and sorts[0] is not sorts[1])
+                or (pred == "rel" and sorts[0] is not IOTA)):
+            fv = None
+        self._fv = fv
+        self._rel = pred == "rel"
+
+
+def _pair_facts(f):
+    a, b = f.left, f.right
+    d, e = a._depth, b._depth
+    f._depth = _above(d if d > e else e, "a formula")
+    f._fv = _merge(a._fv, b._fv)
+    f._rel = a._rel or b._rel
+
 
 class Imp(Formula):
     left: Formula
     right: Formula
+
+    _facts = _pair_facts
 
 
 class And(Formula):
     left: Formula
     right: Formula
 
+    _facts = _pair_facts
+
 
 class Forall(Formula):
     var: str
     sort: Sort
     body: Formula
+
+    def _facts(self):
+        x, sort, body = self.var, self.sort, self.body
+        d, e = sort._depth, body._depth
+        self._depth = _above(d if d > e else e, "a formula")
+        fv = body._fv
+        if fv is not None and x in fv:
+            # the walk reports an occurrence of x at another sort
+            fv = ({n: s for n, s in fv.items() if n != x}
+                  if fv[x] is sort else None)
+        self._fv = fv
+        self._rel = body._rel
 
 
 BOT = Bot()
@@ -328,6 +485,9 @@ def _subst(f, mapping, captured):
             return f
         return cls(a2, b2)
     if cls is Atom:
+        fv = f._fv
+        if fv is not None and mapping.keys().isdisjoint(fv):
+            return f  # an atom binds nothing, so nothing in it is renamed
         args = f.args
         new = [ind_subst(t, mapping) for t in args]
         for t, u in zip(new, args):
@@ -363,7 +523,7 @@ def _subst(f, mapping, captured):
 
 def alpha_eq(f, g):
     """Alpha equivalence of formulas (individuals compare structurally)."""
-    if f == g:
+    if f is g:  # equal formulas are one interned node
         return True
 
     def go(f, g, fb, gb, depth):
@@ -454,7 +614,12 @@ def wf_formula(f, has_rel):
     A variable used at two sorts anywhere in f is reported first; otherwise
     the first error met left to right is. So the walk raises a clash at
     once, keeps the other errors, and raises the first only once the walk
-    is done."""
+    is done. f is walked only when its facts record an error, or a rel atom
+    that has_rel forbids."""
+    if isinstance(f, Formula):
+        fv = f._fv
+        if fv is not None and (has_rel or not f._rel):
+            return fv
     out, errors = {}, []
     _formula_walk(f, {}, has_rel, out, errors.append)
     if errors:
@@ -466,6 +631,8 @@ def fv_formula(f):
     """Free variables, name -> sort, in first-occurrence order (dicts keep
     insertion order; scheme closures rely on this). Raises only on one name
     at two sorts."""
+    if isinstance(f, Formula) and f._fv is not None:
+        return f._fv
     out = {}
     _formula_walk(f, {}, True, out, _ignore)
     return out
@@ -849,20 +1016,6 @@ def _check_label_formula(f, has_rel):
         raise UserError(
             f"label formula must be negative, got positive: {formula_sexp(f)}")
     return fv
-
-
-def _merge(a, b):
-    """Union of two free-variable maps; None if either is None or a name
-    has two sorts."""
-    if a is None or b is None:
-        return None
-    if not a or not b:
-        return a or b
-    out = dict(a)
-    for n, s in b.items():
-        if out.setdefault(n, s) != s:
-            return None
-    return out
 
 
 def check_proof(proof, theory, goal):

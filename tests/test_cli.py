@@ -203,7 +203,7 @@ B = format.MAX_DEPTH
 _ALL_COMMANDS = ["check", "relativize", "interp", "cps", "extract", "eval"]
 
 
-def _main_in_subprocess(argvs):
+def _main_in_subprocess(argvs, hash_seed=None):
     """(exit code, stdout, stderr) of cli.main on each argv, all in one
     fresh interpreter, so that a crash fails the test instead of the run."""
     script = """
@@ -216,9 +216,11 @@ for argv in json.loads(sys.argv[1]):
     print(json.dumps([code, out.getvalue(), err.getvalue()]))
 """
     src = str(Path(mupcf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
     return [tuple(json.loads(line)) for line in done.stdout.splitlines()]
 
@@ -319,6 +321,51 @@ def test_numerals_count_their_levels(tmp_path, capsys):
             col = len(head) + len("(-> " + "bot " * j + "(neq ") + 1
             assert err == (f"error[user-error]: {path}:1:{col}: nests more "
                            f"than {B} levels deep\n")
+
+
+def test_a_conclusion_built_past_the_depth_bound_is_a_user_error(tmp_path):
+    """The reader's bound does not bound what the checker builds: each
+    forall-elim below substitutes a 9 000-deep individual into a 5 000-deep
+    atom, giving 14 000-deep conclusions. Comparing them crashed the
+    interpreter (SIGSEGV); now building them is refused."""
+    def s_chain(k, inner):
+        return "(S " * k + inner + ")" * k
+
+    a1 = f"(all (x iota) (-> (neq {s_chain(5000, 'x')} 0) bot))"
+    a2 = f"(all (x iota) (neq {s_chain(5000, 'x')} 0))"
+    d = s_chain(9000, "0")
+    path = tmp_path / "deep.proof"
+    path.write_text(
+        f"(proof p (goal (-> {a1} (-> {a2} bot))) "
+        f"(imp-intro (h1 {a1}) (imp-intro (h2 {a2}) "
+        f"(imp-elim (forall-elim (id h1) {d}) (forall-elim (id h2) {d})))))\n")
+    argvs = [[cmd, str(path), "--format", fmt]
+             for cmd in ("check", "relativize")
+             for fmt in ("text", "structured")]
+    for argv, result in zip(argvs, _main_in_subprocess(argvs), strict=True):
+        _expect_user_error(argv[-1], *result,
+                           f"an individual would nest more than {B} levels "
+                           f"deep")
+
+
+# ----------------------------------------------------------- determinism
+
+def test_output_ignores_the_hash_seed_and_node_addresses():
+    """Interned nodes hash by identity, so a set or dict keyed by nodes
+    iterates in an order that depends on memory addresses, and one keyed by
+    names in an order that depends on PYTHONHASHSEED. Neither may reach the
+    output: two interpreters with different seeds print the same bytes."""
+    files = [str(CORPUS / "add0-total.proof"),
+             str(Path(__file__).resolve().parent / "dc-succ.proof")]
+    argvs = [[cmd, path, *extra, "--format", fmt]
+             for path in files
+             for cmd, extra in (("relativize", []), ("interp", []),
+                                ("extract", ["--inputs", "0..3"]))
+             for fmt in ("text", "structured")]
+    first, second = (_main_in_subprocess(argvs, seed) for seed in (1, 2))
+    for argv, a, b in zip(argvs, first, second, strict=True):
+        assert a[0] == 0 and a[2] == "", (argv, a)
+        assert a == b, argv
 
 
 # ------------------------------------------------------------ soundness

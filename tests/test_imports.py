@@ -156,6 +156,9 @@ def test_the_scan_sees_an_unreachable_definition(tmp_path):
 
 # ---------- every memo is bounded ----------
 
+# The intern tables of lambdamu.Node (one per interned class of logic) are
+# no memo: they hold weak references, so an entry goes when its node dies.
+# test_node.test_intern_tables_hold_only_live_nodes checks that.
 _MEMOS = ("cache", "lru_cache")
 
 
