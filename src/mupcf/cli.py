@@ -276,6 +276,23 @@ def _wants_structured(argv):
 
 
 def main(argv=None):
+    try:
+        try:
+            return _main(argv)
+        finally:
+            sys.stdout.flush()  # a reader gone early shows here, not at exit
+    except BrokenPipeError:
+        # nothing more can reach the reader: send what is left to devnull,
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error[user-error]: standard output closed before the output "
+              "was written", file=sys.stderr)
+        return 1
+
+
+def _main(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)

@@ -473,6 +473,17 @@ def subst_formula(f, mapping):
     return _subst(f, mapping, [None])
 
 
+@lru_cache(maxsize=256)
+def subst_var(f, x, t):
+    """f with the individual t for the free variable named x, as
+    subst_formula(f, {x: t}) gives it: every instance of a quantifier, and
+    every other one-variable substitution, is built here. A bounded pure
+    memo, like Theory.instantiate: f and t are interned, so the key hashes by
+    identity and a lookup walks no tree, and an instance refused past
+    MAX_DEPTH raises again on every call."""
+    return subst_formula(f, {x: t})
+
+
 def _subst(f, mapping, captured):
     """captured is a one-element list: the free names of mapping's
     individuals, or None until a binder first needs them."""
@@ -510,7 +521,7 @@ def _subst(f, mapping, captured):
         if x in names:
             avoid = names | fv_formula(body).keys() | set(mapping)
             x2 = freshen(x, avoid)
-            body = subst_formula(body, {x: IVar(x2, sort)})
+            body = subst_var(body, x, IVar(x2, sort))
             return Forall(x2, sort, _subst(body, mapping, captured))
         body2 = _subst(body, mapping, captured)
         if body2 is body:
@@ -869,7 +880,7 @@ def _ax_leib(th, args):
     _need(y.name not in fv and y.name != x.name, "leib replacement variable must be fresh")
     _need(fv.get(x.name, x.sort) == x.sort, "leib variable sort mismatch")
     params = _scheme_params(fv, {x.name})
-    body = f_imps(f_not(a), subst_formula(a, {x.name: y}), f_neq(x, y))
+    body = f_imps(f_not(a), subst_var(a, x.name, y), f_neq(x, y))
     return closure(params + [(x.name, x.sort), (y.name, y.sort)], body)
 
 
@@ -883,8 +894,8 @@ def _ax_ind(th, args):
     _need(x.sort == IOTA, "induction variable must be base-sorted")
     fv = wf_formula(a, th.has_rel)
     _need(fv.get(x.name, IOTA) == IOTA, "induction variable sort mismatch")
-    base = subst_formula(a, {x.name: ZERO})
-    step = Imp(a, subst_formula(a, {x.name: IApp(SUCC, x)}))
+    base = subst_var(a, x.name, ZERO)
+    step = Imp(a, subst_var(a, x.name, IApp(SUCC, x)))
     return closure(_scheme_params(fv, {x.name}),
                    f_imps(base, Forall(x.name, IOTA, _guard(th, x, step)),
                           Forall(x.name, IOTA, _guard(th, x, a))))
@@ -1080,7 +1091,7 @@ def _check_node(p, theory, gamma, delta):
             if x in fv:
                 fv = {n: s for n, s in fv.items() if n != x}
             fv = _merge(fv, tv)
-        return subst_formula(c.body, {x: t}), fv, uh, ul
+        return subst_var(c.body, x, t), fv, uh, ul
     if cls is Ax:
         return theory.instantiate(p.name, p.args), {}, set(), set()
     if cls is ImpIntro:

@@ -18,7 +18,7 @@ from .logic import (
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
     ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, _scheme_params,
     alpha_eq, check_proof, collect_names, f_rel, formula_sexp, fv_formula,
-    rel_pred, relativized_counterpart, subst_formula, zero_ind,
+    rel_pred, relativized_counterpart, subst_var, zero_ind,
 )
 
 
@@ -96,7 +96,7 @@ class _Relativizer:
                 xv = IVar(x, sort)
                 src_body = src_formula.body
                 if src_formula.var != x:  # x for x changes no well-formed body
-                    src_body = subst_formula(src_body, {src_formula.var: xv})
+                    src_body = subst_var(src_body, src_formula.var, xv)
                 inner = self._derive_closure(
                     rest, src_body, ForallElim(src_proof, xv))
                 return ForallIntro(x, sort, ImpIntro(self.fresh(f"r_{x}"),

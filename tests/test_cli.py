@@ -419,6 +419,26 @@ def test_help_still_exits_zero(capsys):
         assert out.startswith("usage: mupcf")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_gone_early_is_a_user_error(fmt, unbuffered):
+    """Output to a pipe whose reader has closed it (as in `mupcf cps f |
+    head -c 10`) ends with exit 1 and one error line, never a traceback,
+    whether print raises or only the final flush would."""
+    src = str(Path(mupcf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mupcf.cli", "cps",
+         str(CORPUS / "add0-total.proof"), "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # before the child can have written anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert err == ("error[user-error]: standard output closed before the "
+                   "output was written\n")
+
+
 def _main_or_exit(argv):
     try:
         return cli.main(argv)
@@ -735,6 +755,24 @@ def test_extract_add0_at_default_fuel(capsys, monkeypatch):
         ["extract", str(CORPUS / "add0-total.proof"), "--inputs", "60..60"])
     assert code == 0
     assert "input=60 witness=60 verdict=pass" in out
+
+
+@pytest.mark.parametrize("path,n", [
+    (CORPUS / "add0-total.proof", 800),
+    (Path(__file__).resolve().parent / "dc-succ.proof", 80),
+])
+def test_extract_past_the_default_fuel_times_out(capsys, monkeypatch, path,
+                                                 n):
+    """A known defect pinned as a contract: at the default fuel these
+    witnesses time out, with exit 2 and one row, not a crash. ROADMAP item 4
+    (a faster evaluator) is to turn these rows into pass."""
+    monkeypatch.delenv("MUPCF_FUEL", raising=False)
+    code, payload = _run_json(
+        capsys, ["extract", str(path), "--inputs", f"{n}..{n}"])
+    assert code == 2
+    assert payload["rows"] == [{"input": n, "witness": None,
+                                "verdict": "fail-with-timeout",
+                                "steps": 1000000}]
 
 
 def test_extract_checks_large_witnesses(capsys):

@@ -1,8 +1,12 @@
+import gc
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import mupcf
 from mupcf import extract, interp, logic, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
@@ -21,6 +25,7 @@ from mupcf.relativize import rel_proof
 
 import corpus_files
 import reference
+from test_imports import ROOT, _memos as _declared_memos
 
 PAW = THEORIES["paw"]
 
@@ -142,9 +147,37 @@ def test_individual_embedding_takes_evidence_for_variables():
 
 # ------------------------------------------------------------- programs
 
+def _memos():
+    """Every functools memo of mupcf, found at run time: the module and
+    class attributes that have a cache_clear, each under the module that
+    defines it, as "module.qualname"."""
+    out = {}
+    for info in pkgutil.iter_modules(mupcf.__path__):
+        mod = importlib.import_module(f"mupcf.{info.name}")
+        for v in vars(mod).values():
+            for a in (v, *(vars(v).values() if isinstance(v, type) else ())):
+                if hasattr(a, "cache_clear") and a.__module__ == mod.__name__:
+                    out[f"{info.name}.{a.__qualname__}"] = a
+    return out
+
+
 def _clear_memos():
-    logic.Theory.instantiate.cache_clear()
-    interp.axiom_realizer.cache_clear()
+    for memo in _memos().values():
+        memo.cache_clear()
+
+
+def test_clear_memos_finds_the_memos_the_source_declares():
+    """_clear_memos finds the memos at run time, the memo scan of
+    test_imports reads them from the source: a memo that one of them
+    missed would leave the counts "from empty memos" below stale."""
+    found = sorted(f"{key.split('.')[0]}.{memo.__name__}"
+                   for key, memo in _memos().items())
+    declared = sorted(f"{p.stem}.{name}"
+                      for p in sorted((ROOT / "src" / "mupcf").glob("*.py"))
+                      for name, _ in _declared_memos(p))
+    assert found == declared
+    assert {"logic.Theory.instantiate", "logic.subst_var",
+            "interp.axiom_realizer"} <= set(_memos())
 
 
 def _on_build(monkeypatch, record):
@@ -206,25 +239,30 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     builds, 136 wf_formula and 190 subst_formula calls). Formulas and
     individuals carry their free variables and well-formedness, so on this
     well-formed proof no walk falls back to visiting their nodes (before
-    interning, 1 565 individual and 291 formula node visits)."""
+    interning, 1 565 individual and 291 formula node visits). Each
+    one-variable substitution is built once, by the memo subst_var, although
+    the relativized proof instantiates a quantifier with the same individual
+    at every occurrence of it (before that memo: 105 subst_formula calls,
+    873 _subst visits and 835 new interned nodes, counted as _facts calls).
+    A second extraction substitutes nothing."""
+    entry = _entry("add0-total")  # read before counting
     calls = Counter()
     instances = set()
 
-    def counted(mod, name):
-        fn = getattr(mod, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def run(*args):
             calls[name] += 1
             return fn(*args)
         return run
 
-    wf = counted(logic, "wf_formula")
-    monkeypatch.setattr(logic, "wf_formula", wf)
-    for walk in ("_ind_full_walk", "_formula_walk"):
-        monkeypatch.setattr(logic, walk, counted(logic, walk))
-    subst = counted(logic, "subst_formula")
-    for mod in (logic, relativize):
-        monkeypatch.setattr(mod, "subst_formula", subst)
+    for name in ("wf_formula", "_ind_full_walk", "_formula_walk",
+                 "subst_formula", "_subst"):
+        monkeypatch.setattr(logic, name, counted(logic, name))
+    for cls in vars(logic).values():
+        if isinstance(cls, type) and "_facts" in vars(cls):
+            monkeypatch.setattr(cls, "_facts", counted(cls, "_facts"))
 
     def build(*key):
         instances.add(key)
@@ -232,24 +270,36 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
 
     _on_build(monkeypatch, build)
     _clear_memos()
-    extract_program(*_entry("add0-total"))
+    gc.collect()
+    extract_program(*entry)
     assert calls["build"] == len(instances) == 24
     assert calls["wf_formula"] <= 85, calls
-    assert calls["subst_formula"] <= 105, calls
+    assert calls["subst_formula"] <= 59, calls
+    assert calls["_subst"] <= 514, calls
+    assert calls["_facts"] <= 448, calls
     assert calls["_ind_full_walk"] == calls["_formula_walk"] == 0, calls
+    calls.clear()
+    extract_program(*entry)
+    assert calls["build"] == calls["subst_formula"] == calls["_subst"] == 0
 
 
 def test_a_second_extraction_builds_nothing():
-    """Instances and realizers depend on their arguments alone, so a second
-    extraction of the same proof finds all of them in the memos."""
+    """Sorts, instances, quantifier instances and realizers depend on their
+    arguments alone, so a second extraction of the same proof finds all of
+    them in the memos: no memo misses, and the checker's and the
+    compiler's memos hit. (Constant sorts are asked for only when a constant
+    is built anew, so whether that memo hits depends on what is alive.)"""
     _clear_memos()
     first = extract_program(*_entry("add0-total"))
-    memos = (logic.Theory.instantiate, interp.axiom_realizer)
-    before = [m.cache_info() for m in memos]
+    memos = _memos()
+    before = {key: m.cache_info() for key, m in memos.items()}
     assert extract_program(*_entry("add0-total")) == first
-    for memo, was in zip(memos, before):
-        now = memo.cache_info()
-        assert now.misses == was.misses and now.hits > was.hits, memo
+    for key, memo in memos.items():
+        now, was = memo.cache_info(), before[key]
+        assert now.misses == was.misses, key
+    for key in ("logic.Theory.instantiate", "logic.subst_var",
+                "interp.axiom_realizer"):
+        assert memos[key].cache_info().hits > before[key].hits, key
 
 
 def test_a_rejected_instantiation_raises_on_every_call():
@@ -265,6 +315,22 @@ def test_a_rejected_instantiation_raises_on_every_call():
                 PAW.instantiate(name, args)
             messages.append(str(ex.value))
         assert len(set(messages)) == 1, (name, messages)
+
+
+def test_a_substitution_past_the_depth_bound_raises_on_every_call():
+    """An instance that would nest past MAX_DEPTH is refused each time it
+    is asked for, with the same message, and leaves nothing in the memo."""
+    t = ZERO
+    for _ in range(logic.MAX_DEPTH):
+        t = IApp(SUCC, t)
+    body = f_neq(IVar("x", IOTA), ZERO)
+    size = logic.subst_var.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(UserError) as ex:
+            logic.subst_var(body, "x", t)
+        assert str(ex.value) == ("a formula would nest more than "
+                                 f"{logic.MAX_DEPTH} levels deep")
+    assert logic.subst_var.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("name", [*PI02, "dc-succ"])

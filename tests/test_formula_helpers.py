@@ -27,7 +27,7 @@ from mupcf.logic import (
     IOTA, IVar, Id, Imp, ImpIntro, PREDICATES, SArrow, SCHEME_KINDS, SUCC,
     Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_neq, f_rel,
     fv_formula, ind_free_vars, ind_sexp, ind_subst, infer_sort, polarity,
-    rel_pred, sort_sexp, subst_formula, wf_formula,
+    rel_pred, sort_sexp, subst_formula, subst_var, wf_formula,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -440,6 +440,34 @@ def test_subst_formula_agrees_with_per_binder_reference():
         else:
             renamed += 1
     assert unchanged >= 500 and renamed >= 50, (unchanged, renamed)
+
+
+def _foralls(f):
+    cls = f.__class__
+    if cls is Imp or cls is And:
+        return _foralls(f.left) + _foralls(f.right)
+    if cls is Forall:
+        return [f] + _foralls(f.body)
+    return []
+
+
+def test_subst_var_is_subst_formula_at_one_name():
+    """The memo returns the very formula subst_formula builds, or raises
+    what it raises: for each generated one-name mapping, and at each
+    quantifier of the formula, instantiated with each mapped individual."""
+    instances = 0
+    for seed in range(1500):
+        f, _, rng, frees = _case(seed)
+        for x, t in _mapping(rng, frees).items():
+            for g, y in [(f, x)] + [(c.body, c.var) for c in _foralls(f)]:
+                want = _outcome(subst_formula, g, {y: t})
+                got = _outcome(subst_var, g, y, t)
+                if want[0] == "ok":
+                    instances += 1
+                    assert got[1] is want[1], (seed, g, y, t)
+                else:
+                    assert got == want, (seed, g, y, t)
+    assert instances >= 3000, instances
 
 
 def test_subst_formula_returns_unchanged_subformulas_as_they_are():

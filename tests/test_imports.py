@@ -169,10 +169,11 @@ def _is_memo(n):
     return isinstance(n, ast.Name) and n.id in _MEMOS
 
 
-def _unbounded_memos(path):
-    """The names of the functions in path that a functools memo wraps with
-    neither an integer maxsize nor zero arguments (a function of none holds
-    one value); "<line N>" for a memo that wraps no def."""
+def _memos(path):
+    """(name, bounded) for each functools memo in path: the name of the
+    function it wraps, or "<line N>" for a memo that wraps no def; bounded
+    when it has an integer maxsize or its function takes no arguments (a
+    function of none holds one value)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     wraps = {}  # id of a decorator -> the def it decorates
     for fn in ast.walk(tree):
@@ -187,16 +188,24 @@ def _unbounded_memos(path):
             seen.add(id(n.func))
             size = n.args[0] if n.args else next(
                 (k.value for k in n.keywords if k.arg == "maxsize"), None)
-            if isinstance(size, ast.Constant) and type(size.value) is int:
-                continue
-        elif not _is_memo(n):
+            sized = (isinstance(size, ast.Constant)
+                     and type(size.value) is int)
+        elif _is_memo(n):
+            sized = False
+        else:
             continue
         fn = wraps.get(id(n))
         a = fn and fn.args
-        if fn is None or any((a.posonlyargs, a.args, a.vararg, a.kwonlyargs,
-                              a.kwarg)):
-            out.append(fn.name if fn else f"<line {n.lineno}>")
+        out.append((fn.name if fn else f"<line {n.lineno}>",
+                    sized or fn is not None and not any((
+                        a.posonlyargs, a.args, a.vararg, a.kwonlyargs,
+                        a.kwarg))))
     return sorted(out)
+
+
+def _unbounded_memos(path):
+    """The names _memos gives the unbounded memos in path."""
+    return [name for name, bounded in _memos(path) if not bounded]
 
 
 def test_every_memo_is_bounded():
@@ -223,6 +232,8 @@ def test_the_memo_scan_sees_each_unbounded_memo(tmp_path):
         "fine = functools.lru_cache(maxsize=4)(len)\n")
     assert _unbounded_memos(f) == [
         "<line 33>", "default_size", "forever", "method", "unbounded"]
+    assert [name for name, bounded in _memos(f) if bounded] == [
+        "<line 34>", "parser", "sized", "sized_positionally"]
 
 
 # ---------- syntax classes derive from lambdamu.Node ----------
