@@ -184,16 +184,6 @@ def _check_depth(node, depth):
         _err(node, f"nests more than {MAX_DEPTH} levels deep")
 
 
-def _sort_depth(sort):
-    """Depth of a sort's tree; recurses only into argument sorts."""
-    depth = spine = 0
-    while sort.__class__ is SArrow:
-        spine += 1
-        depth = max(depth, spine + _sort_depth(sort.left))
-        sort = sort.right
-    return max(depth, spine)
-
-
 # ----------------------------------------------------------------- sorts
 
 
@@ -246,7 +236,7 @@ def parse_individual(node, scope, depth=0):
             _err(node, f"unknown identifier {node}")
         sort = scope[node]
         if sort is not IOTA:
-            _check_depth(node, depth + 1 + _sort_depth(sort))
+            _check_depth(node, depth + 1 + sort._depth)
         return IVar(node, sort)
     if not node:
         _err(node, "expected an individual")

@@ -289,21 +289,21 @@ def ind_free_vars(t):
     return _ind_walk(t, {}, _ignore)[1]
 
 
-def ind_subst(t, mapping):
-    """Simultaneous substitution of individuals for variable names; t
-    itself when no name it maps is free in t."""
+def ind_subst(t, x, u):
+    """t with the individual u for the variable named x; t itself when x is
+    not free in t."""
     cls = t.__class__
     if cls is IApp:
         fv = t._fv
-        if fv is not None and mapping.keys().isdisjoint(fv):
+        if fv is not None and x not in fv:
             return t
         fn, arg = t.fn, t.arg
-        fn2, arg2 = ind_subst(fn, mapping), ind_subst(arg, mapping)
+        fn2, arg2 = ind_subst(fn, x, u), ind_subst(arg, x, u)
         if fn2 is fn and arg2 is arg:
             return t
         return IApp(fn2, arg2)
     if cls is IVar:
-        return mapping.get(t.name, t)
+        return u if t.name == x else t
     if cls is IConst:
         return t
     raise InternalError(f"bad individual {t!r}")
@@ -458,75 +458,49 @@ def closure(params, body):
     return out
 
 
-def subst_formula(f, mapping):
-    """Capture-avoiding simultaneous substitution of individuals for free
-    variable names.
-
-    The free names of the substituted individuals are collected once per
-    call, at the first binder, and again only below a binder that drops a
-    mapped name. A binder whose variable is among them is renamed, whether or
-    not a mapped name occurs in its body. Subformulas the substitution leaves
-    unchanged are returned as they are, so f itself comes back when nothing
-    changes."""
-    if not mapping:
-        return f
-    return _subst(f, mapping, [None])
-
-
 @lru_cache(maxsize=256)
 def subst_var(f, x, t):
-    """f with the individual t for the free variable named x, as
-    subst_formula(f, {x: t}) gives it: every instance of a quantifier, and
-    every other one-variable substitution, is built here. A bounded pure
-    memo, like Theory.instantiate: f and t are interned, so the key hashes by
-    identity and a lookup walks no tree, and an instance refused past
-    MAX_DEPTH raises again on every call."""
-    return subst_formula(f, {x: t})
+    """f with the individual t for the free variable named x: the one
+    substitution of formulas. A binder whose variable is free in t is
+    renamed, whether or not x occurs in its body; unchanged subformulas come
+    back as they are, so f itself does when nothing changes. A bounded pure
+    memo, like Theory.instantiate: f and t are interned, so the key hashes
+    by identity, and an instance refused past MAX_DEPTH raises again on
+    every call."""
+    return _subst(f, x, t)
 
 
-def _subst(f, mapping, captured):
-    """captured is a one-element list: the free names of mapping's
-    individuals, or None until a binder first needs them."""
+def _subst(f, x, t):
     cls = f.__class__
     if cls is Imp or cls is And:
         a, b = f.left, f.right
-        a2 = _subst(a, mapping, captured)
-        b2 = _subst(b, mapping, captured)
+        a2, b2 = _subst(a, x, t), _subst(b, x, t)
         if a2 is a and b2 is b:
             return f
         return cls(a2, b2)
     if cls is Atom:
         fv = f._fv
-        if fv is not None and mapping.keys().isdisjoint(fv):
+        if fv is not None and x not in fv:
             return f  # an atom binds nothing, so nothing in it is renamed
         args = f.args
-        new = [ind_subst(t, mapping) for t in args]
-        for t, u in zip(new, args):
-            if t is not u:
+        new = [ind_subst(u, x, t) for u in args]
+        for u, v in zip(new, args):
+            if u is not v:
                 return Atom(f.pred, tuple(new))
         return f
     if cls is Forall:
-        x, sort, body = f.var, f.sort, f.body
-        if x in mapping:
-            mapping = {n: t for n, t in mapping.items() if n != x}
-            if not mapping:
-                return f
-            captured = [None]
-        if captured[0] is None:
-            names = set()
-            for t in mapping.values():
-                names |= ind_free_vars(t).keys()
-            captured[0] = names
-        names = captured[0]
-        if x in names:
-            avoid = names | fv_formula(body).keys() | set(mapping)
-            x2 = freshen(x, avoid)
-            body = subst_var(body, x, IVar(x2, sort))
-            return Forall(x2, sort, _subst(body, mapping, captured))
-        body2 = _subst(body, mapping, captured)
+        y, sort, body = f.var, f.sort, f.body
+        if y == x:
+            return f
+        names = ind_free_vars(t)
+        if y in names:
+            y2 = freshen(y, names.keys() | fv_formula(body).keys() | {x})
+            body = subst_var(body, y, IVar(y2, sort))
+            return Forall(y2, sort, _subst(body, x, t))
+        body2 = _subst(body, x, t)
         if body2 is body:
             return f
-        return Forall(x, sort, body2)
+        return Forall(y, sort, body2)
     if cls is Bot:
         return f
     raise InternalError(f"bad formula {f!r}")
@@ -961,7 +935,8 @@ def _ax_dc_plain(th, args):
     # forall x forall y exists z B
     p1 = Forall(x.name, IOTA, Forall(y.name, sigma,
                                      f_exists(z.name, sigma, b)))
-    step = subst_formula(b, {y.name: IApp(w, x), z.name: IApp(w, IApp(SUCC, x))})
+    step = subst_var(subst_var(b, y.name, IApp(w, x)),
+                     z.name, IApp(w, IApp(SUCC, x)))
     concl = f_not(Forall(w.name, w.sort, f_not(Forall(x.name, IOTA, step))))
     return closure(params, Imp(p1, concl))
 
@@ -974,7 +949,7 @@ def _ax_dc_rel(th, args):
           "is the realizability predicate of the third variable")
     w = IVar(freshen("w", avoid), arrow(IOTA, sigma))
     xp = IVar(freshen("x'", avoid | {w.name}), IOTA)
-    diag = subst_formula(a, {x.name: xp, z.name: y})
+    diag = subst_var(subst_var(a, z.name, y), x.name, xp)
     arg1 = Forall(
         x.name, IOTA,
         Imp(f_rel(x),
@@ -982,7 +957,8 @@ def _ax_dc_rel(th, args):
                    Imp(rel_pred(y, sigma),
                        Imp(Forall(z.name, sigma, f_not(a)),
                            Forall(xp.name, IOTA, diag))))))
-    step = subst_formula(a, {y.name: IApp(w, x), z.name: IApp(w, IApp(SUCC, x))})
+    step = subst_var(subst_var(a, y.name, IApp(w, x)),
+                     z.name, IApp(w, IApp(SUCC, x)))
     arg2 = Forall(w.name, w.sort,
                   f_not(Forall(x.name, IOTA, Imp(f_rel(x), step))))
     return closure(params, f_imps(arg1, arg2, BOT))
@@ -1022,11 +998,10 @@ def relativized_counterpart(theory):
 
 
 def _check_label_formula(f, has_rel):
-    fv = wf_formula(f, has_rel)
+    wf_formula(f, has_rel)
     if polarity(f) == "positive":
         raise UserError(
             f"label formula must be negative, got positive: {formula_sexp(f)}")
-    return fv
 
 
 def check_proof(proof, theory, goal):
@@ -1034,15 +1009,17 @@ def check_proof(proof, theory, goal):
     (weakening is implicit); eigenvariable conditions are checked against the
     hypotheses and labels a subproof actually uses. Returns the goal
     sequent."""
-    gamma, delta = {}, {}  # name -> (formula, its free variables)
+    gamma, delta = {}, {}  # name -> formula
     for name, f in goal.hyps:
         if name in gamma:
             raise UserError(f"duplicate hypothesis name {name}")
-        gamma[name] = f, wf_formula(f, theory.has_rel)
+        wf_formula(f, theory.has_rel)
+        gamma[name] = f
     for name, f in goal.labels:
         if name in delta or name == KAPPA:
             raise UserError(f"bad label name {name}")
-        delta[name] = f, _check_label_formula(f, theory.has_rel)
+        _check_label_formula(f, theory.has_rel)
+        delta[name] = f
     wf_formula(goal.concl, theory.has_rel)
 
     concl = _check_node(proof, theory, gamma, delta)[0]
@@ -1054,17 +1031,15 @@ def check_proof(proof, theory, goal):
 
 
 def _check_node(p, theory, gamma, delta):
-    """Conclusion of p, its free variables, and the hypotheses and labels p
-    uses. The free variables come as a map name -> sort when the conclusion
-    is known to be well formed, else None; the map may list extra names, at
-    consistent sorts. So a quantifier introduction re-walks its conclusion
-    only when the map cannot vouch for the bound variable, and every error
-    still comes from wf_formula."""
+    """Conclusion of p, and the hypotheses and labels p uses. A conclusion
+    carries its free variables and whether it is well formed (Formula), so
+    a quantifier introduction walks its conclusion only to report an error,
+    and every error still comes from wf_formula."""
     cls = p.__class__
     if cls is ImpElim:
         fn, arg = p.fn, p.arg
-        cf, fv, uh1, ul1 = _check_node(fn, theory, gamma, delta)
-        ca, _, uh2, ul2 = _check_node(arg, theory, gamma, delta)
+        cf, uh1, ul1 = _check_node(fn, theory, gamma, delta)
+        ca, uh2, ul2 = _check_node(arg, theory, gamma, delta)
         if cf.__class__ is not Imp:
             raise UserError(
                 "implication elimination on " + formula_sexp(cf))
@@ -1072,90 +1047,84 @@ def _check_node(p, theory, gamma, delta):
             raise UserError(
                 "argument proves " + formula_sexp(ca)
                 + " but " + formula_sexp(cf.left) + " is required")
-        return cf.right, fv, uh1 | uh2, ul1 | ul2
+        return cf.right, uh1 | uh2, ul1 | ul2
     if cls is ForallElim:
         t = p.term
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
+        c, uh, ul = _check_node(p.body, theory, gamma, delta)
         if c.__class__ is not Forall:
             raise UserError("quantifier elimination on " + formula_sexp(c))
-        ts, tv = _ind_walk(t, {}, _raise)
+        ts = infer_sort(t)
         if ts != c.sort:
             raise UserError(
                 f"instantiating a {sort_sexp(c.sort)} quantifier with "
                 f"{ind_sexp(t)} : {sort_sexp(ts)}")
         x = c.var
-        if fv is not None:
-            if t.__class__ is IVar and t.name == x:
-                # in a well-formed c, x occurs in the body at ts only
-                return c.body, {**fv, x: ts}, uh, ul
-            if x in fv:
-                fv = {n: s for n, s in fv.items() if n != x}
-            fv = _merge(fv, tv)
-        return subst_var(c.body, x, t), fv, uh, ul
+        if t.__class__ is IVar and t.name == x:
+            # conclusions come from well-formed formulas, whose binders keep
+            # one sort under substitution: x occurs in the body at ts only
+            return c.body, uh, ul
+        return subst_var(c.body, x, t), uh, ul
     if cls is Ax:
-        return theory.instantiate(p.name, p.args), {}, set(), set()
+        return theory.instantiate(p.name, p.args), set(), set()
     if cls is ImpIntro:
         h, f = p.hyp, p.formula
         if h in gamma:
             raise UserError(f"hypothesis name {h} shadows an existing one")
-        fh = wf_formula(f, theory.has_rel)
-        c, fv, uh, ul = _check_node(p.body, theory, {**gamma, h: (f, fh)},
-                                    delta)
-        return Imp(f, c), _merge(fh, fv), uh - {h}, ul
+        wf_formula(f, theory.has_rel)
+        c, uh, ul = _check_node(p.body, theory, {**gamma, h: f}, delta)
+        return Imp(f, c), uh - {h}, ul
     if cls is Id:
         h = p.hyp
         if h not in gamma:
             raise UserError(f"unknown hypothesis {h}")
-        f, fv = gamma[h]
-        return f, fv, {h}, set()
+        return gamma[h], {h}, set()
     if cls is ForallIntro:
         x, sort = p.var, p.sort
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
+        c, uh, ul = _check_node(p.body, theory, gamma, delta)
         for kind, ctx, used in (("hypothesis", gamma, uh),
                                 ("label", delta, ul)):
-            if any(x in ctx[n][1] for n in used):
+            if any(x in ctx[n]._fv for n in used):
                 # report the first in binding order, whatever the hash seed
-                n = next(n for n in ctx if n in used and x in ctx[n][1])
+                n = next(n for n in ctx if n in used and x in ctx[n]._fv)
                 raise UserError(
                     f"eigenvariable {x} is free in used {kind} {n}")
         f = Forall(x, sort, c)
-        if fv is None or fv.get(x, sort) != sort:
-            fv = wf_formula(f, theory.has_rel)
-        return f, fv, uh, ul
+        if f._fv is None:
+            wf_formula(f, theory.has_rel)
+        return f, uh, ul
     if cls is AndIntro:
-        cl, fl, uh1, ul1 = _check_node(p.left, theory, gamma, delta)
-        cr, fr, uh2, ul2 = _check_node(p.right, theory, gamma, delta)
-        return And(cl, cr), _merge(fl, fr), uh1 | uh2, ul1 | ul2
+        cl, uh1, ul1 = _check_node(p.left, theory, gamma, delta)
+        cr, uh2, ul2 = _check_node(p.right, theory, gamma, delta)
+        return And(cl, cr), uh1 | uh2, ul1 | ul2
     if cls is AndElim:
         i = p.index
         if i not in (1, 2):
             raise UserError("projection index must be 1 or 2")
-        c, fv, uh, ul = _check_node(p.body, theory, gamma, delta)
+        c, uh, ul = _check_node(p.body, theory, gamma, delta)
         if c.__class__ is not And:
             raise UserError(
                 "conjunction elimination on " + formula_sexp(c))
-        return (c.left if i == 1 else c.right), fv, uh, ul
+        return (c.left if i == 1 else c.right), uh, ul
     if cls is BotIntro:
         label = p.label
         if label not in delta:
             raise UserError(f"unknown label {label}")
-        c, _, uh, ul = _check_node(p.body, theory, gamma, delta)
-        want = delta[label][0]
+        c, uh, ul = _check_node(p.body, theory, gamma, delta)
+        want = delta[label]
         if not alpha_eq(c, want):
             raise UserError(
                 "label " + label + " expects " + formula_sexp(want)
                 + " but the subproof gives " + formula_sexp(c))
-        return BOT, {}, uh, ul | {label}
+        return BOT, uh, ul | {label}
     if cls is BotElim:
         label, f = p.label, p.formula
         if label in delta or label == KAPPA:
             raise UserError(f"bad label name {label}")
-        fl = _check_label_formula(f, theory.has_rel)
-        c, _, uh, ul = _check_node(p.body, theory, gamma,
-                                   {**delta, label: (f, fl)})
+        _check_label_formula(f, theory.has_rel)
+        c, uh, ul = _check_node(p.body, theory, gamma, {**delta, label: f})
         if c.__class__ is not Bot:
             raise UserError(
                 "activation requires a proof of absurdity, got "
                 + formula_sexp(c))
-        return f, fl, uh, ul - {label}
+        return f, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")

@@ -30,7 +30,11 @@ def entries():
 
 
 def entry(name):
-    for e in entries():
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    """The entry of corpus/<name>.proof, read alone; KeyError if there is
+    none."""
+    path = CORPUS / f"{name}.proof"
+    if not path.is_file():
+        raise KeyError(name)
+    ws = parse_file(path)
+    goal, proof = ws.proofs[name]
+    return Entry(name, ws.theory_name, goal, proof)

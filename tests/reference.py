@@ -9,12 +9,14 @@ environment machine, is checked against it.
 g_alpha_eq compares target terms of mupcf.cps up to the names of their
 binders.
 
-check_proof is the proof checker of mupcf.logic as it was before it
-carried free-variable maps: it re-validates the conclusion at every
-quantifier introduction and substitutes at every elimination. The library's
-checker must give the same conclusion or the same error.
+check_proof is the proof checker of mupcf.logic as it was before it read
+the free variables and well-formedness that each conclusion carries: it
+re-validates the conclusion at every quantifier introduction and substitutes
+at every elimination, by the bound variable too. The library's checker must
+give the same conclusion or the same error.
 """
 
+from mupcf import logic
 from mupcf.cps import GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
@@ -25,7 +27,7 @@ from mupcf.logic import (
     And, AndElim, AndIntro, Ax, BOT, Bot, BotElim, BotIntro, Forall,
     ForallElim, ForallIntro, Id, Imp, ImpElim, ImpIntro, KAPPA, alpha_eq,
     formula_sexp, fv_formula, infer_sort, ind_sexp, polarity, sort_sexp,
-    subst_formula, wf_formula,
+    wf_formula,
 )
 
 
@@ -323,7 +325,7 @@ def check_node(p, theory, gamma, delta, instances):
             raise UserError(
                 f"instantiating a {sort_sexp(c.sort)} quantifier with "
                 f"{ind_sexp(t)} : {sort_sexp(ts)}")
-        return subst_formula(c.body, {c.var: t}), uh, ul
+        return logic.subst_var(c.body, c.var, t), uh, ul
     if cls is Ax:
         key = (p.name, p.args)
         f = instances.get(key)

@@ -1,8 +1,9 @@
 """The proof checker against its reference (tests/reference.py).
 
-The library's checker carries the free variables of each conclusion, so it
-skips the well-formedness walk at a quantifier introduction and the
-substitution at an elimination by the bound variable itself. The reference
+The library's checker reads the free variables and well-formedness that
+each conclusion carries, so it skips the well-formedness walk at a
+quantifier introduction and the substitution at an elimination by the bound
+variable itself. The reference
 re-walks and substitutes every time. The two must agree on the conclusion,
 the hypotheses and labels it uses, and every error message."""
 
@@ -32,7 +33,7 @@ def _outcome(node, check, proof, theory, goal):
     """The root conclusion with the names it uses, then check's verdict;
     an error stands as its message."""
     try:
-        c, *_, uh, ul = node(proof, theory, {}, {})
+        c, uh, ul = node(proof, theory, {}, {})
         root = (c, uh, ul)
     except UserError as ex:
         root = str(ex)

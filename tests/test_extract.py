@@ -242,9 +242,10 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     interning, 1 565 individual and 291 formula node visits). Each
     one-variable substitution is built once, by the memo subst_var, although
     the relativized proof instantiates a quantifier with the same individual
-    at every occurrence of it (before that memo: 105 subst_formula calls,
-    873 _subst visits and 835 new interned nodes, counted as _facts calls).
-    A second extraction substitutes nothing."""
+    at every occurrence of it (before that memo: 105 substitutions, 873
+    _subst visits and 835 new interned nodes, counted as _facts calls);
+    substitutions are counted as misses of that memo. A second extraction
+    substitutes nothing."""
     entry = _entry("add0-total")  # read before counting
     calls = Counter()
     instances = set()
@@ -257,8 +258,7 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
             return fn(*args)
         return run
 
-    for name in ("wf_formula", "_ind_full_walk", "_formula_walk",
-                 "subst_formula", "_subst"):
+    for name in ("wf_formula", "_ind_full_walk", "_formula_walk", "_subst"):
         monkeypatch.setattr(logic, name, counted(logic, name))
     for cls in vars(logic).values():
         if isinstance(cls, type) and "_facts" in vars(cls):
@@ -274,13 +274,16 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     extract_program(*entry)
     assert calls["build"] == len(instances) == 24
     assert calls["wf_formula"] <= 85, calls
-    assert calls["subst_formula"] <= 59, calls
+    assert logic.subst_var.cache_info().misses <= 59, \
+        logic.subst_var.cache_info()
     assert calls["_subst"] <= 514, calls
     assert calls["_facts"] <= 448, calls
     assert calls["_ind_full_walk"] == calls["_formula_walk"] == 0, calls
     calls.clear()
+    misses = logic.subst_var.cache_info().misses
     extract_program(*entry)
-    assert calls["build"] == calls["subst_formula"] == calls["_subst"] == 0
+    assert calls["build"] == calls["_subst"] == 0
+    assert logic.subst_var.cache_info().misses == misses
 
 
 def test_a_second_extraction_builds_nothing():

@@ -48,6 +48,18 @@ def test_corpus_entries_are_the_proof_files():
     assert [e.name for e in corpus_files.entries()] == stems
 
 
+def test_corpus_entry_reads_its_own_file(monkeypatch):
+    read = []
+    monkeypatch.setattr(corpus_files, "parse_file",
+                        lambda path: read.append(path) or parse_file(path))
+    e = corpus_files.entry("peirce")
+    assert read == [CORPUS / "peirce.proof"]
+    assert e == next(x for x in corpus_files.entries() if x.name == "peirce")
+    for name in ("no-such-proof", "dc-succ"):
+        with pytest.raises(KeyError):
+            corpus_files.entry(name)
+
+
 @pytest.mark.parametrize("name", [e.name for e in corpus_files.entries()])
 def test_corpus_entries_round_trip(name):
     e = corpus_files.entry(name)

@@ -39,8 +39,8 @@ def test_rel_type_towers():
 def test_interp_type_invariant_under_substitution():
     x = IVar("x", IOTA)
     f = Forall("y", IOTA, Imp(f_rel(x), f_neq(x, IVar("y", IOTA))))
-    from mupcf.logic import subst_formula
-    assert interp_type(f) == interp_type(subst_formula(f, {"x": ZERO}))
+    from mupcf.logic import subst_var
+    assert interp_type(f) == interp_type(subst_var(f, "x", ZERO))
 
 
 REALIZER_CASES = [

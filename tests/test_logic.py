@@ -6,7 +6,7 @@ from mupcf.logic import (
     IApp, IConst, IOTA, IVar, Id, Imp, ImpElim, ImpIntro, SArrow, SUCC,
     Sequent, THEORIES, ZERO, alpha_eq, arrow, check_proof, const_sort, f_eq,
     f_exists, f_neq, f_not, f_rel, fv_formula, infer_sort, polarity,
-    rel_pred, subst_formula, zero_ind,
+    rel_pred, subst_var, zero_ind,
 )
 
 import corpus_files
@@ -63,9 +63,13 @@ def test_fv_first_occurrence_order():
 def test_subst_capture_avoiding():
     x, y = IVar("x", IOTA), IVar("y", IOTA)
     f = Forall("y", IOTA, f_neq(x, y))
-    g = subst_formula(f, {"x": y})
+    g = subst_var(f, "x", y)
     assert isinstance(g, Forall) and g.var != "y"
     assert alpha_eq(g, Forall("z", IOTA, f_neq(y, IVar("z", IOTA))))
+    # the new name of a renamed binder is not the substituted one, even
+    # where that is not free below the binder
+    f = Forall("y", IOTA, f_neq(y, ZERO))
+    assert alpha_eq(subst_var(f, "y1", y), f)
 
 
 def test_alpha_eq_binders():

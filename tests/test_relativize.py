@@ -10,7 +10,7 @@ from mupcf.logic import (
     And, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar,
     Id, Imp, ImpElim, SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow,
     check_proof, f_eq, f_neq, f_rel, formula_sexp, infer_sort, polarity,
-    rel_pred, subst_formula,
+    rel_pred, subst_var,
 )
 from mupcf.relativize import rel_formula, rel_proof
 
@@ -73,8 +73,8 @@ def test_rel_commutes_with_substitution():
     for _ in range(200):
         f = _rand_formula(rng, [IVar("a", IOTA)], 4)
         t = IApp(SUCC, IApp(SUCC, ZERO))
-        lhs = rel_formula(subst_formula(f, {"a": t}))
-        rhs = subst_formula(rel_formula(f), {"a": t})
+        lhs = rel_formula(subst_var(f, "a", t))
+        rhs = subst_var(rel_formula(f), "a", t)
         assert alpha_eq(lhs, rhs), formula_sexp(f)
 
 
