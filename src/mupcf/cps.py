@@ -271,7 +271,7 @@ class _Cps:
             case Lam(x, ty, b):
                 bl, bt = self.go(b, {**env, x: ty}, lenv)
                 a = self.fresh()
-                body = GApp(g_subst(bl, {_tvar(x): GProj(1, GVar(a))}),
+                body = GApp(g_subst(bl, _tvar(x), GProj(1, GVar(a))),
                             GProj(2, GVar(a)))
                 return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
             case LApp(f, n):
@@ -344,46 +344,42 @@ def g_free_vars(t):
     raise InternalError(f"bad term {t!r}")
 
 
-def g_subst(t, mapping):
-    """Capture-avoiding substitution of variables."""
-    if not mapping:
-        return t
+def g_subst(t, x, u):
+    """Capture-avoiding substitution of u for the variable x."""
     match t:
         case GVar(n):
-            return mapping.get(n, t)
+            return u if n == x else t
         case GConst() | GUnit():
             return t
-        case GLam(x, ty, b):
-            m = {k: v for k, v in mapping.items() if k != x}
-            if not m:
+        case GLam(y, ty, b):
+            if y == x:
                 return t
-            captured = set().union(*(g_free_vars(v) for v in m.values()))
-            if x in captured:
-                nx = freshen(x, captured | g_free_vars(b) | set(m))
-                b = g_subst(b, {x: GVar(nx)})
-                x = nx
-            return GLam(x, ty, g_subst(b, m))
+            captured = g_free_vars(u)
+            if y in captured:
+                ny = freshen(y, captured | g_free_vars(b) | {x})
+                b = g_subst(b, y, GVar(ny))
+                y = ny
+            return GLam(y, ty, g_subst(b, x, u))
         case GApp(f, a):
-            return GApp(g_subst(f, mapping), g_subst(a, mapping))
+            return GApp(g_subst(f, x, u), g_subst(a, x, u))
         case GPair(a, b):
-            return GPair(g_subst(a, mapping), g_subst(b, mapping))
+            return GPair(g_subst(a, x, u), g_subst(b, x, u))
         case GProj(i, b):
-            return GProj(i, g_subst(b, mapping))
+            return GProj(i, g_subst(b, x, u))
         case GInj(i, b, ty):
-            return GInj(i, g_subst(b, mapping), ty)
-        case GCase(s, x, l, r):
-            s2 = g_subst(s, mapping)
-            m = {k: v for k, v in mapping.items() if k != x}
-            if not m:
-                return GCase(s2, x, l, r)
-            captured = set().union(*(g_free_vars(v) for v in m.values()))
-            if x in captured:
-                nx = freshen(x, captured | g_free_vars(l) | g_free_vars(r)
-                             | set(m))
-                l = g_subst(l, {x: GVar(nx)})
-                r = g_subst(r, {x: GVar(nx)})
-                x = nx
-            return GCase(s2, x, g_subst(l, m), g_subst(r, m))
+            return GInj(i, g_subst(b, x, u), ty)
+        case GCase(s, y, l, r):
+            s2 = g_subst(s, x, u)
+            if y == x:
+                return GCase(s2, y, l, r)
+            captured = g_free_vars(u)
+            if y in captured:
+                ny = freshen(y, captured | g_free_vars(l) | g_free_vars(r)
+                             | {x})
+                l = g_subst(l, y, GVar(ny))
+                r = g_subst(r, y, GVar(ny))
+                y = ny
+            return GCase(s2, y, g_subst(l, x, u), g_subst(r, x, u))
     raise InternalError(f"bad term {t!r}")
 
 
@@ -459,11 +455,11 @@ def _step(t, ctx):
         return STAR
     match t:
         case GApp(GLam(x, _, b), a):
-            return g_subst(b, {x: a})
+            return g_subst(b, x, a)
         case GProj(i, GPair(l, r)):
             return l if i == 1 else r
         case GCase(GInj(i, v, _), x, l, r):
-            return g_subst(l if i == 1 else r, {x: v})
+            return g_subst(l if i == 1 else r, x, v)
         case GLam(x, _, GApp(f, GVar(y))) if y == x and x not in g_free_vars(f):
             return f
         case GLam(x, LUnit(), GApp(f, GUnit())) if x not in g_free_vars(f):

@@ -127,9 +127,9 @@ def axiom_realizer(theory, name, args):
 
 
 def interp_proof(proof, theory, goal):
-    """Translate a checked proof into a term. Hypothesis names become free
-    term variables at the types of their formulas, labels become free mu
-    labels; the output channel label stays reserved for extraction."""
+    """Translate a checked proof into a term. Hypothesis names become term
+    variables at the types of their formulas, labels become mu labels; the
+    output channel label stays reserved for extraction."""
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
     check_proof(proof, theory, goal)
@@ -160,9 +160,7 @@ def interp_proof(proof, theory, goal):
 
 
 def interp_envs(goal):
-    """Typing contexts for the interpretation of a proof of goal: hypothesis
-    types, label types, and the reserved output channel at nat."""
-    env = {h: interp_type(f) for h, f in goal.hyps}
-    lenv = {l: interp_type(f) for l, f in goal.labels}
-    lenv[KAPPA] = NAT
-    return env, lenv
+    """Typing contexts for the interpretation of a proof of goal: a goal
+    has no hypotheses and no labels, so only the reserved output channel, at
+    nat."""
+    return {}, {KAPPA: NAT}

@@ -1,8 +1,8 @@
 """Multisorted classical first-order logic over arithmetic in finite types.
 
 Syntax (sorts, individuals, formulas) and its printers in the surface syntax
-of FORMAT.md, sequents with named hypotheses and named right-hand labels, the
-polarity grammars, built-in theories, and the proof checker.
+of FORMAT.md, goals, the polarity grammars, built-in theories, and the proof
+checker.
 
 Connective inventory is deliberately small: bot, implication, conjunction,
 universal quantification, and two atom families (inequality at every sort,
@@ -11,7 +11,8 @@ Negation, disjunction, existentials and equality are derived and never stored.
 
 Sorts, individuals and formulas are interned (see lambdamu.Node): equal
 trees are one object, and each node carries facts computed once from its
-children's, which the walks below read instead of walking again.
+children's. The facts answer every question about well-formed syntax; the
+walks below run only to word an error.
 """
 
 from dataclasses import dataclass, field
@@ -115,7 +116,8 @@ class Individual(Node, interned=True):
       MAX_DEPTH (a constructor raises UserError past it);
     - _fv, its free variables, name -> sort, in first-occurrence order; None
       if a name has two sorts;
-    - _sort, its sort if _ind_walk finds no error in it, else None."""
+    - _sort, its sort if it is well formed, else None (_ind_sort words
+      the error)."""
 
     __slots__ = ("_depth", "_fv", "_sort")
 
@@ -209,104 +211,75 @@ ZERO = IConst("0")
 SUCC = IConst("S")
 
 
-def _ind_walk(t, bound, fail):
-    """Sort of t (None after an error) and its free variables, name -> sort,
-    in first-occurrence order. Every error goes to fail(msg), except a
-    variable used at two sorts, which raises at once. bound maps the names
-    bound around t to their binders' sorts.
-
-    t answers from its facts unless they record an error or bound gives
-    one of its free variables another sort; only then is t walked."""
-    if isinstance(t, Individual):
-        sort, fv = t._sort, t._fv
-        if sort is not None:
-            for n, s in fv.items():
-                declared = bound.get(n)
-                if declared is not None and declared is not s:
-                    break
-            else:
-                return sort, fv
-    return _ind_full_walk(t, bound, fail)
+def _raise_clash(t):
+    """Raise the error of an individual whose _fv is None: the first name,
+    function before argument, used at two sorts."""
+    fn, arg = t.fn, t.arg
+    if fn._fv is None:
+        _raise_clash(fn)
+    if arg._fv is None:
+        _raise_clash(arg)
+    names = fn._fv
+    for n, s in arg._fv.items():
+        if names.get(n, s) is not s:
+            raise UserError(f"variable {n} used at two sorts")
 
 
-def _ind_full_walk(t, bound, fail):
-    """_ind_walk of t, which walks t's own node; its children may still
-    answer from their facts."""
+def _ind_sort(t, env):
+    """The sort of t, where env maps the names bound around t to their
+    binders' sorts. Raises the first error left to right; a name used at two
+    sorts in an application is met once its function and argument are
+    sorted."""
     cls = t.__class__
     if cls is IVar:
         name, sort = t.name, t.sort
-        declared = bound.get(name)
-        if declared is not None and declared != sort:
-            fail(f"variable {name} used at {sort_sexp(sort)} but "
-                 f"declared at {sort_sexp(declared)}")
-        return sort, t._fv
+        declared = env.get(name)
+        if declared is not None and declared is not sort:
+            raise UserError(f"variable {name} used at {sort_sexp(sort)} but "
+                            f"declared at {sort_sexp(declared)}")
+        return sort
     if cls is IConst:
-        try:
-            return const_sort(t), {}
-        except UserError as ex:
-            fail(str(ex))
-            return None, {}
+        return const_sort(t)
     if cls is not IApp:
         raise InternalError(f"bad individual {t!r}")
     fn, arg = t.fn, t.arg
-    fs, fv = _ind_walk(fn, bound, fail)
-    if fs is not None and fs.__class__ is not SArrow:
-        fail(f"applied non-function individual {ind_sexp(fn)}")
-        fs = None
-    ags, av = _ind_walk(arg, bound, fail)
-    if not fv:
-        fv = av
-    elif av:
-        fv = dict(fv)  # the children's maps may be their facts
-        for n, s in av.items():
-            if fv.setdefault(n, s) != s:
-                raise UserError(f"variable {n} used at two sorts")
-    if fs is None or ags is None:
-        return None, fv
-    if ags != fs.left:
-        fail(f"sort mismatch: {ind_sexp(fn)} expects {sort_sexp(fs.left)}, "
-             f"got {ind_sexp(arg)} : {sort_sexp(ags)}")
-        return None, fv
-    return fs.right, fv
-
-
-def _raise(msg):
-    raise UserError(msg)
-
-
-def _ignore(msg):
-    pass
+    fs = _ind_sort(fn, env)
+    if fs.__class__ is not SArrow:
+        raise UserError(f"applied non-function individual {ind_sexp(fn)}")
+    ags = _ind_sort(arg, env)
+    if t._fv is None:
+        _raise_clash(t)
+    if ags is not fs.left:
+        raise UserError(
+            f"sort mismatch: {ind_sexp(fn)} expects {sort_sexp(fs.left)}, "
+            f"got {ind_sexp(arg)} : {sort_sexp(ags)}")
+    return fs.right
 
 
 def infer_sort(t):
     """Sort of an individual; the inline sort on IVar is authoritative.
     Raises the first error."""
-    return _ind_walk(t, {}, _raise)[0]
+    sort = t._sort
+    return sort if sort is not None else _ind_sort(t, {})
 
 
 def ind_free_vars(t):
     """Free variables, name -> sort; raises only on one name at two sorts."""
-    return _ind_walk(t, {}, _ignore)[1]
+    fv = t._fv
+    if fv is None:
+        _raise_clash(t)
+    return fv
 
 
 def ind_subst(t, x, u):
     """t with the individual u for the variable named x; t itself when x is
     not free in t."""
-    cls = t.__class__
-    if cls is IApp:
-        fv = t._fv
-        if fv is not None and x not in fv:
-            return t
-        fn, arg = t.fn, t.arg
-        fn2, arg2 = ind_subst(fn, x, u), ind_subst(arg, x, u)
-        if fn2 is fn and arg2 is arg:
-            return t
-        return IApp(fn2, arg2)
-    if cls is IVar:
-        return u if t.name == x else t
-    if cls is IConst:
+    fv = t._fv
+    if fv is not None and x not in fv:
         return t
-    raise InternalError(f"bad individual {t!r}")
+    if t.__class__ is IVar:
+        return u
+    return IApp(ind_subst(t.fn, x, u), ind_subst(t.arg, x, u))
 
 
 def ind_sexp(t):
@@ -343,11 +316,13 @@ def zero_ind(sort):
 class Formula(Node, interned=True):
     """A formula carries facts:
     - _depth, as for an individual;
-    - _fv, its free variables, as fv_formula gives them, if _formula_walk
-      finds no error in it where rel atoms are allowed, else None;
-    - _rel, whether it has a rel atom."""
+    - _fv, its free variables, as fv_formula gives them, if it is well
+      formed where rel atoms are allowed, else None (_formula_fv and
+      _sort_pass word the error);
+    - _rel, whether it has a rel atom;
+    - _neg, whether it is in the negative grammar (see polarity)."""
 
-    __slots__ = ("_depth", "_fv", "_rel")
+    __slots__ = ("_depth", "_fv", "_rel", "_neg")
 
 
 class Bot(Formula):
@@ -355,6 +330,7 @@ class Bot(Formula):
         self._depth = 0
         self._fv = _NO_VARS
         self._rel = False
+        self._neg = True
 
 
 class Atom(Formula):
@@ -375,6 +351,7 @@ class Atom(Formula):
             fv = None
         self._fv = fv
         self._rel = pred == "rel"
+        self._neg = pred in PREDICATES and PREDICATES[pred][0] == "negative"
 
 
 def _pair_facts(f):
@@ -389,14 +366,18 @@ class Imp(Formula):
     left: Formula
     right: Formula
 
-    _facts = _pair_facts
+    def _facts(self):
+        _pair_facts(self)
+        self._neg = self.right._neg
 
 
 class And(Formula):
     left: Formula
     right: Formula
 
-    _facts = _pair_facts
+    def _facts(self):
+        _pair_facts(self)
+        self._neg = self.left._neg and self.right._neg
 
 
 class Forall(Formula):
@@ -410,11 +391,12 @@ class Forall(Formula):
         self._depth = _above(d if d > e else e, "a formula")
         fv = body._fv
         if fv is not None and x in fv:
-            # the walk reports an occurrence of x at another sort
+            # _sort_pass reports an occurrence of x at another sort
             fv = ({n: s for n, s in fv.items() if n != x}
                   if fv[x] is sort else None)
         self._fv = fv
         self._rel = body._rel
+        self._neg = body._neg
 
 
 BOT = Bot()
@@ -554,40 +536,50 @@ def alpha_eq(f, g):
     return go(f, g, {}, {}, 0)
 
 
-def _formula_walk(f, bound, has_rel, out, fail):
-    """Add the free variables of f to out, name -> sort, in first-occurrence
-    order, and check its predicate signatures and sorts. Errors go to fail,
-    as in _ind_walk."""
+def _formula_fv(f, bound, out):
+    """Add the free variables of f, less the names in bound, to out, name ->
+    sort, in first-occurrence order; raises on a name used at two sorts in
+    an individual, or free at two sorts in f."""
     cls = f.__class__
     if cls is Imp or cls is And:
-        _formula_walk(f.left, bound, has_rel, out, fail)
-        _formula_walk(f.right, bound, has_rel, out, fail)
+        _formula_fv(f.left, bound, out)
+        _formula_fv(f.right, bound, out)
+    elif cls is Atom:
+        for t in f.args:
+            for n, s in ind_free_vars(t).items():
+                if n not in bound and out.setdefault(n, s) is not s:
+                    raise UserError(f"variable {n} used at two sorts")
+    elif cls is Forall:
+        _formula_fv(f.body, bound | {f.var}, out)
+    elif cls is not Bot:
+        raise InternalError(f"bad formula {f!r}")
+    return out
+
+
+def _sort_pass(f, has_rel, env):
+    """Check the predicate signatures and sorts of f, where env maps the
+    names bound around f to their binders' sorts; raises the first error
+    left to right."""
+    cls = f.__class__
+    if cls is Imp or cls is And:
+        _sort_pass(f.left, has_rel, env)
+        _sort_pass(f.right, has_rel, env)
     elif cls is Atom:
         p, args = f.pred, f.args
-        arity = PREDICATES[p][1] if p in PREDICATES else None
-        if arity is None:
-            fail(f"unknown predicate {p}")
-        elif p == "rel" and not has_rel:
-            fail("rel atom outside a relativized signature")
-        elif len(args) != arity:
-            fail(f"{p} expects {arity} argument(s)")
-        sorts = []
-        for t in args:
-            sort, names = _ind_walk(t, bound, fail)
-            sorts.append(sort)
-            for n, s in names.items():
-                if n in bound:
-                    continue
-                if out.setdefault(n, s) != s:
-                    raise UserError(f"variable {n} used at two sorts")
-        if len(args) != arity or None in sorts:
-            return
-        if p == "neq" and sorts[0] != sorts[1]:
-            fail("inequality between different sorts")
-        if p == "rel" and sorts[0] != IOTA:
-            fail("rel atom takes a base-sort individual")
+        if p not in PREDICATES:
+            raise UserError(f"unknown predicate {p}")
+        if p == "rel" and not has_rel:
+            raise UserError("rel atom outside a relativized signature")
+        arity = PREDICATES[p][1]
+        if len(args) != arity:
+            raise UserError(f"{p} expects {arity} argument(s)")
+        sorts = [_ind_sort(t, env) for t in args]
+        if p == "neq" and sorts[0] is not sorts[1]:
+            raise UserError("inequality between different sorts")
+        if p == "rel" and sorts[0] is not IOTA:
+            raise UserError("rel atom takes a base-sort individual")
     elif cls is Forall:
-        _formula_walk(f.body, {**bound, f.var: f.sort}, has_rel, out, fail)
+        _sort_pass(f.body, has_rel, {**env, f.var: f.sort})
     elif cls is not Bot:
         raise InternalError(f"bad formula {f!r}")
 
@@ -596,53 +588,30 @@ def wf_formula(f, has_rel):
     """Check predicate signatures and sort consistency; raises UserError.
     Returns the free variables, as fv_formula does.
 
-    A variable used at two sorts anywhere in f is reported first; otherwise
-    the first error met left to right is. So the walk raises a clash at
-    once, keeps the other errors, and raises the first only once the walk
-    is done. f is walked only when its facts record an error, or a rel atom
-    that has_rel forbids."""
-    if isinstance(f, Formula):
-        fv = f._fv
-        if fv is not None and (has_rel or not f._rel):
-            return fv
-    out, errors = {}, []
-    _formula_walk(f, {}, has_rel, out, errors.append)
-    if errors:
-        raise UserError(errors[0])
-    return out
+    f's facts answer, unless they record an error or a rel atom that
+    has_rel forbids. Then a variable used at two sorts anywhere in f is
+    reported first (_formula_fv), otherwise the first error met left to
+    right (_sort_pass)."""
+    fv = f._fv
+    if fv is None or (f._rel and not has_rel):
+        fv = _formula_fv(f, frozenset(), {})
+        _sort_pass(f, has_rel, {})
+    return fv
 
 
 def fv_formula(f):
     """Free variables, name -> sort, in first-occurrence order (dicts keep
     insertion order; scheme closures rely on this). Raises only on one name
     at two sorts."""
-    if isinstance(f, Formula) and f._fv is not None:
-        return f._fv
-    out = {}
-    _formula_walk(f, {}, True, out, _ignore)
-    return out
+    fv = f._fv
+    return fv if fv is not None else _formula_fv(f, frozenset(), {})
 
 
 def polarity(f):
     """'negative' or 'positive'. The atom classes are disjoint and bot is
     negative, so every formula lies in exactly one of the two grammars, and
-    the negative grammar alone decides which."""
-
-    def neg(f):
-        cls = f.__class__
-        if cls is Imp:
-            return neg(f.right)
-        if cls is Atom:
-            return PREDICATES[f.pred][0] == "negative"
-        if cls is Bot:
-            return True
-        if cls is Forall:
-            return neg(f.body)
-        if cls is And:
-            return neg(f.left) and neg(f.right)
-        raise InternalError(f"bad formula {f!r}")
-
-    return "negative" if neg(f) else "positive"
+    the negative grammar alone decides which: the fact _neg."""
+    return "negative" if f._neg else "positive"
 
 
 def rel_pred(t, sort):
@@ -676,18 +645,16 @@ def formula_sexp(f):
     raise InternalError(f"bad formula {f!r}")
 
 
-# ---------- sequents and proofs ----------
+# ---------- goals and proofs ----------
 
 KAPPA = "kappa"  # reserved output channel label
 
 
 class Sequent(Node):
-    """hyps |- concl | labels. Hypotheses and labels are name-keyed; every
-    label formula must be negative."""
+    """A goal, FORMAT.md's (goal <formula>): concl, proved from no
+    hypotheses and no labels."""
 
-    hyps: tuple = ()
     concl: Formula = BOT
-    labels: tuple = ()
 
 
 class Proof(Node):
@@ -1005,24 +972,11 @@ def _check_label_formula(f, has_rel):
 
 
 def check_proof(proof, theory, goal):
-    """Check a proof against a goal sequent. Hypotheses may go unused
-    (weakening is implicit); eigenvariable conditions are checked against the
-    hypotheses and labels a subproof actually uses. Returns the goal
-    sequent."""
-    gamma, delta = {}, {}  # name -> formula
-    for name, f in goal.hyps:
-        if name in gamma:
-            raise UserError(f"duplicate hypothesis name {name}")
-        wf_formula(f, theory.has_rel)
-        gamma[name] = f
-    for name, f in goal.labels:
-        if name in delta or name == KAPPA:
-            raise UserError(f"bad label name {name}")
-        _check_label_formula(f, theory.has_rel)
-        delta[name] = f
+    """Check a proof of goal.concl. Hypotheses may go unused (weakening is
+    implicit); eigenvariable conditions are checked against the hypotheses
+    and labels a subproof actually uses. Returns the goal."""
     wf_formula(goal.concl, theory.has_rel)
-
-    concl = _check_node(proof, theory, gamma, delta)[0]
+    concl = _check_node(proof, theory, {}, {})[0]
     if not alpha_eq(concl, goal.concl):
         raise UserError(
             "proof concludes " + formula_sexp(concl)

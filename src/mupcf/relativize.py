@@ -266,9 +266,7 @@ class _Relativizer:
 
 def rel_proof(proof, theory, goal):
     """Translate a closed proof into the guarded theory. Returns the new
-    proof, the guarded theory, and the new goal sequent."""
-    if goal.hyps or goal.labels:
-        raise UserError("relativization expects an empty context")
+    proof, the guarded theory, and the new goal."""
     if fv_formula(goal.concl):
         raise UserError("relativization expects a closed conclusion")
     check_proof(proof, theory, goal)

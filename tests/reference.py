@@ -279,21 +279,9 @@ def _check_label_formula(f, has_rel):
 
 
 def check_proof(proof, theory, goal):
-    """The goal sequent if proof checks against it; raises UserError."""
-    gamma, delta = {}, {}
-    for name, f in goal.hyps:
-        if name in gamma:
-            raise UserError(f"duplicate hypothesis name {name}")
-        wf_formula(f, theory.has_rel)
-        gamma[name] = f
-    for name, f in goal.labels:
-        if name in delta or name == KAPPA:
-            raise UserError(f"bad label name {name}")
-        _check_label_formula(f, theory.has_rel)
-        delta[name] = f
+    """The goal if proof checks against it; raises UserError."""
     wf_formula(goal.concl, theory.has_rel)
-
-    concl, _, _ = check_node(proof, theory, gamma, delta, {})
+    concl, _, _ = check_node(proof, theory, {}, {}, {})
     if not alpha_eq(concl, goal.concl):
         raise UserError(
             "proof concludes " + formula_sexp(concl)

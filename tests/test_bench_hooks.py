@@ -36,3 +36,11 @@ def test_benchmark_smoke_run_is_correct():
         w["name"] for w in declared["workloads"])
     for line in lines:
         assert (line["correct"], line["failed"]) == (True, 0), line
+
+
+def test_benchmark_unit_tests_pass():
+    done = subprocess.run([sys.executable, "-m", "unittest", "discover",
+                           "-s", str(BENCH)],
+                          cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

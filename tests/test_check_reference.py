@@ -150,12 +150,14 @@ def test_forall_intro_rewalks_a_body_that_uses_x_at_another_sort():
 
 def test_forall_elim_by_a_clashing_term_is_rewalked_later():
     # h : all v (neq x v) at x : iota; v := (x 0) at x : iota -> iota
-    hyp = ("h", Forall("v", IOTA, f_neq(x, IVar("v", IOTA))))
-    goal = Sequent(hyps=(hyp,), concl=f_eq(x, x))
-    pf = ForallIntro("z", IOTA, ForallElim(Id("h"), IApp(x_fn, ZERO)))
+    hyp = Forall("v", IOTA, f_neq(x, IVar("v", IOTA)))
+    goal = Sequent(concl=f_eq(x, x))
+    pf = ImpIntro("h", hyp, ForallIntro(
+        "z", IOTA, ForallElim(Id("h"), IApp(x_fn, ZERO))))
     _rejects(pf, goal, "variable x used at two sorts")
     # a term whose own variables clash
-    pf = ForallIntro("z", IOTA, ForallElim(Id("h"), IApp(x_fn, x)))
+    pf = ImpIntro("h", hyp, ForallIntro(
+        "z", IOTA, ForallElim(Id("h"), IApp(x_fn, x))))
     _rejects(pf, goal, "variable x used at two sorts")
 
 

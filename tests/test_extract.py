@@ -231,6 +231,20 @@ def test_extraction_checks_each_proof_once_per_role(monkeypatch):
         assert "interp" not in {p for p, *_ in built}, name
 
 
+# the functions that run only to word an error in well-formedness
+_ERROR_PATH = ("_formula_fv", "_sort_pass", "_ind_sort", "_raise_clash")
+
+
+def _count(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name in calls[name]."""
+    fn = getattr(owner, name)
+
+    def run(*args):
+        calls[name] += 1
+        return fn(*args)
+    monkeypatch.setattr(owner, name, run)
+
+
 def test_extraction_call_counts_stay_pinned(monkeypatch):
     """Deterministic work of one add0-total extraction from empty memos:
     every distinct axiom instance is built once, and the checker neither
@@ -238,7 +252,7 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     checker carried free variables and instances were shared: 58 instance
     builds, 136 wf_formula and 190 subst_formula calls). Formulas and
     individuals carry their free variables and well-formedness, so on this
-    well-formed proof no walk falls back to visiting their nodes (before
+    well-formed proof none of the passes that word errors runs (before
     interning, 1 565 individual and 291 formula node visits). Each
     one-variable substitution is built once, by the memo subst_var, although
     the relativized proof instantiates a quantifier with the same individual
@@ -250,19 +264,11 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     calls = Counter()
     instances = set()
 
-    def counted(owner, name):
-        fn = getattr(owner, name)
-
-        def run(*args):
-            calls[name] += 1
-            return fn(*args)
-        return run
-
-    for name in ("wf_formula", "_ind_full_walk", "_formula_walk", "_subst"):
-        monkeypatch.setattr(logic, name, counted(logic, name))
+    for name in ("wf_formula", "_subst", *_ERROR_PATH):
+        _count(monkeypatch, calls, logic, name)
     for cls in vars(logic).values():
         if isinstance(cls, type) and "_facts" in vars(cls):
-            monkeypatch.setattr(cls, "_facts", counted(cls, "_facts"))
+            _count(monkeypatch, calls, cls, "_facts")
 
     def build(*key):
         instances.add(key)
@@ -278,12 +284,33 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
         logic.subst_var.cache_info()
     assert calls["_subst"] <= 514, calls
     assert calls["_facts"] <= 448, calls
-    assert calls["_ind_full_walk"] == calls["_formula_walk"] == 0, calls
+    assert not any(calls[name] for name in _ERROR_PATH), calls
     calls.clear()
     misses = logic.subst_var.cache_info().misses
     extract_program(*entry)
     assert calls["build"] == calls["_subst"] == 0
     assert logic.subst_var.cache_info().misses == misses
+
+
+def test_the_corpus_never_takes_the_error_path(monkeypatch):
+    """Checking, relativizing and interpreting every corpus proof, and
+    checking each relativized proof, reads well-formedness from the facts
+    alone: none of the passes that word errors runs."""
+    calls = Counter()
+    entries = corpus_files.entries()  # read before counting
+    _clear_memos()
+    for name in _ERROR_PATH:
+        _count(monkeypatch, calls, logic, name)
+    relativized = 0
+    for e in entries:
+        theory = THEORIES[e.theory]
+        check_proof(e.proof, theory, e.goal)
+        interp_proof(e.proof, theory, e.goal)
+        if e.theory in ("paw", "caw"):
+            check_proof(*rel_proof(e.proof, theory, e.goal))
+            relativized += 1
+    assert relativized >= 11, relativized
+    assert not calls, calls
 
 
 def test_a_second_extraction_builds_nothing():

@@ -1,13 +1,15 @@
-"""The checker's one-pass formula helpers against two-pass references.
+"""The checker's formula helpers against two-pass references.
 
-The references below are the straightforward versions of `wf_formula` and
-`subst_var`: well-formedness as a free-variable pass followed by a sort
-pass, and simultaneous substitution that recomputes its capture set at every
-binder. They and the references of the views `infer_sort`, `ind_free_vars`,
-`fv_formula` and `polarity` are single-purpose walks that share no code with
-the library's walks. The tests compare the two sides on generated formulas,
-with clashes, ill-sorted applications, unknown predicates and constants,
-`rel` atoms outside a relativized signature and wrong arities.
+The library answers from the facts that each interned node carries, and
+walks only to word an error. The references below walk every time: they are
+the straightforward versions of `wf_formula` and `subst_var`, well-formedness
+as a free-variable pass followed by a sort pass, and simultaneous
+substitution that recomputes its capture set at every binder. They and the
+references of the views `infer_sort`, `ind_free_vars`, `fv_formula` and
+`polarity` are single-purpose walks that share no code with the library.
+The tests compare the two sides on generated formulas, with clashes,
+ill-sorted applications, unknown predicates and constants, `rel` atoms
+outside a relativized signature and wrong arities.
 """
 
 import itertools
@@ -360,6 +362,20 @@ def test_wf_formula_agrees_with_two_pass_reference():
     assert precedence >= 50
     assert all(n >= 10 for n in seen.values()), seen
     assert all(n >= 40 for n in views.values()), views
+
+
+def test_two_clashes_report_the_one_in_the_function():
+    """The generated formulas seldom hold two clashes in one individual:
+    the function's is met first, as the references walk."""
+    fn = IApp(IVar("x", arrow(IOTA, IOTA, IOTA)), IVar("x", IOTA))
+    arg = IApp(IVar("y", arrow(IOTA, IOTA)), IVar("y", IOTA))
+    t = IApp(fn, arg)
+    f = f_neq(t, ZERO)
+    want = ("UserError", "variable x used at two sorts")
+    for got, ref in [((ind_free_vars, t), (_ref_ind_free_vars, t)),
+                     ((infer_sort, t), (_ref_infer_sort, t, {}, True)),
+                     ((wf_formula, f, True), (_ref_wf_formula, f, True))]:
+        assert _outcome(*got) == _outcome(*ref) == want
 
 
 # ------------------------------------------------------------ axiom schemes

@@ -280,30 +280,19 @@ def test_eigenvariable_condition_on_labels():
     # inner subproof proves x != 0 by routing an instance of k through the
     # open label a, so generalizing x inside must be rejected
     inner = BotElim("b", a, BotIntro("a", ForallElim(Id("k"), x)))
-    pf = BotElim(
+    k = Forall("x", IOTA, a)
+    pf = ImpIntro("k", k, BotElim(
         "a", a,
-        BotIntro("a", ForallElim(ForallIntro("x", IOTA, inner), x)))
-    goal = Sequent(hyps=(("k", Forall("x", IOTA, a)),), concl=a)
+        BotIntro("a", ForallElim(ForallIntro("x", IOTA, inner), x))))
     with pytest.raises(UserError, match="eigenvariable"):
-        check_proof(pf, PAW, goal)
-
-
-def test_goal_label_must_be_negative():
-    goal = Sequent(concl=BOT, labels=(("a", f_rel(ZERO)),))
-    with pytest.raises(UserError, match="negative"):
-        check_proof(Id("h"), PAWR, goal)
+        check_proof(pf, PAW, Sequent(concl=Imp(k, a)))
 
 
 def test_kappa_label_reserved():
     a = f_eq(ZERO, ZERO)
-    pf = BotElim("kappa", a, BotIntro("kappa", Id("h")))
-    goal = Sequent(hyps=(("h", a),), concl=a)
+    pf = ImpIntro("h", a, BotElim("kappa", a, BotIntro("kappa", Id("h"))))
     with pytest.raises(UserError, match="label"):
-        check_proof(pf, PAW, goal)
-    with pytest.raises(UserError, match="label"):
-        check_proof(Id("h"), PAW,
-                    Sequent(hyps=(("h", a),), concl=a,
-                            labels=(("kappa", a),)))
+        check_proof(pf, PAW, Sequent(concl=Imp(a, a)))
 
 
 def test_axiom_usage_in_proof():

@@ -149,12 +149,6 @@ def test_choice_axiom_with_parameter():
     assert alpha_eq(rgoal.concl, rel_formula(goal.concl))
 
 
-def test_rejects_open_context():
-    goal = Sequent(hyps=(("h", BOT),), concl=BOT)
-    with pytest.raises(UserError, match="empty context"):
-        rel_proof(Ax("refl", (IOTA,)), PAW, goal)
-
-
 def test_rejects_open_conclusion():
     goal = Sequent(concl=f_eq(IVar("x", IOTA), IVar("x", IOTA)))
     with pytest.raises(UserError, match="closed"):
