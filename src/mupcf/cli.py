@@ -227,6 +227,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self.format_usage(), message)
 
 
+_FUEL_COMMANDS = ("eval", "extract")
+
+
 @functools.cache
 def _build_parser():
     p = _Parser(
@@ -252,7 +255,7 @@ def _build_parser():
                        help="override the file's theory declaration")
         s.add_argument("--format", choices=["text", "structured"],
                        default="text", help="output mode")
-        if cmd in ("eval", "extract"):
+        if cmd in _FUEL_COMMANDS:
             s.add_argument("--fuel", type=int, default=None,
                            help="non-negative step budget "
                                 "(default: MUPCF_FUEL or 1000000)")
@@ -271,8 +274,17 @@ def _report_error(fmt, category, message):
 
 
 def _wants_structured(argv):
-    return "--format=structured" in argv or any(
-        a == "--format" and b == "structured" for a, b in zip(argv, argv[1:]))
+    """Whether a command line that argparse refused asks for structured
+    output, as `--format structured` or `--format=structured`. argparse
+    takes a long option by any prefix that no other option of its command
+    shares: `--f` is also a prefix of `--fuel`."""
+    shortest = "--fo" if argv[:1] and argv[0] in _FUEL_COMMANDS else "--f"
+    for a, b in zip(argv, argv[1:] + [None]):
+        opt, eq, value = a.partition("=")
+        if (len(opt) >= len(shortest) and "--format".startswith(opt)
+                and (value if eq else b) == "structured"):
+            return True
+    return False
 
 
 def main(argv=None):

@@ -254,52 +254,80 @@ def _const_label(t):
 
 
 class _Cps:
+    """One translation. env maps each source variable in scope to its
+    translation and its source type: a free variable x to x~, a λ-bound one
+    to the first projection of its λ's name."""
+
     def __init__(self):
         self.counter = 0
+        # names drawn for each source subterm, keyed by id: a source term
+        # hashes its whole tree, and the root keeps every subterm alive
+        self.drawn = {}
 
     def fresh(self):
         self.counter += 1
         return f"a{self.counter}"
 
-    def go(self, t, env, lenv):
+    def draws(self, t):
+        """How many names go draws for t. A λ's name is drawn after its
+        body's, so it is known before the body is translated."""
+        n = self.drawn.get(id(t))
+        if n is None:
+            match t:
+                case LVar() | Num() | Prim():
+                    n = 0
+                case Lam(_, _, b) | Proj(_, b) | Named(_, b):
+                    n = 1 + self.draws(b)
+                case LApp(f, m):
+                    n = 1 + self.draws(f) + self.draws(m)
+                case Pair(m, k):
+                    n = 2 + self.draws(m) + self.draws(k)
+                case Mu(_, _, b):
+                    n = self.draws(b)
+                case _:
+                    raise InternalError(f"bad term {t!r}")
+            self.drawn[id(t)] = n
+        return n
+
+    def go(self, t, env):
         match t:
             case LVar(n):
-                return GVar(_tvar(n)), env[n]
+                return env[n]
             case Num() | Prim():
                 ty = NAT if isinstance(t, Num) else prim_type(t)
                 return GConst(_const_label(t), cps_type(ty)), ty
             case Lam(x, ty, b):
-                bl, bt = self.go(b, {**env, x: ty}, lenv)
-                a = self.fresh()
-                body = GApp(g_subst(bl, _tvar(x), GProj(1, GVar(a))),
-                            GProj(2, GVar(a)))
+                a = f"a{self.counter + self.draws(b) + 1}"
+                bl, bt = self.go(b, {**env, x: (GProj(1, GVar(a)), ty)})
+                self.counter += 1  # a, drawn after the body's names
+                body = GApp(bl, GProj(2, GVar(a)))
                 return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
             case LApp(f, n):
-                fl, ft = self.go(f, env, lenv)
-                nl, _ = self.go(n, env, lenv)
+                fl, ft = self.go(f, env)
+                nl, _ = self.go(n, env)
                 a = self.fresh()
                 return (GLam(a, cps_type(ft.right),
                              GApp(fl, GPair(nl, GVar(a)))), ft.right)
             case Pair(m, n):
-                ml, mt = self.go(m, env, lenv)
-                nl, nt = self.go(n, env, lenv)
+                ml, mt = self.go(m, env)
+                nl, nt = self.go(n, env)
                 a, b = self.fresh(), self.fresh()
                 scrut = GLam(a, LSum(cps_type(mt), cps_type(nt)),
                              GCase(GVar(a), b,
                                    GApp(ml, GVar(b)), GApp(nl, GVar(b))))
                 return scrut, TProd(mt, nt)
             case Proj(i, m):
-                ml, mt = self.go(m, env, lenv)
+                ml, mt = self.go(m, env)
                 st = LSum(cps_type(mt.left), cps_type(mt.right))
                 ti = mt.left if i == 1 else mt.right
                 a = self.fresh()
                 return (GLam(a, cps_type(ti),
                              GApp(ml, GInj(i, GVar(a), st))), ti)
             case Mu(l, ty, b):
-                bl, _ = self.go(b, env, {**lenv, l: ty})
+                bl, _ = self.go(b, env)
                 return GLam(_tlabel(l), cps_type(ty), GApp(bl, STAR)), ty
             case Named(l, b):
-                bl, _ = self.go(b, env, lenv)
+                bl, _ = self.go(b, env)
                 a = self.fresh()
                 return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), TBot()
         raise InternalError(f"bad term {t!r}")
@@ -309,7 +337,8 @@ def cps_term(t, env=None, lenv=None):
     env = env or {}
     lenv = lenv or {}
     typecheck(t, env, lenv)
-    out, _ = _Cps().go(t, env, lenv)
+    scope = {x: (GVar(_tvar(x)), a) for x, a in env.items()}
+    out, _ = _Cps().go(t, scope)
     return out
 
 

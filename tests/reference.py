@@ -7,7 +7,10 @@ binder and retype it as the surrounding frame is absorbed. eval_nat, the
 environment machine, is checked against it.
 
 g_alpha_eq compares target terms of mupcf.cps up to the names of their
-binders.
+binders. cps_term is the CPS translation of mupcf.cps as it was before it
+bound each λ variable to its projection: the translation of an abstraction
+substitutes that projection through its translated body. The library's
+translation must print the same term.
 
 check_proof is the proof checker of mupcf.logic as it was before it read
 the free variables and well-formedness that each conclusion carries: it
@@ -17,11 +20,14 @@ give the same conclusion or the same error.
 """
 
 from mupcf import logic
-from mupcf.cps import GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar
+from mupcf.cps import (
+    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LSum, LUNIT,
+    STAR, _const_label, _tlabel, _tvar, cps_type, g_subst,
+)
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TProd,
-    freshen, lapp,
+    freshen, lapp, prim_type, typecheck,
 )
 from mupcf.logic import (
     And, AndElim, AndIntro, Ax, BOT, Bot, BotElim, BotIntro, Forall,
@@ -266,6 +272,69 @@ def _canon(t, ren, counter):
 
 def g_alpha_eq(a, b):
     return _canon(a, {}, [0]) == _canon(b, {}, [0])
+
+
+# ---------- the CPS translation by substitution ----------
+
+
+class _SubstCps:
+    def __init__(self):
+        self.counter = 0
+
+    def fresh(self):
+        self.counter += 1
+        return f"a{self.counter}"
+
+    def go(self, t, env, lenv):
+        match t:
+            case LVar(n):
+                return GVar(_tvar(n)), env[n]
+            case Num() | Prim():
+                ty = NAT if isinstance(t, Num) else prim_type(t)
+                return GConst(_const_label(t), cps_type(ty)), ty
+            case Lam(x, ty, b):
+                bl, bt = self.go(b, {**env, x: ty}, lenv)
+                a = self.fresh()
+                body = GApp(g_subst(bl, _tvar(x), GProj(1, GVar(a))),
+                            GProj(2, GVar(a)))
+                return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
+            case LApp(f, n):
+                fl, ft = self.go(f, env, lenv)
+                nl, _ = self.go(n, env, lenv)
+                a = self.fresh()
+                return (GLam(a, cps_type(ft.right),
+                             GApp(fl, GPair(nl, GVar(a)))), ft.right)
+            case Pair(m, n):
+                ml, mt = self.go(m, env, lenv)
+                nl, nt = self.go(n, env, lenv)
+                a, b = self.fresh(), self.fresh()
+                scrut = GLam(a, LSum(cps_type(mt), cps_type(nt)),
+                             GCase(GVar(a), b,
+                                   GApp(ml, GVar(b)), GApp(nl, GVar(b))))
+                return scrut, TProd(mt, nt)
+            case Proj(i, m):
+                ml, mt = self.go(m, env, lenv)
+                st = LSum(cps_type(mt.left), cps_type(mt.right))
+                ti = mt.left if i == 1 else mt.right
+                a = self.fresh()
+                return (GLam(a, cps_type(ti),
+                             GApp(ml, GInj(i, GVar(a), st))), ti)
+            case Mu(l, ty, b):
+                bl, _ = self.go(b, env, {**lenv, l: ty})
+                return GLam(_tlabel(l), cps_type(ty), GApp(bl, STAR)), ty
+            case Named(l, b):
+                bl, _ = self.go(b, env, lenv)
+                a = self.fresh()
+                return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), TBot()
+        raise InternalError(f"bad term {t!r}")
+
+
+def cps_term(t, env=None, lenv=None):
+    env = env or {}
+    lenv = lenv or {}
+    typecheck(t, env, lenv)
+    out, _ = _SubstCps().go(t, env, lenv)
+    return out
 
 
 # ---------- reference proof checker ----------

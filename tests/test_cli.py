@@ -410,6 +410,39 @@ def test_usage_errors_are_user_errors(capsys, spelling):
         "\nerror[user-error]: argument --fuel: invalid int value: 'lots'\n")
 
 
+@pytest.mark.parametrize("spelling", [["--fo", "structured"],
+                                      ["--form=structured"]],
+                         ids=["fo", "form="])
+def test_a_usage_error_reads_an_abbreviated_format(capsys, spelling):
+    code, out, err = _run(capsys, ["check", *spelling])
+    _expect_user_error("structured", code, out, err,
+                       "the following arguments are required: file")
+
+
+def test_structured_usage_errors_follow_the_prefixes_argparse_takes():
+    """Under every command, each prefix of --format, spaced or joined by
+    `=`, makes a usage error structured exactly where argparse, given the
+    file, parses the line with that format (`--f` is ambiguous where the
+    command also takes --fuel)."""
+    commands = ["check", "relativize", "interp", "eval", "cps", "extract"]
+    seen = set()
+    for cmd in commands:
+        for n in range(len("--"), len("--format") + 1):
+            opt = "--format"[:n]
+            for spelling in ([opt, "structured"], [f"{opt}=structured"],
+                             [opt, "text"]):
+                try:
+                    args = cli._build_parser().parse_args(
+                        [cmd, "f.proof", *spelling])
+                    accepted = args.format == "structured"
+                except cli._UsageError:
+                    accepted = False
+                seen.add(accepted)
+                assert cli._wants_structured([cmd, *spelling]) == accepted, \
+                    (cmd, spelling)
+    assert seen == {True, False}
+
+
 def test_help_still_exits_zero(capsys):
     for argv in (["--help"], ["extract", "--help"]):
         with pytest.raises(SystemExit) as info:

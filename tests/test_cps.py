@@ -1,7 +1,10 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from mupcf import cli, cps
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GVar, LArr, LNAT,
     LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term, cps_type,
@@ -12,11 +15,14 @@ from mupcf.lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBOT,
     TProd, typecheck,
 )
+from mupcf.format import parse_file
 from mupcf.logic import THEORIES, check_proof
 
 import corpus_files
+import reference
 from reference import g_alpha_eq
 from termgen import gen_term, rand_type
+from test_extract import _count
 
 NN = TArr(NAT, NAT)
 
@@ -262,3 +268,96 @@ def test_proof_of_peirce_translates_like_callcc():
     lhs = normalize_lam(cps_term(pt, env, lenv), cps_envs(env, lenv))
     rhs = normalize_lam(cps_term(callcc), {})
     assert g_alpha_eq(lhs, rhs)
+
+
+# ------------------------------------- one pass, against the substitution
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = [*sorted((ROOT / "corpus").iterdir()),
+           ROOT / "tests" / "dc-succ.proof"]
+
+
+def _source_terms():
+    """(name, term, env, lenv) for every proof and term of SOURCES, as
+    `mupcf cps` translates them."""
+    out = []
+    for path in SOURCES:
+        ws = parse_file(path)
+        for name, (goal, proof) in ws.proofs.items():
+            env, lenv = interp_envs(goal)
+            out.append((name, interp_proof(proof, ws.theory, goal), env, lenv))
+        for name, t in ws.terms.items():
+            out.append((name, t, {}, {}))
+    return out
+
+
+def _agrees_with_substitution(t, env, lenv, name=None):
+    g, spec = cps_term(t, env, lenv), reference.cps_term(t, env, lenv)
+    assert lam_term_str(g) == lam_term_str(spec), name
+    ctx = cps_envs(env, lenv)
+    assert typecheck_lam(g, ctx) == typecheck_lam(spec, ctx), name
+
+
+def test_translation_prints_as_the_substitution_on_every_source():
+    sources = _source_terms()
+    assert {name for name, *_ in sources} >= {"add0-total", "omega", "dc-succ"}
+    for name, t, env, lenv in sources:
+        _agrees_with_substitution(t, env, lenv, name)
+
+
+def test_translation_prints_as_the_substitution_on_random_terms():
+    """Closed terms, and open ones under the context of a proof's
+    interpretation with free variables added."""
+    _, labels = interp_envs(corpus_files.entry("and-comm").goal)
+    contexts = [({}, {}), ({"n": NAT, "f": NN}, labels)]
+    rng = random.Random(20261019)
+    for i in range(1000):
+        env, lenv = contexts[i % 2]
+        t = gen_term(rng, rand_type(rng, 3), env, lenv, depth=6)
+        _agrees_with_substitution(t, env, lenv, i)
+
+
+def test_translation_of_shadowing_binders():
+    inner = Lam("x", NAT, LApp(Prim("succ"), LVar("x")))
+    for t in (Lam("x", NAT, LApp(inner, LVar("x"))),
+              Lam("x", NN, Lam("x", NAT, LVar("x"))),
+              Pair(LVar("x"), Lam("x", NN, LVar("x")))):
+        _agrees_with_substitution(t, {"x": NAT}, {})
+
+
+def _term_nodes(t):
+    match t:
+        case LVar() | Num() | Prim():
+            return 1
+        case Lam(_, _, b) | Proj(_, b) | Named(_, b) | Mu(_, _, b):
+            return 1 + _term_nodes(b)
+        case LApp(f, a) | Pair(f, a):
+            return 1 + _term_nodes(f) + _term_nodes(a)
+    raise AssertionError(t)
+
+
+def test_translation_visits_each_source_node_once(monkeypatch, capsys):
+    """`mupcf cps` translates each node of the source term once and
+    substitutes nothing (the translation by substitution walked the body of
+    each λ again, 1 259 g_subst visits on add0-total); the names a subterm
+    draws are counted once per node, then read at each λ above it."""
+    path = ROOT / "corpus" / "add0-total.proof"
+    ws = parse_file(path)
+    goal, proof = ws.proofs["add0-total"]
+    nodes = _term_nodes(interp_proof(proof, ws.theory, goal))
+    nest = LApp(Prim("succ"), LVar("x0"))
+    for i in reversed(range(300)):
+        nest = Lam(f"x{i}", NAT, nest)
+    calls = Counter()
+    for owner, name in ((cps._Cps, "go"), (cps._Cps, "draws"),
+                        (cps, "g_subst")):
+        _count(monkeypatch, calls, owner, name)
+    assert cli.main(["cps", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("term: ")
+    assert calls["go"] == nodes and calls["g_subst"] == 0, (nodes, calls)
+    assert calls["draws"] <= 2 * nodes, (nodes, calls)
+    calls.clear()
+    cps_term(nest)
+    nodes = _term_nodes(nest)
+    assert calls["go"] == nodes and calls["g_subst"] == 0, (nodes, calls)
+    assert calls["draws"] <= 2 * nodes, (nodes, calls)
