@@ -11,7 +11,9 @@ subterm stays inside the restricted arrow grammar.
 The normalizer decides βη-equality on the fragment where constants stay
 opaque: β for all three connectives, η-contractions, collapse of every
 unit-typed term, and the generalized sum-η that folds a case whose branches
-agree up to the injected scrutinee.
+agree up to the injected scrutinee. It type-checks its input once; each
+normal form then carries its type, built from its children's, and rewrites
+preserve types, so no rewrite type-checks again.
 """
 
 from .errors import InternalError, UserError
@@ -457,17 +459,16 @@ def _binders(t):
     raise InternalError(f"bad term {t!r}")
 
 
-def _fold_case(t, ctx):
+def _fold_case(t, st):
     """Generalized sum-η: a case whose branches are a common context filled
     with the matching injection of the bound variable folds to that context
-    filled with the scrutinee."""
+    filled with the scrutinee, of type st."""
     bound = _binders(t.left) | _binders(t.right)
     # shadowing or capture would make the textual fold unsound; skip
     if (t.var in bound or "_hole_" in bound
             or "_hole_" in g_free_vars(t.left)
             or bound & g_free_vars(t.scrut)):
         return None
-    st = typecheck_lam(t.scrut, ctx)
     pat1 = GInj(1, GVar(t.var), st)
     pat2 = GInj(2, GVar(t.var), st)
     body = _replace(t.left, pat1, _HOLE)
@@ -478,9 +479,10 @@ def _fold_case(t, ctx):
     return _replace(body, _HOLE, t.scrut)
 
 
-def _step(t, ctx):
-    """One rewrite at the root, or None."""
-    if not isinstance(t, GUnit) and typecheck_lam(t, ctx) == LUNIT:
+def _step(t, ty, st):
+    """One rewrite at the root of t, of type ty, or None; st is the type of
+    the scrutinee when t is a case."""
+    if not isinstance(t, GUnit) and isinstance(ty, LUnit):
         return STAR
     match t:
         case GApp(GLam(x, _, b), a):
@@ -496,39 +498,47 @@ def _step(t, ctx):
         case GPair(GProj(1, m), GProj(2, n)) if m == n:
             return m
         case GCase():
-            return _fold_case(t, ctx)
+            return _fold_case(t, st)
     return None
 
 
 def _normalize(t, ctx):
+    """The normal form of t and its type, built from the types of the normal
+    forms of its children."""
+    st = None
     match t:
-        case GVar() | GConst() | GUnit():
-            out = t
-        case GLam(x, ty, b):
-            out = GLam(x, ty, _normalize(b, {**ctx, x: ty}))
+        case GVar(n):
+            out, ty = t, ctx[n]
+        case GConst(_, dom):
+            out, ty = t, LArr(dom)
+        case GUnit():
+            out, ty = t, LUNIT
+        case GLam(x, xt, b):
+            out, ty = GLam(x, xt, _normalize(b, {**ctx, x: xt})[0]), LArr(xt)
         case GApp(f, a):
-            out = GApp(_normalize(f, ctx), _normalize(a, ctx))
+            out, ty = GApp(_normalize(f, ctx)[0], _normalize(a, ctx)[0]), R
         case GPair(a, b):
-            out = GPair(_normalize(a, ctx), _normalize(b, ctx))
+            (a, at), (b, bt) = _normalize(a, ctx), _normalize(b, ctx)
+            out, ty = GPair(a, b), LProd(at, bt)
         case GProj(i, b):
-            out = GProj(i, _normalize(b, ctx))
+            b, pt = _normalize(b, ctx)
+            out, ty = GProj(i, b), pt.left if i == 1 else pt.right
         case GInj(i, b, ty):
-            out = GInj(i, _normalize(b, ctx), ty)
+            out = GInj(i, _normalize(b, ctx)[0], ty)
         case GCase(s, x, l, r):
-            st = typecheck_lam(s, ctx)
-            # retype the bound variable per branch
-            out = GCase(_normalize(s, ctx), x,
-                        _normalize(l, {**ctx, x: st.left}),
-                        _normalize(r, {**ctx, x: st.right}))
+            s, st = _normalize(s, ctx)
+            # the bound variable takes each side of the scrutinee's sum
+            l, ty = _normalize(l, {**ctx, x: st.left})
+            out = GCase(s, x, l, _normalize(r, {**ctx, x: st.right})[0])
         case _:
             raise InternalError(f"bad term {t!r}")
-    red = _step(out, ctx)
-    return out if red is None else _normalize(red, ctx)
+    red = _step(out, ty, st)
+    return (out, ty) if red is None else _normalize(red, ctx)
 
 
 def normalize_lam(t, ctx=None):
     """βη-normal form; constants stay opaque so the result is unique on the
     fixpoint-free fragment."""
     ctx = dict(ctx or {})
-    typecheck_lam(t, ctx)
-    return _normalize(t, ctx)
+    typecheck_lam(t, ctx)  # the one check that t is well typed
+    return _normalize(t, ctx)[0]

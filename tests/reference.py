@@ -10,7 +10,10 @@ g_alpha_eq compares target terms of mupcf.cps up to the names of their
 binders. cps_term is the CPS translation of mupcf.cps as it was before it
 bound each λ variable to its projection: the translation of an abstraction
 substitutes that projection through its translated body. The library's
-translation must print the same term.
+translation must print the same term. normalize_lam is the βη-normalizer of
+mupcf.cps as it was before each normal form carried its type: it type-checks
+every node it rewrites, and the scrutinee of every case, again. The
+library's normalizer must give the same normal form.
 
 check_proof is the proof checker of mupcf.logic as it was before it read
 the free variables and well-formedness that each conclusion carries: it
@@ -22,7 +25,8 @@ give the same conclusion or the same error.
 from mupcf import logic
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LSum, LUNIT,
-    STAR, _const_label, _tlabel, _tvar, cps_type, g_subst,
+    LUnit, STAR, _HOLE, _binders, _const_label, _replace, _tlabel, _tvar,
+    cps_type, g_free_vars, g_subst, typecheck_lam,
 )
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
@@ -335,6 +339,84 @@ def cps_term(t, env=None, lenv=None):
     typecheck(t, env, lenv)
     out, _ = _SubstCps().go(t, env, lenv)
     return out
+
+
+# ---------- the retyping normalizer ----------
+
+
+def _fold_case(t, ctx):
+    """Generalized sum-η: a case whose branches are a common context filled
+    with the matching injection of the bound variable folds to that context
+    filled with the scrutinee."""
+    bound = _binders(t.left) | _binders(t.right)
+    # shadowing or capture would make the textual fold unsound; skip
+    if (t.var in bound or "_hole_" in bound
+            or "_hole_" in g_free_vars(t.left)
+            or bound & g_free_vars(t.scrut)):
+        return None
+    st = typecheck_lam(t.scrut, ctx)
+    pat1 = GInj(1, GVar(t.var), st)
+    pat2 = GInj(2, GVar(t.var), st)
+    body = _replace(t.left, pat1, _HOLE)
+    if t.var in g_free_vars(body):
+        return None
+    if _replace(body, _HOLE, pat2) != t.right:
+        return None
+    return _replace(body, _HOLE, t.scrut)
+
+
+def _step(t, ctx):
+    """One rewrite at the root, or None."""
+    if not isinstance(t, GUnit) and typecheck_lam(t, ctx) == LUNIT:
+        return STAR
+    match t:
+        case GApp(GLam(x, _, b), a):
+            return g_subst(b, x, a)
+        case GProj(i, GPair(l, r)):
+            return l if i == 1 else r
+        case GCase(GInj(i, v, _), x, l, r):
+            return g_subst(l if i == 1 else r, x, v)
+        case GLam(x, _, GApp(f, GVar(y))) if y == x and x not in g_free_vars(f):
+            return f
+        case GLam(x, LUnit(), GApp(f, GUnit())) if x not in g_free_vars(f):
+            return f
+        case GPair(GProj(1, m), GProj(2, n)) if m == n:
+            return m
+        case GCase():
+            return _fold_case(t, ctx)
+    return None
+
+
+def _normalize(t, ctx):
+    match t:
+        case GVar() | GConst() | GUnit():
+            out = t
+        case GLam(x, ty, b):
+            out = GLam(x, ty, _normalize(b, {**ctx, x: ty}))
+        case GApp(f, a):
+            out = GApp(_normalize(f, ctx), _normalize(a, ctx))
+        case GPair(a, b):
+            out = GPair(_normalize(a, ctx), _normalize(b, ctx))
+        case GProj(i, b):
+            out = GProj(i, _normalize(b, ctx))
+        case GInj(i, b, ty):
+            out = GInj(i, _normalize(b, ctx), ty)
+        case GCase(s, x, l, r):
+            st = typecheck_lam(s, ctx)
+            # retype the bound variable per branch
+            out = GCase(_normalize(s, ctx), x,
+                        _normalize(l, {**ctx, x: st.left}),
+                        _normalize(r, {**ctx, x: st.right}))
+        case _:
+            raise InternalError(f"bad term {t!r}")
+    red = _step(out, ctx)
+    return out if red is None else _normalize(red, ctx)
+
+
+def normalize_lam(t, ctx=None):
+    ctx = dict(ctx or {})
+    typecheck_lam(t, ctx)
+    return _normalize(t, ctx)
 
 
 # ---------- reference proof checker ----------

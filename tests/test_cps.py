@@ -6,9 +6,9 @@ import pytest
 
 from mupcf import cli, cps
 from mupcf.cps import (
-    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GVar, LArr, LNAT,
-    LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term, cps_type,
-    lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
+    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr,
+    LNAT, LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term,
+    cps_type, lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
 )
 from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
@@ -361,3 +361,59 @@ def test_translation_visits_each_source_node_once(monkeypatch, capsys):
     nodes = _term_nodes(nest)
     assert calls["go"] == nodes and calls["g_subst"] == 0, (nodes, calls)
     assert calls["draws"] <= 2 * nodes, (nodes, calls)
+
+
+# ------------------------------- the typed normalizer, against retyping
+
+def test_normal_forms_agree_with_the_retyping_normalizer_on_every_source():
+    for name, t, env, lenv in _source_terms():
+        g, ctx = cps_term(t, env, lenv), cps_envs(env, lenv)
+        assert normalize_lam(g, ctx) == reference.normalize_lam(g, ctx), name
+
+
+def test_normal_forms_agree_with_the_retyping_normalizer_on_random_terms():
+    rng = random.Random(20261020)
+    for i in range(600):
+        g = cps_term(gen_term(rng, rand_type(rng, 3), depth=7))
+        assert normalize_lam(g) == reference.normalize_lam(g), i
+
+
+def _g_nodes(t):
+    match t:
+        case GVar() | GConst() | GUnit():
+            return 1
+        case GLam(_, _, b) | GProj(_, b) | GInj(_, b, _):
+            return 1 + _g_nodes(b)
+        case GApp(f, a) | GPair(f, a):
+            return 1 + _g_nodes(f) + _g_nodes(a)
+        case GCase(s, _, l, r):
+            return 1 + _g_nodes(s) + _g_nodes(l) + _g_nodes(r)
+    raise AssertionError(t)
+
+
+def test_normalizer_type_checks_its_input_once(monkeypatch):
+    """Each normal form carries its type, so normalizing the cps output of
+    add0-total type-checks it once, one visit per node (when each rewrite
+    re-typed the term it rewrote, and each case its scrutinee: 826
+    top-level typecheck_lam calls, 4 159 visits). The rewrites themselves
+    do not change: 960 _normalize calls."""
+    e = corpus_files.entry("add0-total")
+    t = interp_proof(e.proof, THEORIES[e.theory], e.goal)
+    env, lenv = interp_envs(e.goal)
+    g, ctx = cps_term(t, env, lenv), cps_envs(env, lenv)
+    calls = Counter()
+    _count(monkeypatch, calls, cps, "_normalize")
+    check, depth = cps.typecheck_lam, [0]
+
+    def counted(*args):
+        calls["top" if depth[0] == 0 else "inner"] += 1
+        depth[0] += 1
+        try:
+            return check(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(cps, "typecheck_lam", counted)
+    normalize_lam(g, ctx)
+    visits = calls["top"] + calls["inner"]
+    assert (calls["top"], visits, calls["_normalize"]) == (1, 295, 960)
+    assert _g_nodes(g) == 295

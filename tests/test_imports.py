@@ -1,6 +1,8 @@
 """Every module-level import in src/mupcf and tests/ is used, and every
 module-level definition in src/mupcf is reached from the command or the
-benchmark, or each is allowed below with the reason it stays."""
+benchmark, or each is allowed below with the reason it stays. Every Python
+file of the package, its tests and its benchmark parses with the grammar of
+the oldest interpreter pyproject.toml allows."""
 
 import ast
 from pathlib import Path
@@ -301,3 +303,36 @@ def test_the_node_scan_sees_each_violation(tmp_path):
     assert _node_violations(tmp_path) == [
         "format: frozen=True", "lambdamu.Eq: own __eq__",
         "lambdamu.Plain: not a Node", "lambdamu.Plain: own __hash__"]
+
+
+# ---------- the grammar of the oldest supported interpreter ----------
+
+OLDEST = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
+
+
+def _too_new(paths):
+    """(path, line) of each file that does not parse as Python OLDEST."""
+    out = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=OLDEST)
+        except SyntaxError as ex:
+            out.append((path, ex.lineno))
+    return out
+
+
+def test_every_file_parses_as_the_oldest_supported_python():
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    paths = [p for pattern in ("src/mupcf/*.py", "tests/*.py", "bench/*.py")
+             for p in sorted(ROOT.glob(pattern))]
+    assert len(paths) > 30
+    assert _too_new(paths) == []
+
+
+def test_the_grammar_scan_sees_newer_syntax(tmp_path):
+    new = tmp_path / "new.py"  # an exception group handler is 3.11 grammar
+    new.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    old = tmp_path / "old.py"
+    old.write_text("match 1:\n    case 1:\n        pass\n")
+    assert [path for path, _ in _too_new([new, old])] == [new]
