@@ -6,8 +6,9 @@ exhausted, 3 internal invariant breach.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argument parser on the first call. Between calls the library keeps only
-bounded memos of pure values: that parser, the sorts of constants, and
-each axiom instance and its realizer.
+bounded memos of pure values: that parser, the sorts of constants, each
+axiom instance and its realizer, and the quantifier instances of
+logic.subst_var.
 """
 
 import argparse

@@ -19,7 +19,7 @@ preserve types, so no rewrite type-checks again.
 from .errors import InternalError, UserError
 from .lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Node, Num, Pair, Prim, Proj, TArr,
-    TBot, TNat, TProd, freshen, prim_type, typecheck,
+    TBot, TNat, TProd, freshen, prim_type, typecheck, write,
 )
 
 
@@ -30,29 +30,29 @@ class LamType(Node):
     pass
 
 
-class LBase(LamType):
+class LBase(LamType, layout="{name}~"):
     name: str
 
 
-class LR(LamType):
+class LR(LamType, layout="R"):
     pass
 
 
-class LArr(LamType):
+class LArr(LamType, layout="(-> {dom} R)"):
     """dom -> R; the codomain is forced."""
     dom: LamType
 
 
-class LProd(LamType):
+class LProd(LamType, layout="(* {left} {right})"):
     left: LamType
     right: LamType
 
 
-class LUnit(LamType):
+class LUnit(LamType, layout="unit"):
     pass
 
 
-class LSum(LamType):
+class LSum(LamType, layout="(+ {left} {right})"):
     left: LamType
     right: LamType
 
@@ -62,21 +62,7 @@ R = LR()
 LUNIT = LUnit()
 
 
-def lam_type_str(t):
-    match t:
-        case LBase(n):
-            return n + "~"
-        case LR():
-            return "R"
-        case LArr(d):
-            return f"(-> {lam_type_str(d)} R)"
-        case LProd(a, b):
-            return f"(* {lam_type_str(a)} {lam_type_str(b)})"
-        case LUnit():
-            return "unit"
-        case LSum(a, b):
-            return f"(+ {lam_type_str(a)} {lam_type_str(b)})"
-    raise InternalError(f"bad type {t!r}")
+lam_type_str = write
 
 
 def cps_type(a):
@@ -99,48 +85,48 @@ class LamTerm(Node):
     pass
 
 
-class GVar(LamTerm):
+class GVar(LamTerm, layout="{name}"):
     name: str
 
 
-class GConst(LamTerm):
+class GConst(LamTerm, layout="{name}~"):
     """Translated constant of overall type dom -> R."""
     name: str
     dom: LamType
 
 
-class GLam(LamTerm):
+class GLam(LamTerm, layout="(lam ({var} {ty}) {body})"):
     var: str
     ty: LamType  # domain; the body must inhabit R
     body: LamTerm
 
 
-class GApp(LamTerm):
+class GApp(LamTerm, layout="(app {fn} {arg})"):
     fn: LamTerm
     arg: LamTerm
 
 
-class GPair(LamTerm):
+class GPair(LamTerm, layout="(pair {left} {right})"):
     left: LamTerm
     right: LamTerm
 
 
-class GProj(LamTerm):
+class GProj(LamTerm, layout="(p{index} {body})"):
     index: int
     body: LamTerm
 
 
-class GUnit(LamTerm):
+class GUnit(LamTerm, layout="star"):
     pass
 
 
-class GInj(LamTerm):
+class GInj(LamTerm, layout="(in{index} {body} {ty})"):
     index: int
     body: LamTerm
     ty: LamType  # the full sum type
 
 
-class GCase(LamTerm):
+class GCase(LamTerm, layout="(case {scrut} ({var}) {left} {right})"):
     scrut: LamTerm
     var: str
     left: LamTerm
@@ -150,28 +136,7 @@ class GCase(LamTerm):
 STAR = GUnit()
 
 
-def lam_term_str(t):
-    match t:
-        case GVar(n):
-            return n
-        case GConst(n, _):
-            return n + "~"
-        case GLam(x, ty, b):
-            return f"(lam ({x} {lam_type_str(ty)}) {lam_term_str(b)})"
-        case GApp(f, a):
-            return f"(app {lam_term_str(f)} {lam_term_str(a)})"
-        case GPair(a, b):
-            return f"(pair {lam_term_str(a)} {lam_term_str(b)})"
-        case GProj(i, b):
-            return f"(p{i} {lam_term_str(b)})"
-        case GUnit():
-            return "star"
-        case GInj(i, b, ty):
-            return f"(in{i} {lam_term_str(b)} {lam_type_str(ty)})"
-        case GCase(s, x, l, r):
-            return (f"(case {lam_term_str(s)} ({x}) "
-                    f"{lam_term_str(l)} {lam_term_str(r)})")
-    raise InternalError(f"bad term {t!r}")
+lam_term_str = write
 
 
 # ---------- type checking ----------

@@ -9,10 +9,11 @@ A file is a sequence of declarations:
 
 The grammar document FORMAT.md in the repository root is the normative
 reference.  Printing any parsed object and re-parsing it yields a structurally
-equal object.  The printers of sorts, individuals and formulas live in logic,
-those of types and programs in lambdamu, so that diagnostics there can quote
-objects in this syntax; this module re-exports them next to the reader, the
-proof printer and the declaration printers.
+equal object.  Every object prints through lambdamu.write, which reads the
+layout each syntax class declares next to its fields; logic, lambdamu and cps
+name it after the syntax they print (formula_sexp, term_sexp, ...) so that
+diagnostics there quote objects in this syntax.  This module re-exports those
+names next to the reader, proof_sexp and the declaration printers.
 """
 
 import re
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field
 from .errors import InternalError, UserError
 from .lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBOT,
-    TProd, term_sexp, type_sexp,
+    TProd, term_sexp, type_sexp, write,
 )
 from .logic import (
-    And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, BotElim, BotIntro,
-    Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, MAX_DEPTH, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent,
-    SUCC, THEORIES, ZERO, formula_sexp, ind_sexp, sort_sexp,
+    And, AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, Forall,
+    ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp, ImpElim,
+    ImpIntro, MAX_DEPTH, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent, SUCC,
+    THEORIES, ZERO, formula_sexp,
 )
 
 # ---------------------------------------------------------------- reader
@@ -412,37 +413,7 @@ def parse_proof(node, scope):
     _err(node, f"unknown proof form {head}")
 
 
-def proof_sexp(p):
-    match p:
-        case Id(name):
-            return f"(id {name})"
-        case Ax(name, args):
-            parts = [name]
-            for a in args:
-                if isinstance(a, IVar):
-                    parts.append(f"({a.name} {sort_sexp(a.sort)})")
-                elif isinstance(a, (BaseSort, SArrow)):
-                    parts.append(sort_sexp(a))
-                else:
-                    parts.append(formula_sexp(a))
-            return "(ax " + " ".join(parts) + ")"
-        case ImpIntro(h, f, b):
-            return f"(imp-intro ({h} {formula_sexp(f)}) {proof_sexp(b)})"
-        case ImpElim(a, b):
-            return f"(imp-elim {proof_sexp(a)} {proof_sexp(b)})"
-        case AndIntro(a, b):
-            return f"(and-intro {proof_sexp(a)} {proof_sexp(b)})"
-        case AndElim(i, b):
-            return f"(and-elim {i} {proof_sexp(b)})"
-        case ForallIntro(x, s, b):
-            return f"(forall-intro ({x} {sort_sexp(s)}) {proof_sexp(b)})"
-        case ForallElim(b, t):
-            return f"(forall-elim {proof_sexp(b)} {ind_sexp(t)})"
-        case BotIntro(lab, b):
-            return f"(bot-intro {lab} {proof_sexp(b)})"
-        case BotElim(lab, f, b):
-            return f"(bot-elim ({lab} {formula_sexp(f)}) {proof_sexp(b)})"
-    raise InternalError(f"bad proof {p!r}")
+proof_sexp = write
 
 
 # -------------------------------------------------------------- programs

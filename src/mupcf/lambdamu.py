@@ -8,6 +8,7 @@ by substitution (tests/reference.py). Types and terms print in the surface
 syntax of FORMAT.md.
 """
 
+import re
 from dataclasses import MISSING, dataclass, fields
 from weakref import ref
 
@@ -33,16 +34,24 @@ class Node:
     `_facts()`, which stores what the node's children determine (in slots,
     outside the fields) and may raise to refuse the node. The table holds
     only live nodes: an entry goes when its node dies.
+
+    A class that is printed declares its surface syntax (FORMAT.md) with
+    `layout=`, a template such as "(app {fn} {arg})": a str or int field
+    prints as its text, any other field as its node. The template compiles
+    to the class's `_parts()`, the strings and nodes that `write` prints
+    for a node, in reverse; a class whose syntax no template states writes
+    `_parts` by hand.
     """
 
-    def __init_subclass__(cls, interned=False, **kwargs):
+    def __init_subclass__(cls, interned=False, layout=None, **kwargs):
         super().__init_subclass__(**kwargs)
         # else dataclass builds a __doc__ with inspect.signature, at import
         cls.__doc__ = cls.__doc__ or cls.__name__
         dataclass(cls, eq=False, repr=False)
         names = [f.name for f in fields(cls)]
+        parts = _parts_source(cls, layout) if layout else ""
         if interned or hasattr(cls, "_table"):
-            _intern(cls, names)
+            _intern(cls, names, parts)
             return
         mine = "".join(f"self.{n}," for n in names)
         theirs = "".join(f"other.{n}," for n in names)
@@ -51,9 +60,11 @@ class Node:
              "    if other.__class__ is self.__class__:\n"
              f"        return ({mine}) == ({theirs})\n"
              "    return NotImplemented\n"
-             f"def __hash__(self):\n    return hash(({mine}))\n", ns)
+             f"def __hash__(self):\n    return hash(({mine}))\n{parts}", ns)
         cls.__eq__ = ns["__eq__"]
         cls.__hash__ = ns["__hash__"]
+        if parts:
+            cls._parts = ns["_parts"]
 
     def __repr__(self):
         args = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
@@ -61,8 +72,36 @@ class Node:
         return f"{self.__class__.__qualname__}({args})"
 
 
-def _intern(cls, names):
-    """Give cls its own table and a hash-consing constructor (see Node)."""
+def _parts_source(cls, layout):
+    """The source of cls._parts for the template layout (see Node)."""
+    scalars = {f.name for f in fields(cls) if f.type in (str, int)}
+    # a str or int field prints inside the f-string of the text around it
+    text = re.sub(r"{(\w+)}", lambda m: f"{{self.{m[1]}}}"
+                  if m[1] in scalars else m[0], layout)
+    pieces = re.split(r"{(\w+)}", text)
+    parts = [f"self.{p}" if i % 2 else f"f{p!r}"
+             for i, p in enumerate(pieces) if p]
+    return f"def _parts(self):\n    return {', '.join(reversed(parts))},\n"
+
+
+def write(node):
+    """node in the surface syntax of FORMAT.md. The nodes still to print
+    wait on a stack, not in recursive calls, so a node of any depth
+    prints at any recursion limit."""
+    out, todo = [], [node]
+    append, push, pop = out.append, todo.extend, todo.pop
+    while todo:
+        x = pop()
+        if x.__class__ is str:
+            append(x)
+        else:
+            push(x._parts())
+    return "".join(out)
+
+
+def _intern(cls, names, parts):
+    """Give cls its own table and a hash-consing constructor (see Node),
+    and compile the source parts with it."""
     table = cls._table = {}  # field tuple -> weak reference to its node
     ns = {"get": table.get, "table": table, "new": object.__new__, "ref": ref}
     params = []
@@ -88,8 +127,11 @@ def _intern(cls, names):
          "        if get(key) is r:\n"
          "            del table[key]\n"
          "    table[key] = ref(node, gone)\n"
-         "    return node\n", f"<{cls.__qualname__}.__new__>", "exec"), ns)
+         "    return node\n" + parts, f"<{cls.__qualname__}.__new__>",
+         "exec"), ns)
     cls.__new__ = staticmethod(ns["__new__"])
+    if parts:
+        cls._parts = ns["_parts"]
     del cls.__init__  # object.__init__ then accepts the constructor's arguments
 
 
@@ -100,20 +142,20 @@ class LType(Node):
     pass
 
 
-class TNat(LType):
+class TNat(LType, layout="nat"):
     pass
 
 
-class TBot(LType):
+class TBot(LType, layout="bot"):
     pass
 
 
-class TArr(LType):
+class TArr(LType, layout="(-> {left} {right})"):
     left: LType
     right: LType
 
 
-class TProd(LType):
+class TProd(LType, layout="(* {left} {right})"):
     left: LType
     right: LType
 
@@ -134,17 +176,7 @@ def t_list(a):
     return TProd(NAT, TArr(NAT, a))
 
 
-def type_sexp(t):
-    match t:
-        case TNat():
-            return "nat"
-        case TBot():
-            return "bot"
-        case TArr(a, b):
-            return f"(-> {type_sexp(a)} {type_sexp(b)})"
-        case TProd(a, b):
-            return f"(* {type_sexp(a)} {type_sexp(b)})"
-    raise InternalError(f"bad type {t!r}")
+type_sexp = write
 
 
 # ---------- terms ----------
@@ -154,11 +186,11 @@ class Term(Node):
     pass
 
 
-class LVar(Term):
+class LVar(Term, layout="{name}"):
     name: str
 
 
-class Num(Term):
+class Num(Term, layout="{value}"):
     value: int
 
 
@@ -166,35 +198,39 @@ class Prim(Term):
     op: str  # succ | pred | ifz | fix
     ty: LType | None = None  # result type for ifz, fixed type for fix
 
+    def _parts(self):  # the type prints only when there is one
+        op, ty = self.op, self.ty
+        return (op,) if ty is None else (")", ty, f"({op} ")
 
-class Lam(Term):
+
+class Lam(Term, layout="(lam ({var} {ty}) {body})"):
     var: str
     ty: LType
     body: Term
 
 
-class LApp(Term):
+class LApp(Term, layout="(app {fn} {arg})"):
     fn: Term
     arg: Term
 
 
-class Pair(Term):
+class Pair(Term, layout="(pair {left} {right})"):
     left: Term
     right: Term
 
 
-class Proj(Term):
+class Proj(Term, layout="(proj {index} {body})"):
     index: int
     body: Term
 
 
-class Mu(Term):
+class Mu(Term, layout="(mu ({label} {ty}) {body})"):
     label: str
     ty: LType
     body: Term
 
 
-class Named(Term):
+class Named(Term, layout="(named {label} {body})"):
     label: str
     body: Term
 
@@ -225,29 +261,7 @@ def lams(binders, body):
     return out
 
 
-def term_sexp(t):
-    cls = t.__class__
-    if cls is LApp:
-        return f"(app {term_sexp(t.fn)} {term_sexp(t.arg)})"
-    if cls is LVar:
-        return t.name
-    if cls is Lam:
-        return f"(lam ({t.var} {type_sexp(t.ty)}) {term_sexp(t.body)})"
-    if cls is Prim:
-        if t.ty is None:
-            return t.op
-        return f"({t.op} {type_sexp(t.ty)})"
-    if cls is Num:
-        return str(t.value)
-    if cls is Pair:
-        return f"(pair {term_sexp(t.left)} {term_sexp(t.right)})"
-    if cls is Proj:
-        return f"(proj {t.index} {term_sexp(t.body)})"
-    if cls is Mu:
-        return f"(mu ({t.label} {type_sexp(t.ty)}) {term_sexp(t.body)})"
-    if cls is Named:
-        return f"(named {t.label} {term_sexp(t.body)})"
-    raise InternalError(f"bad term {t!r}")
+term_sexp = write
 
 
 # ---------- typing ----------

@@ -1,8 +1,8 @@
 """Multisorted classical first-order logic over arithmetic in finite types.
 
-Syntax (sorts, individuals, formulas) and its printers in the surface syntax
-of FORMAT.md, goals, the polarity grammars, built-in theories, and the proof
-checker.
+Syntax (sorts, individuals, formulas, proofs) with its layout in the surface
+syntax of FORMAT.md, goals, the polarity grammars, built-in theories, and the
+proof checker.
 
 Connective inventory is deliberately small: bot, implication, conjunction,
 universal quantification, and two atom families (inequality at every sort,
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .errors import InternalError, UserError
-from .lambdamu import Node, freshen
+from .lambdamu import Node, freshen, write
 
 # Trees deeper than this are refused where they are built. The reader
 # reports the position (format); the constructors of individuals and
@@ -69,14 +69,14 @@ class Sort(Node, interned=True):
     __slots__ = ("_depth",)
 
 
-class BaseSort(Sort):
+class BaseSort(Sort, layout="{name}"):
     name: str
 
     def _facts(self):
         self._depth = 0
 
 
-class SArrow(Sort):
+class SArrow(Sort, layout="(-> {left} {right})"):
     left: Sort
     right: Sort
 
@@ -98,13 +98,7 @@ def arrow(*sorts):
     return out
 
 
-def sort_sexp(s):
-    match s:
-        case BaseSort(name):
-            return name
-        case SArrow(a, b):
-            return f"(-> {sort_sexp(a)} {sort_sexp(b)})"
-    raise InternalError(f"bad sort {s!r}")
+sort_sexp = write
 
 
 # ---------- individuals ----------
@@ -122,7 +116,7 @@ class Individual(Node, interned=True):
     __slots__ = ("_depth", "_fv", "_sort")
 
 
-class IVar(Individual):
+class IVar(Individual, layout="{name}"):
     name: str
     sort: Sort
 
@@ -149,6 +143,10 @@ class IConst(Individual):
         except UserError:
             self._sort = None
 
+    def _parts(self):
+        args = self.sort_args
+        return _call_parts(self.name, args) if args else (self.name,)
+
 
 class IApp(Individual):
     fn: Individual
@@ -162,6 +160,23 @@ class IApp(Individual):
         fs, s = fn._sort, arg._sort
         self._sort = (fs.right if fv is not None and s is not None
                       and fs.__class__ is SArrow and fs.left is s else None)
+
+    def _parts(self):  # (f a1 ... an): the spine prints flat
+        out, head = [")"], self
+        while head.__class__ is IApp:
+            out += (head.arg, " ")
+            head = head.fn
+        out += (head, "(")
+        return out
+
+
+def _call_parts(head, args):
+    """The parts of (head a1 ... an), for the name head (see Node)."""
+    out = [")"]
+    for a in reversed(args):
+        out += (a, " ")
+    out.append("(" + head)
+    return out
 
 
 def iapp(fn, *args):
@@ -282,22 +297,7 @@ def ind_subst(t, x, u):
     return IApp(ind_subst(t.fn, x, u), ind_subst(t.arg, x, u))
 
 
-def ind_sexp(t):
-    match t:
-        case IVar(name, _):
-            return name
-        case IConst(name, ()):
-            return name
-        case IConst(name, sorts):
-            return "(" + " ".join([name] + [sort_sexp(s) for s in sorts]) + ")"
-        case IApp():
-            head, args = t, []
-            while isinstance(head, IApp):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            return "(" + " ".join(ind_sexp(x) for x in [head] + args) + ")"
-    raise InternalError(f"bad individual {t!r}")
+ind_sexp = write
 
 
 def zero_ind(sort):
@@ -325,7 +325,7 @@ class Formula(Node, interned=True):
     __slots__ = ("_depth", "_fv", "_rel", "_neg")
 
 
-class Bot(Formula):
+class Bot(Formula, layout="bot"):
     def _facts(self):
         self._depth = 0
         self._fv = _NO_VARS
@@ -353,6 +353,9 @@ class Atom(Formula):
         self._rel = pred == "rel"
         self._neg = pred in PREDICATES and PREDICATES[pred][0] == "negative"
 
+    def _parts(self):
+        return _call_parts(self.pred, self.args)
+
 
 def _pair_facts(f):
     a, b = f.left, f.right
@@ -362,7 +365,7 @@ def _pair_facts(f):
     f._rel = a._rel or b._rel
 
 
-class Imp(Formula):
+class Imp(Formula, layout="(-> {left} {right})"):
     left: Formula
     right: Formula
 
@@ -371,7 +374,7 @@ class Imp(Formula):
         self._neg = self.right._neg
 
 
-class And(Formula):
+class And(Formula, layout="(/\\ {left} {right})"):
     left: Formula
     right: Formula
 
@@ -380,7 +383,7 @@ class And(Formula):
         self._neg = self.left._neg and self.right._neg
 
 
-class Forall(Formula):
+class Forall(Formula, layout="(all ({var} {sort}) {body})"):
     var: str
     sort: Sort
     body: Formula
@@ -630,19 +633,7 @@ def rel_pred(t, sort):
     raise InternalError(f"bad sort {sort!r}")
 
 
-def formula_sexp(f):
-    match f:
-        case Bot():
-            return "bot"
-        case Atom(pred, args):
-            return "(" + " ".join([pred] + [ind_sexp(t) for t in args]) + ")"
-        case Imp(a, b):
-            return f"(-> {formula_sexp(a)} {formula_sexp(b)})"
-        case And(a, b):
-            return f"(/\\ {formula_sexp(a)} {formula_sexp(b)})"
-        case Forall(x, s, b):
-            return f"(all ({x} {sort_sexp(s)}) {formula_sexp(b)})"
-    raise InternalError(f"bad formula {f!r}")
+formula_sexp = write
 
 
 # ---------- goals and proofs ----------
@@ -661,7 +652,7 @@ class Proof(Node):
     pass
 
 
-class Id(Proof):
+class Id(Proof, layout="(id {hyp})"):
     hyp: str
 
 
@@ -669,45 +660,53 @@ class Ax(Proof):
     name: str
     args: tuple = ()
 
+    def _parts(self):  # a variable argument prints as its binder (x s)
+        out = [")"]
+        for a in reversed(self.args):
+            out += ((")", a.sort, f" ({a.name} ") if a.__class__ is IVar
+                    else (a, " "))
+        out.append("(ax " + self.name)
+        return out
 
-class ImpIntro(Proof):
+
+class ImpIntro(Proof, layout="(imp-intro ({hyp} {formula}) {body})"):
     hyp: str
     formula: Formula
     body: Proof
 
 
-class ImpElim(Proof):
+class ImpElim(Proof, layout="(imp-elim {fn} {arg})"):
     fn: Proof
     arg: Proof
 
 
-class AndIntro(Proof):
+class AndIntro(Proof, layout="(and-intro {left} {right})"):
     left: Proof
     right: Proof
 
 
-class AndElim(Proof):
+class AndElim(Proof, layout="(and-elim {index} {body})"):
     index: int
     body: Proof
 
 
-class ForallIntro(Proof):
+class ForallIntro(Proof, layout="(forall-intro ({var} {sort}) {body})"):
     var: str
     sort: Sort
     body: Proof
 
 
-class ForallElim(Proof):
+class ForallElim(Proof, layout="(forall-elim {body} {term})"):
     body: Proof
     term: Individual
 
 
-class BotIntro(Proof):
+class BotIntro(Proof, layout="(bot-intro {label} {body})"):
     label: str
     body: Proof
 
 
-class BotElim(Proof):
+class BotElim(Proof, layout="(bot-elim ({label} {formula}) {body})"):
     label: str
     formula: Formula
     body: Proof

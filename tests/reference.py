@@ -20,23 +20,30 @@ the free variables and well-formedness that each conclusion carries: it
 re-validates the conclusion at every quantifier introduction and substitutes
 at every elimination, by the bound variable too. The library's checker must
 give the same conclusion or the same error.
+
+sort_sexp, ind_sexp, formula_sexp, proof_sexp, type_sexp, term_sexp,
+lam_type_str and lam_term_str are the printers of mupcf.logic, mupcf.format,
+mupcf.lambdamu and mupcf.cps as they were before one writer printed every
+syntax from the layout each class declares: each recurses once per node and
+builds each parent's string from its children's. The writer must print the
+same string.
 """
 
 from mupcf import logic
 from mupcf.cps import (
-    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LSum, LUNIT,
-    LUnit, STAR, _HOLE, _binders, _const_label, _replace, _tlabel, _tvar,
-    cps_type, g_free_vars, g_subst, typecheck_lam,
+    GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr, LBase,
+    LProd, LR, LSum, LUNIT, LUnit, STAR, _HOLE, _binders, _const_label,
+    _replace, _tlabel, _tvar, cps_type, g_free_vars, g_subst, typecheck_lam,
 )
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
-    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TProd,
-    freshen, lapp, prim_type, typecheck,
+    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TNat,
+    TProd, freshen, lapp, prim_type, typecheck,
 )
 from mupcf.logic import (
-    And, AndElim, AndIntro, Ax, BOT, Bot, BotElim, BotIntro, Forall,
-    ForallElim, ForallIntro, Id, Imp, ImpElim, ImpIntro, KAPPA, alpha_eq,
-    formula_sexp, fv_formula, infer_sort, ind_sexp, polarity, sort_sexp,
+    And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, Bot, BotElim, BotIntro,
+    Forall, ForallElim, ForallIntro, IApp, IConst, IVar, Id, Imp, ImpElim,
+    ImpIntro, KAPPA, SArrow, alpha_eq, fv_formula, infer_sort, polarity,
     wf_formula,
 )
 
@@ -532,3 +539,160 @@ def check_node(p, theory, gamma, delta, instances):
                 + formula_sexp(c))
         return f, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")
+
+
+# ---------- the recursive printers ----------
+
+
+def sort_sexp(s):
+    match s:
+        case BaseSort(name):
+            return name
+        case SArrow(a, b):
+            return f"(-> {sort_sexp(a)} {sort_sexp(b)})"
+    raise InternalError(f"bad sort {s!r}")
+
+
+def ind_sexp(t):
+    match t:
+        case IVar(name, _):
+            return name
+        case IConst(name, ()):
+            return name
+        case IConst(name, sorts):
+            return "(" + " ".join([name] + [sort_sexp(s) for s in sorts]) + ")"
+        case IApp():
+            head, args = t, []
+            while isinstance(head, IApp):
+                args.append(head.arg)
+                head = head.fn
+            args.reverse()
+            return "(" + " ".join(ind_sexp(x) for x in [head] + args) + ")"
+    raise InternalError(f"bad individual {t!r}")
+
+
+def formula_sexp(f):
+    match f:
+        case Bot():
+            return "bot"
+        case Atom(pred, args):
+            return "(" + " ".join([pred] + [ind_sexp(t) for t in args]) + ")"
+        case Imp(a, b):
+            return f"(-> {formula_sexp(a)} {formula_sexp(b)})"
+        case And(a, b):
+            return f"(/\\ {formula_sexp(a)} {formula_sexp(b)})"
+        case Forall(x, s, b):
+            return f"(all ({x} {sort_sexp(s)}) {formula_sexp(b)})"
+    raise InternalError(f"bad formula {f!r}")
+
+
+def proof_sexp(p):
+    match p:
+        case Id(name):
+            return f"(id {name})"
+        case Ax(name, args):
+            parts = [name]
+            for a in args:
+                if isinstance(a, IVar):
+                    parts.append(f"({a.name} {sort_sexp(a.sort)})")
+                elif isinstance(a, (BaseSort, SArrow)):
+                    parts.append(sort_sexp(a))
+                else:
+                    parts.append(formula_sexp(a))
+            return "(ax " + " ".join(parts) + ")"
+        case ImpIntro(h, f, b):
+            return f"(imp-intro ({h} {formula_sexp(f)}) {proof_sexp(b)})"
+        case ImpElim(a, b):
+            return f"(imp-elim {proof_sexp(a)} {proof_sexp(b)})"
+        case AndIntro(a, b):
+            return f"(and-intro {proof_sexp(a)} {proof_sexp(b)})"
+        case AndElim(i, b):
+            return f"(and-elim {i} {proof_sexp(b)})"
+        case ForallIntro(x, s, b):
+            return f"(forall-intro ({x} {sort_sexp(s)}) {proof_sexp(b)})"
+        case ForallElim(b, t):
+            return f"(forall-elim {proof_sexp(b)} {ind_sexp(t)})"
+        case BotIntro(lab, b):
+            return f"(bot-intro {lab} {proof_sexp(b)})"
+        case BotElim(lab, f, b):
+            return f"(bot-elim ({lab} {formula_sexp(f)}) {proof_sexp(b)})"
+    raise InternalError(f"bad proof {p!r}")
+
+
+def type_sexp(t):
+    match t:
+        case TNat():
+            return "nat"
+        case TBot():
+            return "bot"
+        case TArr(a, b):
+            return f"(-> {type_sexp(a)} {type_sexp(b)})"
+        case TProd(a, b):
+            return f"(* {type_sexp(a)} {type_sexp(b)})"
+    raise InternalError(f"bad type {t!r}")
+
+
+def term_sexp(t):
+    cls = t.__class__
+    if cls is LApp:
+        return f"(app {term_sexp(t.fn)} {term_sexp(t.arg)})"
+    if cls is LVar:
+        return t.name
+    if cls is Lam:
+        return f"(lam ({t.var} {type_sexp(t.ty)}) {term_sexp(t.body)})"
+    if cls is Prim:
+        if t.ty is None:
+            return t.op
+        return f"({t.op} {type_sexp(t.ty)})"
+    if cls is Num:
+        return str(t.value)
+    if cls is Pair:
+        return f"(pair {term_sexp(t.left)} {term_sexp(t.right)})"
+    if cls is Proj:
+        return f"(proj {t.index} {term_sexp(t.body)})"
+    if cls is Mu:
+        return f"(mu ({t.label} {type_sexp(t.ty)}) {term_sexp(t.body)})"
+    if cls is Named:
+        return f"(named {t.label} {term_sexp(t.body)})"
+    raise InternalError(f"bad term {t!r}")
+
+
+def lam_type_str(t):
+    match t:
+        case LBase(n):
+            return n + "~"
+        case LR():
+            return "R"
+        case LArr(d):
+            return f"(-> {lam_type_str(d)} R)"
+        case LProd(a, b):
+            return f"(* {lam_type_str(a)} {lam_type_str(b)})"
+        case LUnit():
+            return "unit"
+        case LSum(a, b):
+            return f"(+ {lam_type_str(a)} {lam_type_str(b)})"
+    raise InternalError(f"bad type {t!r}")
+
+
+def lam_term_str(t):
+    match t:
+        case GVar(n):
+            return n
+        case GConst(n, _):
+            return n + "~"
+        case GLam(x, ty, b):
+            return f"(lam ({x} {lam_type_str(ty)}) {lam_term_str(b)})"
+        case GApp(f, a):
+            return f"(app {lam_term_str(f)} {lam_term_str(a)})"
+        case GPair(a, b):
+            return f"(pair {lam_term_str(a)} {lam_term_str(b)})"
+        case GProj(i, b):
+            return f"(p{i} {lam_term_str(b)})"
+        case GUnit():
+            return "star"
+        case GInj(i, b, ty):
+            return f"(in{i} {lam_term_str(b)} {lam_type_str(ty)})"
+        case GCase(s, x, l, r):
+            return (f"(case {lam_term_str(s)} ({x}) "
+                    f"{lam_term_str(l)} {lam_term_str(r)})")
+    raise InternalError(f"bad term {t!r}")

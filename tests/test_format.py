@@ -11,7 +11,7 @@ from mupcf.errors import UserError
 from mupcf.format import (
     _parse_declarations, _read_all, _read_plain, formula_sexp, parse_file,
     parse_formula, parse_individual, parse_sort, parse_source, parse_term,
-    parse_type, proof_decl, sort_sexp, term_decl, term_sexp, type_sexp,
+    parse_type, proof_decl, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
@@ -20,7 +20,7 @@ from mupcf.lambdamu import (
 from mupcf.logic import (
     Atom, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA,
     IVar, Id, Imp, ImpIntro, SUCC, Sequent, THEORIES, ZERO, arrow,
-    check_proof, f_eq, f_exists, f_not, f_neq, iapp,
+    check_proof, f_eq, f_exists, f_not, f_neq, iapp, sort_sexp,
 )
 
 import corpus_files

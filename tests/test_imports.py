@@ -1,8 +1,9 @@
 """Every module-level import in src/mupcf and tests/ is used, and every
 module-level definition in src/mupcf is reached from the command or the
-benchmark, or each is allowed below with the reason it stays. Every Python
-file of the package, its tests and its benchmark parses with the grammar of
-the oldest interpreter pyproject.toml allows."""
+benchmark, or each is allowed below with the reason it stays. Every syntax
+class that is printed declares its layout. Every Python file of the package,
+its tests and its benchmark parses with the grammar of the oldest
+interpreter pyproject.toml allows."""
 
 import ast
 from pathlib import Path
@@ -303,6 +304,55 @@ def test_the_node_scan_sees_each_violation(tmp_path):
     assert _node_violations(tmp_path) == [
         "format: frozen=True", "lambdamu.Eq: own __eq__",
         "lambdamu.Plain: not a Node", "lambdamu.Plain: own __hash__"]
+
+
+# ---------- every printed syntax class has a layout ----------
+
+# the syntaxes that lambdamu.write prints; Sequent and the report nodes of
+# extract are never printed
+PRINTED = {"LType", "Term", "Sort", "Individual", "Formula", "Proof",
+           "LamType", "LamTerm"}
+
+
+def _layout_violations(src_dir):
+    """"module.Class" for each concrete class below PRINTED in a syntax
+    module that declares no layout= and writes no _parts (lambdamu.Node)."""
+    classes = {}
+    for path in sorted(src_dir.glob("*.py")):
+        if path.stem in SYNTAX_MODULES:
+            for node in ast.parse(path.read_text(), filename=str(path)).body:
+                if isinstance(node, ast.ClassDef):
+                    classes[node.name] = (path.stem, node)
+    bases = {name: {getattr(b, "id", None) for b in node.bases}
+             for name, (_, node) in classes.items()}
+
+    def printed(name):
+        return any(b in PRINTED or b in bases and printed(b)
+                   for b in bases[name])
+
+    abstract = set().union(*bases.values())
+    return [f"{mod}.{name}" for name, (mod, node) in classes.items()
+            if printed(name) and name not in abstract
+            and not any(k.arg == "layout" for k in node.keywords)
+            and not any(isinstance(s, ast.FunctionDef) and s.name == "_parts"
+                        for s in node.body)]
+
+
+def test_every_printed_syntax_class_has_a_layout():
+    assert _layout_violations(ROOT / "src" / "mupcf") == []
+
+
+def test_the_layout_scan_sees_a_class_without_one(tmp_path):
+    (tmp_path / "lambdamu.py").write_text(
+        "class Node:\n    pass\n\nclass Term(Node):\n    pass\n\n"
+        "class Var(Term, layout='{name}'):\n    name: str\n\n"
+        "class App(Term):\n    fn: Term\n\n"
+        "class Prim(Term):\n    def _parts(self):\n        return ()\n\n"
+        "class Value(Term):\n    pass\n\nclass Zero(Value):\n    pass\n\n"
+        "class Report(Node):\n    pass\n")
+    (tmp_path / "format.py").write_text(
+        "from .lambdamu import Term\n\nclass Pos(Term):\n    pass\n")
+    assert _layout_violations(tmp_path) == ["lambdamu.App", "lambdamu.Zero"]
 
 
 # ---------- the grammar of the oldest supported interpreter ----------
