@@ -14,6 +14,18 @@ unit-typed term, and the generalized sum-η that folds a case whose branches
 agree up to the injected scrutinee. It type-checks its input once; each
 normal form then carries its type, built from its children's, and rewrites
 preserve types, so no rewrite type-checks again.
+
+Each normal form is found once per normalization. A table that lives for
+one normalize_lam call holds every normal form found so far, keyed by node
+identity, with its type; substitution and the sum-η fold return every
+subterm they leave intact as the same object, so a reduct is normalized
+only along the paths where it changed. Sharing is sound because a node's
+type and normal form depend only on the binders of its free variables, and
+every rewrite avoids capture, so a kept or shared node keeps those binders.
+An input that shares a node under two binders of one name at different
+types, as in the two branches of a case, is copied unshared first. For the
+same reason LamTerm must not be interned while the table is keyed by
+identity.
 """
 
 from .errors import InternalError, UserError
@@ -142,38 +154,45 @@ lam_term_str = write
 # ---------- type checking ----------
 
 
-def typecheck_lam(t, ctx=None):
+def typecheck_lam(t, ctx=None, seen=None):
+    """The type of t under ctx. A dict passed as seen maps the id of each
+    variable node of t to its type, or to None if the node occurs at two
+    types, as a node shared under two binders of one name can."""
     ctx = ctx or {}
     match t:
         case GVar(n):
             if n not in ctx:
                 raise UserError(f"unbound variable {n}")
-            return ctx[n]
+            ty = ctx[n]
+            if seen is not None and seen.setdefault(id(t), ty) != ty:
+                seen[id(t)] = None
+            return ty
         case GConst(_, dom):
             return LArr(dom)
         case GLam(x, ty, b):
-            bt = typecheck_lam(b, {**ctx, x: ty})
+            bt = typecheck_lam(b, {**ctx, x: ty}, seen)
             if bt != R:
                 raise UserError(
                     f"abstraction body must inhabit the answer type, "
                     f"got {lam_type_str(bt)}")
             return LArr(ty)
         case GApp(f, a):
-            ft = typecheck_lam(f, ctx)
+            ft = typecheck_lam(f, ctx, seen)
             if not isinstance(ft, LArr):
                 raise UserError(f"applied non-function {lam_term_str(f)}")
-            at = typecheck_lam(a, ctx)
+            at = typecheck_lam(a, ctx, seen)
             if at != ft.dom:
                 raise UserError(
                     f"argument type {lam_type_str(at)} does not match "
                     f"{lam_type_str(ft.dom)}")
             return R
         case GPair(a, b):
-            return LProd(typecheck_lam(a, ctx), typecheck_lam(b, ctx))
+            return LProd(typecheck_lam(a, ctx, seen),
+                         typecheck_lam(b, ctx, seen))
         case GProj(i, b):
             if i not in (1, 2):
                 raise UserError("projection index must be 1 or 2")
-            bt = typecheck_lam(b, ctx)
+            bt = typecheck_lam(b, ctx, seen)
             if not isinstance(bt, LProd):
                 raise UserError(f"projected non-pair {lam_term_str(b)}")
             return bt.left if i == 1 else bt.right
@@ -182,18 +201,18 @@ def typecheck_lam(t, ctx=None):
         case GInj(i, b, ty):
             if i not in (1, 2) or not isinstance(ty, LSum):
                 raise UserError("bad injection")
-            bt = typecheck_lam(b, ctx)
+            bt = typecheck_lam(b, ctx, seen)
             want = ty.left if i == 1 else ty.right
             if bt != want:
                 raise UserError(
                     f"injected {lam_type_str(bt)} into {lam_type_str(ty)}")
             return ty
         case GCase(s, x, l, r):
-            st = typecheck_lam(s, ctx)
+            st = typecheck_lam(s, ctx, seen)
             if not isinstance(st, LSum):
                 raise UserError(f"case on non-sum {lam_term_str(s)}")
-            lt = typecheck_lam(l, {**ctx, x: st.left})
-            rt = typecheck_lam(r, {**ctx, x: st.right})
+            lt = typecheck_lam(l, {**ctx, x: st.left}, seen)
+            rt = typecheck_lam(r, {**ctx, x: st.right}, seen)
             if lt != rt:
                 raise UserError("case branches disagree on their type")
             return lt
@@ -319,7 +338,7 @@ def cps_envs(env=None, lenv=None):
     return ctx
 
 
-# ---------- substitution, comparison ----------
+# ---------- substitution ----------
 
 
 def g_free_vars(t):
@@ -341,107 +360,106 @@ def g_free_vars(t):
 
 
 def g_subst(t, x, u):
-    """Capture-avoiding substitution of u for the variable x."""
+    """Capture-avoiding substitution of u for the variable x. Every subterm
+    in which nothing changes comes back as the same object."""
+    return _subst(t, x, u, g_free_vars(u))
+
+
+def _subst(t, x, u, fu):
+    """g_subst(t, x, u), where fu is the set of free variables of u. A binder
+    in fu is renamed whether or not x occurs below it."""
     match t:
         case GVar(n):
-            return u if n == x else t
+            return t if n != x or u == t else u
         case GConst() | GUnit():
             return t
         case GLam(y, ty, b):
             if y == x:
                 return t
-            captured = g_free_vars(u)
-            if y in captured:
-                ny = freshen(y, captured | g_free_vars(b) | {x})
-                b = g_subst(b, y, GVar(ny))
-                y = ny
-            return GLam(y, ty, g_subst(b, x, u))
+            if y in fu:
+                ny = freshen(y, fu | g_free_vars(b) | {x})
+                b = _subst(b, y, GVar(ny), {ny})
+                return GLam(ny, ty, _subst(b, x, u, fu))
+            b2 = _subst(b, x, u, fu)
+            return t if b2 is b else GLam(y, ty, b2)
         case GApp(f, a):
-            return GApp(g_subst(f, x, u), g_subst(a, x, u))
+            f2, a2 = _subst(f, x, u, fu), _subst(a, x, u, fu)
+            return t if f2 is f and a2 is a else GApp(f2, a2)
         case GPair(a, b):
-            return GPair(g_subst(a, x, u), g_subst(b, x, u))
+            a2, b2 = _subst(a, x, u, fu), _subst(b, x, u, fu)
+            return t if a2 is a and b2 is b else GPair(a2, b2)
         case GProj(i, b):
-            return GProj(i, g_subst(b, x, u))
+            b2 = _subst(b, x, u, fu)
+            return t if b2 is b else GProj(i, b2)
         case GInj(i, b, ty):
-            return GInj(i, g_subst(b, x, u), ty)
+            b2 = _subst(b, x, u, fu)
+            return t if b2 is b else GInj(i, b2, ty)
         case GCase(s, y, l, r):
-            s2 = g_subst(s, x, u)
+            s2 = _subst(s, x, u, fu)
             if y == x:
-                return GCase(s2, y, l, r)
-            captured = g_free_vars(u)
-            if y in captured:
-                ny = freshen(y, captured | g_free_vars(l) | g_free_vars(r)
-                             | {x})
-                l = g_subst(l, y, GVar(ny))
-                r = g_subst(r, y, GVar(ny))
-                y = ny
-            return GCase(s2, y, g_subst(l, x, u), g_subst(r, x, u))
+                return t if s2 is s else GCase(s2, y, l, r)
+            if y in fu:
+                ny = freshen(y, fu | g_free_vars(l) | g_free_vars(r) | {x})
+                l = _subst(l, y, GVar(ny), {ny})
+                r = _subst(r, y, GVar(ny), {ny})
+                return GCase(s2, ny, _subst(l, x, u, fu), _subst(r, x, u, fu))
+            l2, r2 = _subst(l, x, u, fu), _subst(r, x, u, fu)
+            if s2 is s and l2 is l and r2 is r:
+                return t
+            return GCase(s2, y, l2, r2)
     raise InternalError(f"bad term {t!r}")
 
 
 # ---------- normalization ----------
 
 
-def _replace(t, pat, repl):
-    """Replace every occurrence of the closed-pattern subterm pat.
-    Only used with patterns whose free variables are never captured in t."""
-    if t == pat:
-        return repl
-    match t:
-        case GVar() | GConst() | GUnit():
-            return t
-        case GLam(x, ty, b):
-            return GLam(x, ty, _replace(b, pat, repl))
-        case GApp(f, a):
-            return GApp(_replace(f, pat, repl), _replace(a, pat, repl))
-        case GPair(a, b):
-            return GPair(_replace(a, pat, repl), _replace(b, pat, repl))
-        case GProj(i, b):
-            return GProj(i, _replace(b, pat, repl))
-        case GInj(i, b, ty):
-            return GInj(i, _replace(b, pat, repl), ty)
-        case GCase(s, x, l, r):
-            return GCase(_replace(s, pat, repl), x,
-                         _replace(l, pat, repl), _replace(r, pat, repl))
-    raise InternalError(f"bad term {t!r}")
-
-
-_HOLE = GVar("_hole_")
-
-
-def _binders(t):
-    match t:
-        case GVar() | GConst() | GUnit():
-            return set()
-        case GLam(x, _, b):
-            return {x} | _binders(b)
-        case GApp(f, a) | GPair(f, a):
-            return _binders(f) | _binders(a)
-        case GProj(_, b) | GInj(_, b, _):
-            return _binders(b)
-        case GCase(s, x, l, r):
-            return {x} | _binders(s) | _binders(l) | _binders(r)
-    raise InternalError(f"bad term {t!r}")
-
-
 def _fold_case(t, st):
-    """Generalized sum-η: a case whose branches are a common context filled
-    with the matching injection of the bound variable folds to that context
-    filled with the scrutinee, of type st."""
-    bound = _binders(t.left) | _binders(t.right)
-    # shadowing or capture would make the textual fold unsound; skip
-    if (t.var in bound or "_hole_" in bound
-            or "_hole_" in g_free_vars(t.left)
-            or bound & g_free_vars(t.scrut)):
+    """Generalized sum-η (Lindley, "Extensional rewriting with sums", 2007):
+    case s (x) C[in1 x] C[in2 x] folds to C[s], where the holes are the
+    injections at s's type st, x occurs nowhere else in the branches, and C
+    binds neither x nor a free variable of s. One walk takes the two
+    branches side by side and fills C with s; it gives None at the first
+    place where they differ other than in1 x against in2 x, or where C
+    binds a name it may not."""
+    x, s = t.var, t.scrut
+    hole2 = GInj(2, GVar(x), st)
+    banned = g_free_vars(s) | {x}  # the names C may not bind
+
+    def fill(l, r):
+        match l, r:
+            case GInj(1, GVar(n), ty), _ if n == x and ty == st:
+                return s if r == hole2 else None
+            case GVar(n), _ if n == x:
+                return None
+            case GVar() | GConst() | GUnit(), _:
+                return l if l == r else None
+            case GLam(y, ty, b), GLam(y2, ty2, b2) if y == y2 and ty == ty2:
+                if y in banned or (c := fill(b, b2)) is None:
+                    return None
+                return l if c is b else GLam(y, ty, c)
+            case (GApp(f, a), GApp(f2, a2)) | (GPair(f, a), GPair(f2, a2)):
+                if (cf := fill(f, f2)) is None or (ca := fill(a, a2)) is None:
+                    return None
+                return l if cf is f and ca is a else l.__class__(cf, ca)
+            case GProj(i, b), GProj(i2, b2) if i == i2:
+                if (c := fill(b, b2)) is None:
+                    return None
+                return l if c is b else GProj(i, c)
+            case GInj(i, b, ty), GInj(i2, b2, ty2) if i == i2 and ty == ty2:
+                if (c := fill(b, b2)) is None:
+                    return None
+                return l if c is b else GInj(i, c, ty)
+            case GCase(s1, y, l1, r1), GCase(s2, y2, l2, r2) if y == y2:
+                if (y in banned or (cs := fill(s1, s2)) is None
+                        or (cl := fill(l1, l2)) is None
+                        or (cr := fill(r1, r2)) is None):
+                    return None
+                if cs is s1 and cl is l1 and cr is r1:
+                    return l
+                return GCase(cs, y, cl, cr)
         return None
-    pat1 = GInj(1, GVar(t.var), st)
-    pat2 = GInj(2, GVar(t.var), st)
-    body = _replace(t.left, pat1, _HOLE)
-    if t.var in g_free_vars(body):
-        return None
-    if _replace(body, _HOLE, pat2) != t.right:
-        return None
-    return _replace(body, _HOLE, t.scrut)
+
+    return fill(t.left, t.right)
 
 
 def _step(t, ty, st):
@@ -467,9 +485,14 @@ def _step(t, ty, st):
     return None
 
 
-def _normalize(t, ctx):
+def _normalize(t, ctx, nfs):
     """The normal form of t and its type, built from the types of the normal
-    forms of its children."""
+    forms of its children. nfs maps the id of each normal form found in
+    this normalization to that form and its type; a normal form returns at
+    once, and a node whose children are normal returns as it is."""
+    found = nfs.get(id(t))
+    if found is not None:
+        return found
     st = None
     match t:
         case GVar(n):
@@ -479,31 +502,57 @@ def _normalize(t, ctx):
         case GUnit():
             out, ty = t, LUNIT
         case GLam(x, xt, b):
-            out, ty = GLam(x, xt, _normalize(b, {**ctx, x: xt})[0]), LArr(xt)
+            b2 = _normalize(b, {**ctx, x: xt}, nfs)[0]
+            out, ty = t if b2 is b else GLam(x, xt, b2), LArr(xt)
         case GApp(f, a):
-            out, ty = GApp(_normalize(f, ctx)[0], _normalize(a, ctx)[0]), R
+            f2, a2 = _normalize(f, ctx, nfs)[0], _normalize(a, ctx, nfs)[0]
+            out, ty = t if f2 is f and a2 is a else GApp(f2, a2), R
         case GPair(a, b):
-            (a, at), (b, bt) = _normalize(a, ctx), _normalize(b, ctx)
-            out, ty = GPair(a, b), LProd(at, bt)
+            a2, at = _normalize(a, ctx, nfs)
+            b2, bt = _normalize(b, ctx, nfs)
+            out = t if a2 is a and b2 is b else GPair(a2, b2)
+            ty = LProd(at, bt)
         case GProj(i, b):
-            b, pt = _normalize(b, ctx)
-            out, ty = GProj(i, b), pt.left if i == 1 else pt.right
+            b2, pt = _normalize(b, ctx, nfs)
+            out = t if b2 is b else GProj(i, b2)
+            ty = pt.left if i == 1 else pt.right
         case GInj(i, b, ty):
-            out = GInj(i, _normalize(b, ctx)[0], ty)
+            b2 = _normalize(b, ctx, nfs)[0]
+            out = t if b2 is b else GInj(i, b2, ty)
         case GCase(s, x, l, r):
-            s, st = _normalize(s, ctx)
+            s2, st = _normalize(s, ctx, nfs)
             # the bound variable takes each side of the scrutinee's sum
-            l, ty = _normalize(l, {**ctx, x: st.left})
-            out = GCase(s, x, l, _normalize(r, {**ctx, x: st.right})[0])
+            l2, ty = _normalize(l, {**ctx, x: st.left}, nfs)
+            r2 = _normalize(r, {**ctx, x: st.right}, nfs)[0]
+            same = s2 is s and l2 is l and r2 is r
+            out = t if same else GCase(s2, x, l2, r2)
         case _:
             raise InternalError(f"bad term {t!r}")
     red = _step(out, ty, st)
-    return (out, ty) if red is None else _normalize(red, ctx)
+    if red is not None:
+        return _normalize(red, ctx, nfs)
+    nfs[id(out)] = out, ty
+    return out, ty
+
+
+def _unshare(t):
+    """t rebuilt with a new node for each occurrence of a variable and for
+    every node above one."""
+    if isinstance(t, (GConst, GUnit)):
+        return t
+    return t.__class__(*[_unshare(v) if isinstance(v, LamTerm) else v
+                         for v in vars(t).values()])
 
 
 def normalize_lam(t, ctx=None):
     """βη-normal form; constants stay opaque so the result is unique on the
-    fixpoint-free fragment."""
+    fixpoint-free fragment. A normal form comes back as the same object.
+    The table of normal forms needs each variable node of t to have one
+    type wherever it occurs, so a t that shares a node under two binders of
+    one name at two types is normalized unshared."""
     ctx = dict(ctx or {})
-    typecheck_lam(t, ctx)  # the one check that t is well typed
-    return _normalize(t, ctx)[0]
+    seen = {}
+    typecheck_lam(t, ctx, seen)  # the one check that t is well typed
+    if None in seen.values():
+        t = _unshare(t)
+    return _normalize(t, ctx, {})[0]

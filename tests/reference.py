@@ -12,8 +12,11 @@ bound each λ variable to its projection: the translation of an abstraction
 substitutes that projection through its translated body. The library's
 translation must print the same term. normalize_lam is the βη-normalizer of
 mupcf.cps as it was before each normal form carried its type: it type-checks
-every node it rewrites, and the scrutinee of every case, again. The
-library's normalizer must give the same normal form.
+every node it rewrites, and the scrutinee of every case, again, normalizes
+every reduct whole, and folds a case by sum-η through a hole variable and
+three replacement passes. The library's normalizer must give the same
+normal form. g_subst is the substitution of mupcf.cps as it was before it
+kept unchanged subterms; the library's must give the same term.
 
 check_proof is the proof checker of mupcf.logic as it was before it read
 the free variables and well-formedness that each conclusion carries: it
@@ -32,8 +35,8 @@ same string.
 from mupcf import logic
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr, LBase,
-    LProd, LR, LSum, LUNIT, LUnit, STAR, _HOLE, _binders, _const_label,
-    _replace, _tlabel, _tvar, cps_type, g_free_vars, g_subst, typecheck_lam,
+    LProd, LR, LSum, LUNIT, LUnit, STAR, _const_label, _tlabel, _tvar,
+    cps_type, typecheck_lam,
 )
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
@@ -283,6 +286,113 @@ def _canon(t, ren, counter):
 
 def g_alpha_eq(a, b):
     return _canon(a, {}, [0]) == _canon(b, {}, [0])
+
+
+# ---------- target substitution and the fold's helpers ----------
+
+# g_free_vars, g_subst, _replace, _HOLE and _binders are those of mupcf.cps
+# before its substitution kept unchanged subterms and its sum-η fold walked
+# the two branches side by side; the specs below use these copies, so they
+# share no code with what they check.
+
+
+def g_free_vars(t):
+    match t:
+        case GVar(n):
+            return {n}
+        case GConst() | GUnit():
+            return set()
+        case GLam(x, _, b):
+            return g_free_vars(b) - {x}
+        case GApp(f, a) | GPair(f, a):
+            return g_free_vars(f) | g_free_vars(a)
+        case GProj(_, b) | GInj(_, b, _):
+            return g_free_vars(b)
+        case GCase(s, x, l, r):
+            return (g_free_vars(s)
+                    | (g_free_vars(l) - {x}) | (g_free_vars(r) - {x}))
+    raise InternalError(f"bad term {t!r}")
+
+
+def g_subst(t, x, u):
+    """Capture-avoiding substitution of u for the variable x."""
+    match t:
+        case GVar(n):
+            return u if n == x else t
+        case GConst() | GUnit():
+            return t
+        case GLam(y, ty, b):
+            if y == x:
+                return t
+            captured = g_free_vars(u)
+            if y in captured:
+                ny = freshen(y, captured | g_free_vars(b) | {x})
+                b = g_subst(b, y, GVar(ny))
+                y = ny
+            return GLam(y, ty, g_subst(b, x, u))
+        case GApp(f, a):
+            return GApp(g_subst(f, x, u), g_subst(a, x, u))
+        case GPair(a, b):
+            return GPair(g_subst(a, x, u), g_subst(b, x, u))
+        case GProj(i, b):
+            return GProj(i, g_subst(b, x, u))
+        case GInj(i, b, ty):
+            return GInj(i, g_subst(b, x, u), ty)
+        case GCase(s, y, l, r):
+            s2 = g_subst(s, x, u)
+            if y == x:
+                return GCase(s2, y, l, r)
+            captured = g_free_vars(u)
+            if y in captured:
+                ny = freshen(y, captured | g_free_vars(l) | g_free_vars(r)
+                             | {x})
+                l = g_subst(l, y, GVar(ny))
+                r = g_subst(r, y, GVar(ny))
+                y = ny
+            return GCase(s2, y, g_subst(l, x, u), g_subst(r, x, u))
+    raise InternalError(f"bad term {t!r}")
+
+
+def _replace(t, pat, repl):
+    """Replace every occurrence of the closed-pattern subterm pat.
+    Only used with patterns whose free variables are never captured in t."""
+    if t == pat:
+        return repl
+    match t:
+        case GVar() | GConst() | GUnit():
+            return t
+        case GLam(x, ty, b):
+            return GLam(x, ty, _replace(b, pat, repl))
+        case GApp(f, a):
+            return GApp(_replace(f, pat, repl), _replace(a, pat, repl))
+        case GPair(a, b):
+            return GPair(_replace(a, pat, repl), _replace(b, pat, repl))
+        case GProj(i, b):
+            return GProj(i, _replace(b, pat, repl))
+        case GInj(i, b, ty):
+            return GInj(i, _replace(b, pat, repl), ty)
+        case GCase(s, x, l, r):
+            return GCase(_replace(s, pat, repl), x,
+                         _replace(l, pat, repl), _replace(r, pat, repl))
+    raise InternalError(f"bad term {t!r}")
+
+
+_HOLE = GVar("_hole_")
+
+
+def _binders(t):
+    match t:
+        case GVar() | GConst() | GUnit():
+            return set()
+        case GLam(x, _, b):
+            return {x} | _binders(b)
+        case GApp(f, a) | GPair(f, a):
+            return _binders(f) | _binders(a)
+        case GProj(_, b) | GInj(_, b, _):
+            return _binders(b)
+        case GCase(s, x, l, r):
+            return {x} | _binders(s) | _binders(l) | _binders(r)
+    raise InternalError(f"bad term {t!r}")
 
 
 # ---------- the CPS translation by substitution ----------

@@ -7,8 +7,9 @@ import pytest
 from mupcf import cli, cps
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr,
-    LNAT, LProd, LSum, LUNIT, R, STAR, UserError, cps_envs, cps_term,
-    cps_type, lam_term_str, lam_type_str, normalize_lam, typecheck_lam,
+    LNAT, LProd, LSum, LUNIT, LamTerm, R, STAR, UserError, cps_envs,
+    cps_term, cps_type, g_subst, lam_term_str, lam_type_str, normalize_lam,
+    typecheck_lam,
 )
 from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
@@ -21,7 +22,9 @@ from mupcf.logic import THEORIES, check_proof
 import corpus_files
 import reference
 from reference import g_alpha_eq
-from termgen import gen_term, rand_type
+from termgen import (
+    TARGET_CTX, gen_target, gen_term, rand_target_type, rand_type,
+)
 from test_extract import _count
 
 NN = TArr(NAT, NAT)
@@ -395,8 +398,10 @@ def test_normalizer_type_checks_its_input_once(monkeypatch):
     """Each normal form carries its type, so normalizing the cps output of
     add0-total type-checks it once, one visit per node (when each rewrite
     re-typed the term it rewrote, and each case its scrutinee: 826
-    top-level typecheck_lam calls, 4 159 visits). The rewrites themselves
-    do not change: 960 _normalize calls."""
+    top-level typecheck_lam calls, 4 159 visits). A normal form is not
+    normalized again, so the reduct of a β-step is walked only down to the
+    places where it changed: 519 _normalize calls (960 when each reduct was
+    normalized whole again)."""
     e = corpus_files.entry("add0-total")
     t = interp_proof(e.proof, THEORIES[e.theory], e.goal)
     env, lenv = interp_envs(e.goal)
@@ -415,5 +420,105 @@ def test_normalizer_type_checks_its_input_once(monkeypatch):
     monkeypatch.setattr(cps, "typecheck_lam", counted)
     normalize_lam(g, ctx)
     visits = calls["top"] + calls["inner"]
-    assert (calls["top"], visits, calls["_normalize"]) == (1, 295, 960)
+    assert (calls["top"], visits, calls["_normalize"]) == (1, 295, 519)
     assert _g_nodes(g) == 295
+
+
+def test_a_normal_form_comes_back_as_the_same_object():
+    for name, t, env, lenv in _source_terms():
+        ctx = cps_envs(env, lenv)
+        nf = normalize_lam(cps_term(t, env, lenv), ctx)
+        assert normalize_lam(nf, ctx) is nf, name
+
+
+def test_normalizer_call_counts_on_a_slow_random_term(monkeypatch):
+    """Term 188 of the random differential, the slowest of its 600. A normal
+    form is not normalized again, and a case is tried for sum-η once, in
+    one walk of its two branches side by side (when each reduct was
+    normalized whole again and each fold walked the branches up to seven
+    times: 129 533 _normalize and 12 701 _fold_case calls, 5.7 s)."""
+    rng = random.Random(20261020)
+    for _ in range(189):
+        g = cps_term(gen_term(rng, rand_type(rng, 3), depth=7))
+    calls = Counter()
+    for name in ("_normalize", "_fold_case"):
+        _count(monkeypatch, calls, cps, name)
+    normalize_lam(g)
+    assert (calls["_normalize"], calls["_fold_case"]) == (10013, 1308)
+
+
+def _subterms(t):
+    yield t
+    for v in vars(t).values():
+        if isinstance(v, LamTerm):
+            yield from _subterms(v)
+
+
+def test_substitution_agrees_with_the_reference_and_keeps_what_it_keeps(
+        monkeypatch):
+    """g_subst gives the reference's term, and returns every term it does
+    not change as the same object. The substituted term is often a variable
+    that the target binds, so binders are renamed."""
+    calls = Counter()
+    _count(monkeypatch, calls, cps, "freshen")
+    rng = random.Random(20261022)
+    same = changed = 0
+    for i in range(200):
+        if i % 2:
+            g = cps_term(gen_term(rng, rand_type(rng, 3), depth=6))
+        else:
+            g = gen_target(rng, R, dict(TARGET_CTX), 5)
+        subs = list(_subterms(g))
+        names = sorted({"n", "x", "y", "z"} | {
+            b.var for b in subs if isinstance(b, (GLam, GCase))})
+        for t in rng.sample(subs, min(len(subs), 20)):
+            x = rng.choice([*sorted(reference.g_free_vars(t)), "x", "zz"])
+            u = rng.choice([GVar(rng.choice(names)), rng.choice(subs)])
+            got = g_subst(t, x, u)
+            assert got == reference.g_subst(t, x, u), (i, lam_term_str(t))
+            if got == t:
+                assert got is t, (i, lam_term_str(t))
+                same += 1
+            else:
+                changed += 1
+    assert calls["freshen"] > 100 and same > 100 and changed > 100, \
+        (calls, same, changed)
+
+
+def test_normal_forms_agree_with_the_retyping_normalizer_on_target_terms(
+        monkeypatch):
+    """gen_target reaches what cps images almost never do: g_subst renaming
+    a binder (never, over the first 200 terms of the random differential and
+    the rest of this file) and sum-η folding a case (once in 26 448 tries),
+    with holes in the folded context."""
+    calls = Counter()
+    _count(monkeypatch, calls, cps, "freshen")
+    fold = cps._fold_case
+
+    def counted_fold(t, st):
+        out = fold(t, st)
+        calls["fold" if out is not None else "no fold"] += 1
+        calls["filled"] += out is not None and out is not t.left
+        return out
+    monkeypatch.setattr(cps, "_fold_case", counted_fold)
+    rng = random.Random(20261023)
+    for i in range(600):
+        ty = R if i % 2 else rand_target_type(rng, 2)
+        ctx = dict(TARGET_CTX)
+        g = gen_target(rng, ty, ctx, 5)
+        assert typecheck_lam(g, ctx) == ty, i
+        assert normalize_lam(g, ctx) == reference.normalize_lam(g, ctx), i
+    assert calls["freshen"] > 100 and calls["filled"] > 10, calls
+    assert calls["fold"] > 100 and calls["no fold"] > 10, calls
+
+
+def test_a_node_shared_under_two_binders_is_normalized_at_each_type():
+    """The table of normal forms is keyed by identity. A node that the input
+    shares between the branches of a case, where the bound variable has two
+    types, is nat~ in the left branch and unit, so star, in the right."""
+    p1b = GProj(1, GVar("b"))
+    st = LSum(LProd(LNAT, LNAT), LProd(LUNIT, LNAT))
+    t = GCase(GVar("s"), "b", GApp(GVar("k1"), p1b), GApp(GVar("k2"), p1b))
+    ctx = {"s": st, "k1": LArr(LNAT), "k2": LArr(LUNIT)}
+    want = GCase(GVar("s"), "b", GApp(GVar("k1"), p1b), GApp(GVar("k2"), STAR))
+    assert normalize_lam(t, ctx) == want == reference.normalize_lam(t, ctx)
