@@ -6,9 +6,8 @@ exhausted, 3 internal invariant breach.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argument parser on the first call. Between calls the library keeps only
-bounded memos of pure values: that parser, the sorts of constants, each
-axiom instance and its realizer, and the quantifier instances of
-logic.subst_var.
+bounded memos of pure values: that parser, each axiom instance and its
+realizer, and the quantifier instances of logic.subst_var.
 """
 
 import argparse
@@ -38,8 +37,31 @@ _CATEGORY = {
 }
 
 
+def _long_numeral(text):
+    """Why int() refuses text if it is a numeral too long for it, counting
+    its digits rather than echoing them (format.digits_error), else None."""
+    m = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
+    return m and digits_error(m.group(1))
+
+
+def _fuel_option(text):
+    """--fuel as type=int reads it, but a numeral too long for int() is
+    refused by its number of digits."""
+    msg = _long_numeral(text)
+    if msg:
+        raise argparse.ArgumentTypeError(msg)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _default_fuel():
     raw = os.environ.get("MUPCF_FUEL", "1000000")
+    msg = _long_numeral(raw)
+    if msg:
+        raise UserError(f"MUPCF_FUEL {msg}")
     try:
         fuel = int(raw)
     except ValueError:
@@ -257,7 +279,7 @@ def _build_parser():
         s.add_argument("--format", choices=["text", "structured"],
                        default="text", help="output mode")
         if cmd in _FUEL_COMMANDS:
-            s.add_argument("--fuel", type=int, default=None,
+            s.add_argument("--fuel", type=_fuel_option, default=None,
                            help="non-negative step budget "
                                 "(default: MUPCF_FUEL or 1000000)")
         if cmd == "extract":

@@ -6,7 +6,9 @@ continuations, and an opaque answer type; every arrow ends in the answer
 type. Control terms translate to plain λ-terms: a term of type A becomes a
 function consuming a continuation of type Ã. The translation of an
 abstraction is emitted with its administrative redex contracted so that every
-subterm stays inside the restricted arrow grammar.
+subterm stays inside the restricted arrow grammar. It takes one pass: a λ is
+named before its body is translated, and its bound variable translates to
+the first projection of that name, so nothing is substituted.
 
 The normalizer decides βη-equality on the fragment where constants stay
 opaque: β for all three connectives, η-contractions, collapse of every
@@ -19,14 +21,18 @@ Each normal form is found once per normalization. A table that lives for
 one normalize_lam call holds every normal form found so far, keyed by node
 identity, with its type; substitution and the sum-η fold return every
 subterm they leave intact as the same object, so a reduct is normalized
-only along the paths where it changed. Sharing is sound because a node's
-type and normal form depend only on the binders of its free variables, and
-every rewrite avoids capture, so a kept or shared node keeps those binders.
+only along the paths where it changed. Substitution renames a binder only
+where it would capture the substituted term. Sharing is sound because a
+node's type and normal form depend only on the binders of its free
+variables, and every rewrite avoids capture, so a kept or shared node keeps
+those binders.
 An input that shares a node under two binders of one name at different
 types, as in the two branches of a case, is copied unshared first. For the
 same reason LamTerm must not be interned while the table is keyed by
 identity.
 """
+
+from itertools import count
 
 from .errors import InternalError, UserError
 from .lambdamu import (
@@ -239,84 +245,51 @@ def _const_label(t):
     raise InternalError(f"bad constant {t!r}")
 
 
-class _Cps:
-    """One translation. env maps each source variable in scope to its
-    translation and its source type: a free variable x to x~, a λ-bound one
-    to the first projection of its λ's name."""
-
-    def __init__(self):
-        self.counter = 0
-        # names drawn for each source subterm, keyed by id: a source term
-        # hashes its whole tree, and the root keeps every subterm alive
-        self.drawn = {}
-
-    def fresh(self):
-        self.counter += 1
-        return f"a{self.counter}"
-
-    def draws(self, t):
-        """How many names go draws for t. A λ's name is drawn after its
-        body's, so it is known before the body is translated."""
-        n = self.drawn.get(id(t))
-        if n is None:
-            match t:
-                case LVar() | Num() | Prim():
-                    n = 0
-                case Lam(_, _, b) | Proj(_, b) | Named(_, b):
-                    n = 1 + self.draws(b)
-                case LApp(f, m):
-                    n = 1 + self.draws(f) + self.draws(m)
-                case Pair(m, k):
-                    n = 2 + self.draws(m) + self.draws(k)
-                case Mu(_, _, b):
-                    n = self.draws(b)
-                case _:
-                    raise InternalError(f"bad term {t!r}")
-            self.drawn[id(t)] = n
-        return n
-
-    def go(self, t, env):
-        match t:
-            case LVar(n):
-                return env[n]
-            case Num() | Prim():
-                ty = NAT if isinstance(t, Num) else prim_type(t)
-                return GConst(_const_label(t), cps_type(ty)), ty
-            case Lam(x, ty, b):
-                a = f"a{self.counter + self.draws(b) + 1}"
-                bl, bt = self.go(b, {**env, x: (GProj(1, GVar(a)), ty)})
-                self.counter += 1  # a, drawn after the body's names
-                body = GApp(bl, GProj(2, GVar(a)))
-                return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
-            case LApp(f, n):
-                fl, ft = self.go(f, env)
-                nl, _ = self.go(n, env)
-                a = self.fresh()
-                return (GLam(a, cps_type(ft.right),
-                             GApp(fl, GPair(nl, GVar(a)))), ft.right)
-            case Pair(m, n):
-                ml, mt = self.go(m, env)
-                nl, nt = self.go(n, env)
-                a, b = self.fresh(), self.fresh()
-                scrut = GLam(a, LSum(cps_type(mt), cps_type(nt)),
-                             GCase(GVar(a), b,
-                                   GApp(ml, GVar(b)), GApp(nl, GVar(b))))
-                return scrut, TProd(mt, nt)
-            case Proj(i, m):
-                ml, mt = self.go(m, env)
-                st = LSum(cps_type(mt.left), cps_type(mt.right))
-                ti = mt.left if i == 1 else mt.right
-                a = self.fresh()
-                return (GLam(a, cps_type(ti),
-                             GApp(ml, GInj(i, GVar(a), st))), ti)
-            case Mu(l, ty, b):
-                bl, _ = self.go(b, env)
-                return GLam(_tlabel(l), cps_type(ty), GApp(bl, STAR)), ty
-            case Named(l, b):
-                bl, _ = self.go(b, env)
-                a = self.fresh()
-                return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), TBot()
-        raise InternalError(f"bad term {t!r}")
+def _cps(t, env, names):
+    """The translation of t and its source type. env maps each source
+    variable in scope to its translation and its source type: a free
+    variable x to x~, a λ-bound one to the first projection of its λ's name;
+    names yields the fresh names a1, a2, ... in the order they are drawn."""
+    match t:
+        case LVar(n):
+            return env[n]
+        case Num() | Prim():
+            ty = NAT if isinstance(t, Num) else prim_type(t)
+            return GConst(_const_label(t), cps_type(ty)), ty
+        case Lam(x, ty, b):
+            a = next(names)
+            bl, bt = _cps(b, {**env, x: (GProj(1, GVar(a)), ty)}, names)
+            body = GApp(bl, GProj(2, GVar(a)))
+            return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
+        case LApp(f, n):
+            fl, ft = _cps(f, env, names)
+            nl, _ = _cps(n, env, names)
+            a = next(names)
+            return (GLam(a, cps_type(ft.right),
+                         GApp(fl, GPair(nl, GVar(a)))), ft.right)
+        case Pair(m, n):
+            ml, mt = _cps(m, env, names)
+            nl, nt = _cps(n, env, names)
+            a, b = next(names), next(names)
+            scrut = GLam(a, LSum(cps_type(mt), cps_type(nt)),
+                         GCase(GVar(a), b,
+                               GApp(ml, GVar(b)), GApp(nl, GVar(b))))
+            return scrut, TProd(mt, nt)
+        case Proj(i, m):
+            ml, mt = _cps(m, env, names)
+            st = LSum(cps_type(mt.left), cps_type(mt.right))
+            ti = mt.left if i == 1 else mt.right
+            a = next(names)
+            return (GLam(a, cps_type(ti),
+                         GApp(ml, GInj(i, GVar(a), st))), ti)
+        case Mu(l, ty, b):
+            bl, _ = _cps(b, env, names)
+            return GLam(_tlabel(l), cps_type(ty), GApp(bl, STAR)), ty
+        case Named(l, b):
+            bl, _ = _cps(b, env, names)
+            a = next(names)
+            return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), TBot()
+    raise InternalError(f"bad term {t!r}")
 
 
 def cps_term(t, env=None, lenv=None):
@@ -324,7 +297,7 @@ def cps_term(t, env=None, lenv=None):
     lenv = lenv or {}
     typecheck(t, env, lenv)
     scope = {x: (GVar(_tvar(x)), a) for x, a in env.items()}
-    out, _ = _Cps().go(t, scope)
+    out, _ = _cps(t, scope, (f"a{i}" for i in count(1)))
     return out
 
 
@@ -367,21 +340,21 @@ def g_subst(t, x, u):
 
 def _subst(t, x, u, fu):
     """g_subst(t, x, u), where fu is the set of free variables of u. A binder
-    in fu is renamed whether or not x occurs below it."""
+    is renamed only when it would capture u: when it is in fu and x occurs
+    below it, so that its body changes."""
     match t:
         case GVar(n):
             return t if n != x or u == t else u
         case GConst() | GUnit():
             return t
         case GLam(y, ty, b):
-            if y == x:
+            if y == x or (b2 := _subst(b, x, u, fu)) is b:
                 return t
             if y in fu:
                 ny = freshen(y, fu | g_free_vars(b) | {x})
-                b = _subst(b, y, GVar(ny), {ny})
-                return GLam(ny, ty, _subst(b, x, u, fu))
-            b2 = _subst(b, x, u, fu)
-            return t if b2 is b else GLam(y, ty, b2)
+                b2 = _subst(_subst(b, y, GVar(ny), {ny}), x, u, fu)
+                return GLam(ny, ty, b2)
+            return GLam(y, ty, b2)
         case GApp(f, a):
             f2, a2 = _subst(f, x, u, fu), _subst(a, x, u, fu)
             return t if f2 is f and a2 is a else GApp(f2, a2)
@@ -396,16 +369,15 @@ def _subst(t, x, u, fu):
             return t if b2 is b else GInj(i, b2, ty)
         case GCase(s, y, l, r):
             s2 = _subst(s, x, u, fu)
-            if y == x:
-                return t if s2 is s else GCase(s2, y, l, r)
-            if y in fu:
-                ny = freshen(y, fu | g_free_vars(l) | g_free_vars(r) | {x})
-                l = _subst(l, y, GVar(ny), {ny})
-                r = _subst(r, y, GVar(ny), {ny})
-                return GCase(s2, ny, _subst(l, x, u, fu), _subst(r, x, u, fu))
-            l2, r2 = _subst(l, x, u, fu), _subst(r, x, u, fu)
+            l2, r2 = (l, r) if y == x else (_subst(l, x, u, fu),
+                                             _subst(r, x, u, fu))
             if s2 is s and l2 is l and r2 is r:
                 return t
+            if y in fu and (l2 is not l or r2 is not r):
+                ny = freshen(y, fu | g_free_vars(l) | g_free_vars(r) | {x})
+                l2 = _subst(_subst(l, y, GVar(ny), {ny}), x, u, fu)
+                r2 = _subst(_subst(r, y, GVar(ny), {ny}), x, u, fu)
+                y = ny
             return GCase(s2, y, l2, r2)
     raise InternalError(f"bad term {t!r}")
 

@@ -189,21 +189,6 @@ def iapp(fn, *args):
 _SUCC_SORT = SArrow(IOTA, IOTA)
 
 
-def const_sort(c):
-    """Sort of a constant instance; combinator families carry sort arguments.
-    Every instance of one constant shares one sort object."""
-    name, sort_args = c.name, c.sort_args
-    if not sort_args:
-        if name == "0":
-            return IOTA
-        if name == "S":
-            return _SUCC_SORT
-    s = _const_sort(name, sort_args)
-    if s is None:
-        raise UserError(f"unknown constant {ind_sexp(c)}")
-    return s
-
-
 # the sort of each combinator family at its sort arguments, whose number is
 # that of its evidence axiom (REL_AXIOMS, SCHEME_KINDS)
 _FAMILY_SORTS = {
@@ -213,12 +198,19 @@ _FAMILY_SORTS = {
 }
 
 
-@lru_cache(maxsize=256)
-def _const_sort(name, sort_args):
-    # a bounded pure memo: sorts are immutable, so sharing them is safe
+def const_sort(c):
+    """Sort of a constant instance; combinator families carry sort arguments.
+    Sorts are interned, so every instance of one constant shares one sort
+    object."""
+    name, sort_args = c.name, c.sort_args
+    if not sort_args:
+        if name == "0":
+            return IOTA
+        if name == "S":
+            return _SUCC_SORT
     if name not in _FAMILY_SORTS \
             or len(sort_args) != len(SCHEME_KINDS[REL_AXIOMS[name]]):
-        return None
+        raise UserError(f"unknown constant {ind_sexp(c)}")
     return _FAMILY_SORTS[name](*sort_args)
 
 
@@ -447,15 +439,20 @@ def closure(params, body):
 def subst_var(f, x, t):
     """f with the individual t for the free variable named x: the one
     substitution of formulas. A binder whose variable is free in t is
-    renamed, whether or not x occurs in its body; unchanged subformulas come
-    back as they are, so f itself does when nothing changes. A bounded pure
-    memo, like Theory.instantiate: f and t are interned, so the key hashes
-    by identity, and an instance refused past MAX_DEPTH raises again on
-    every call."""
+    renamed only when x occurs free in its body, where t would be captured;
+    unchanged subformulas come back as they are, so f itself does when
+    nothing changes. A bounded pure memo, like Theory.instantiate: f and t
+    are interned, so the key hashes by identity, and an instance refused
+    past MAX_DEPTH raises again on every call."""
     return _subst(f, x, t)
 
 
 def _subst(f, x, t):
+    """subst_var(f, x, t) without the memo. A binder's body is substituted
+    first: if it comes back as it is, so does the binder."""
+    fv = f._fv
+    if fv is not None and x not in fv:
+        return f
     cls = f.__class__
     if cls is Imp or cls is And:
         a, b = f.left, f.right
@@ -464,9 +461,6 @@ def _subst(f, x, t):
             return f
         return cls(a2, b2)
     if cls is Atom:
-        fv = f._fv
-        if fv is not None and x not in fv:
-            return f  # an atom binds nothing, so nothing in it is renamed
         args = f.args
         new = [ind_subst(u, x, t) for u in args]
         for u, v in zip(new, args):
@@ -475,19 +469,14 @@ def _subst(f, x, t):
         return f
     if cls is Forall:
         y, sort, body = f.var, f.sort, f.body
-        if y == x:
+        if y == x or (body2 := _subst(body, x, t)) is body:
             return f
         names = ind_free_vars(t)
         if y in names:
             y2 = freshen(y, names.keys() | fv_formula(body).keys() | {x})
             body = subst_var(body, y, IVar(y2, sort))
             return Forall(y2, sort, _subst(body, x, t))
-        body2 = _subst(body, x, t)
-        if body2 is body:
-            return f
         return Forall(y, sort, body2)
-    if cls is Bot:
-        return f
     raise InternalError(f"bad formula {f!r}")
 
 
@@ -776,9 +765,9 @@ class Theory:
     @lru_cache(maxsize=256)
     def instantiate(self, ax_name, args):
         """Closed axiom instance. The count and kinds of the arguments are
-        checked here, the rest by the scheme. A bounded pure memo, like
-        _const_sort: an instance depends on nothing but its theory, axiom
-        and arguments, and a rejected one raises again on every call."""
+        checked here, the rest by the scheme. A bounded pure memo: an
+        instance depends on nothing but its theory, axiom and arguments, and
+        a rejected one raises again on every call."""
         fn = self.schemes.get(ax_name)
         if fn is None:
             raise UserError(f"theory {self.name} has no axiom {ax_name}")

@@ -9,14 +9,16 @@ environment machine, is checked against it.
 g_alpha_eq compares target terms of mupcf.cps up to the names of their
 binders. cps_term is the CPS translation of mupcf.cps as it was before it
 bound each λ variable to its projection: the translation of an abstraction
-substitutes that projection through its translated body. The library's
-translation must print the same term. normalize_lam is the βη-normalizer of
-mupcf.cps as it was before each normal form carried its type: it type-checks
-every node it rewrites, and the scrutinee of every case, again, normalizes
-every reduct whole, and folds a case by sum-η through a hole variable and
-three replacement passes. The library's normalizer must give the same
-normal form. g_subst is the substitution of mupcf.cps as it was before it
-kept unchanged subterms; the library's must give the same term.
+names the λ, translates its body, and substitutes the projection through
+the translated body. The library's translation must print the same term.
+normalize_lam is the βη-normalizer of mupcf.cps as it was before each
+normal form carried its type: it type-checks every node it rewrites, and
+the scrutinee of every case, again, normalizes every reduct whole, and
+folds a case by sum-η through a hole variable and three replacement passes.
+The library's normalizer must give the same normal form. g_subst is the
+substitution of mupcf.cps as it was before it kept unchanged subterms, and
+renames a binder only where it would capture; the library's must give the
+same term.
 
 check_proof is the proof checker of mupcf.logic as it was before it read
 the free variables and well-formedness that each conclusion carries: it
@@ -315,7 +317,8 @@ def g_free_vars(t):
 
 
 def g_subst(t, x, u):
-    """Capture-avoiding substitution of u for the variable x."""
+    """Capture-avoiding substitution of u for the variable x: a binder is
+    renamed only when it is free in u and x occurs free below it."""
     match t:
         case GVar(n):
             return u if n == x else t
@@ -325,7 +328,7 @@ def g_subst(t, x, u):
             if y == x:
                 return t
             captured = g_free_vars(u)
-            if y in captured:
+            if y in captured and x in g_free_vars(b):
                 ny = freshen(y, captured | g_free_vars(b) | {x})
                 b = g_subst(b, y, GVar(ny))
                 y = ny
@@ -343,7 +346,7 @@ def g_subst(t, x, u):
             if y == x:
                 return GCase(s2, y, l, r)
             captured = g_free_vars(u)
-            if y in captured:
+            if y in captured and x in g_free_vars(l) | g_free_vars(r):
                 ny = freshen(y, captured | g_free_vars(l) | g_free_vars(r)
                              | {x})
                 l = g_subst(l, y, GVar(ny))
@@ -414,8 +417,8 @@ class _SubstCps:
                 ty = NAT if isinstance(t, Num) else prim_type(t)
                 return GConst(_const_label(t), cps_type(ty)), ty
             case Lam(x, ty, b):
-                bl, bt = self.go(b, {**env, x: ty}, lenv)
                 a = self.fresh()
+                bl, bt = self.go(b, {**env, x: ty}, lenv)
                 body = GApp(g_subst(bl, _tvar(x), GProj(1, GVar(a))),
                             GProj(2, GVar(a)))
                 return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)

@@ -192,10 +192,11 @@ def gen_target(rng, ty, ctx, depth, names=NAMES):
             a = rand_target_type(rng, 1)
             return GApp(GLam(x, a, sub(R, {**ctx, x: a})), sub(a))
         # the argument is a variable v that the body binds again, under a
-        # constant that keeps the binder to the normal form
+        # constant that keeps the binder to the normal form; x occurs below
+        # that binder, so the substitution renames it
         v, d = rng.choice(clash), rand_target_type(rng, 1)
-        a = ctx[v]
-        inner = GLam(v, d, sub(R, {**ctx, x: a, v: d}))
+        a, c = ctx[v], {**ctx, x: ctx[v], v: d}
+        inner = GLam(v, d, GApp(sub(LArr(a), c), GVar(x)))
         return GApp(GLam(x, a, GApp(GConst("c", LArr(d)), inner)), GVar(v))
     if kind in ("redex", "case"):
         st = LSum(rand_target_type(rng, 1), rand_target_type(rng, 1))

@@ -728,6 +728,30 @@ def test_negative_fuel_is_a_user_error(capsys, monkeypatch, source, message,
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_fuel_past_the_digit_limit_is_counted_not_echoed(capsys, monkeypatch,
+                                                         fmt):
+    """A numeral too long for int() in MUPCF_FUEL or --fuel is refused by
+    its number of digits, as the reader refuses one, and not echoed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter converts digit strings of any length")
+    nines = "9" * 5000
+    monkeypatch.setenv("MUPCF_FUEL", nines)
+    argv = ["eval", str(CORPUS / "omega.term"), "--format", fmt]
+    supported = f"has 5000 digits; at most {limit - 1} are supported"
+    for flag, message in [([], f"MUPCF_FUEL {supported}"),
+                          (["--fuel", nines], f"argument --fuel: {supported}")]:
+        code, out, err = _run(capsys, argv + flag)
+        assert code == 1 and nines not in out + err
+        if fmt == "text":
+            assert out == ""
+            assert err.endswith(f"error[user-error]: {message}\n")
+        else:
+            assert err == "" and json.loads(out) == {
+                "error": {"category": "user-error", "message": message}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("program,ty", [
     ("(lam (x nat) x)", "(-> nat nat)"),
     ("(pair 1 2)", "(* nat nat)"),

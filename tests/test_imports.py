@@ -245,7 +245,6 @@ SYNTAX_MODULES = ("lambdamu", "logic", "cps", "extract")
 # "module.Class" in a syntax module -> why it is not a syntax tree
 NOT_SYNTAX = {
     "logic.Theory": "a mutable table of axiom schemes",
-    "cps._Cps": "the state of one translation",
 }
 
 

@@ -161,8 +161,6 @@ def test_intern_tables_hold_only_live_nodes():
     dies, so it is no unbounded memo."""
     classes = [cls for cls in _node_classes() if _interned(cls)]
     tables = [cls._table for cls in classes]
-    # the constants below would evict the sorts this memo keeps alive
-    logic._const_sort.cache_clear()
     gc.collect()
     before = [len(t) for t in tables]
     built = []
