@@ -86,7 +86,8 @@ def _parse_inputs(text):
     return range(lo, hi + 1)
 
 
-def _pick(table, kind, name):
+def _pick(table, kind, name, kinds=None):
+    """The entry of table to run; kind (plural kinds) names one in errors."""
     if name is not None:
         if name not in table:
             known = ", ".join(sorted(table)) or "none"
@@ -97,8 +98,8 @@ def _pick(table, kind, name):
     if not table:
         raise UserError(f"the file declares no {kind}")
     raise UserError(
-        f"several {kind}s declared ({', '.join(sorted(table))}); "
-        f"pick one with --name"
+        f"several {kinds or kind + 's'} declared "
+        f"({', '.join(sorted(table))}); pick one with --name"
     )
 
 
@@ -177,7 +178,8 @@ def _cmd_eval(ws, args):
 
 
 def _cmd_cps(ws, args):
-    name = _pick({**ws.proofs, **ws.terms}, "declaration", args.name)
+    name = _pick({**ws.proofs, **ws.terms}, "proof or term", args.name,
+                 "proofs or terms")
     if name in ws.proofs:
         goal, pf = ws.proofs[name]
         t = interp_proof(pf, ws.theory, goal)

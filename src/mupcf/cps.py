@@ -8,7 +8,10 @@ function consuming a continuation of type Ã. The translation of an
 abstraction is emitted with its administrative redex contracted so that every
 subterm stays inside the restricted arrow grammar. It takes one pass: a λ is
 named before its body is translated, and its bound variable translates to
-the first projection of that name, so nothing is substituted.
+the first projection of that name, so nothing is substituted. Each
+translation comes with its translated type, built from the translated types
+of its parts, so cps_type runs only on the types the term states: λ and μ
+annotations, the types of primitives and of free variables.
 
 The normalizer decides βη-equality on the fragment where constants stay
 opaque: β for all three connectives, η-contractions, collapse of every
@@ -36,8 +39,8 @@ from itertools import count
 
 from .errors import InternalError, UserError
 from .lambdamu import (
-    LApp, LVar, Lam, Mu, NAT, Named, Node, Num, Pair, Prim, Proj, TArr,
-    TBot, TNat, TProd, freshen, prim_type, typecheck, write,
+    LApp, LVar, Lam, Mu, Named, Node, Num, Pair, Prim, Proj, TArr, TBot,
+    TNat, TProd, freshen, prim_type, typecheck, write,
 )
 
 
@@ -236,59 +239,51 @@ def _tlabel(n):
     return n + "^"
 
 
-def _const_label(t):
-    match t:
-        case Num(v):
-            return str(v)
-        case Prim(op, _):
-            return op
-    raise InternalError(f"bad constant {t!r}")
-
-
 def _cps(t, env, names):
-    """The translation of t and its source type. env maps each source
-    variable in scope to its translation and its source type: a free
-    variable x to x~, a λ-bound one to the first projection of its λ's name;
-    names yields the fresh names a1, a2, ... in the order they are drawn."""
+    """The translation of t and its translated type, built from the
+    translated types of its parts. env maps each source variable in scope to
+    its translation and its translated type: a free variable x to x~, a
+    λ-bound one to the first projection of its λ's name; names yields the
+    fresh names a1, a2, ... in the order they are drawn."""
     match t:
         case LVar(n):
             return env[n]
-        case Num() | Prim():
-            ty = NAT if isinstance(t, Num) else prim_type(t)
-            return GConst(_const_label(t), cps_type(ty)), ty
+        case Num(v):
+            return GConst(str(v), LNAT), LNAT
+        case Prim(op, _):
+            ty = cps_type(prim_type(t))
+            return GConst(op, ty), ty
         case Lam(x, ty, b):
             a = next(names)
-            bl, bt = _cps(b, {**env, x: (GProj(1, GVar(a)), ty)}, names)
-            body = GApp(bl, GProj(2, GVar(a)))
-            return GLam(a, cps_type(TArr(ty, bt)), body), TArr(ty, bt)
+            dom = cps_type(ty)
+            bl, bt = _cps(b, {**env, x: (GProj(1, GVar(a)), dom)}, names)
+            lt = LProd(LArr(dom), bt)
+            return GLam(a, lt, GApp(bl, GProj(2, GVar(a)))), lt
         case LApp(f, n):
             fl, ft = _cps(f, env, names)
             nl, _ = _cps(n, env, names)
             a = next(names)
-            return (GLam(a, cps_type(ft.right),
-                         GApp(fl, GPair(nl, GVar(a)))), ft.right)
+            return GLam(a, ft.right, GApp(fl, GPair(nl, GVar(a)))), ft.right
         case Pair(m, n):
             ml, mt = _cps(m, env, names)
             nl, nt = _cps(n, env, names)
             a, b = next(names), next(names)
-            scrut = GLam(a, LSum(cps_type(mt), cps_type(nt)),
-                         GCase(GVar(a), b,
-                               GApp(ml, GVar(b)), GApp(nl, GVar(b))))
-            return scrut, TProd(mt, nt)
+            st = LSum(mt, nt)
+            return GLam(a, st, GCase(GVar(a), b, GApp(ml, GVar(b)),
+                                     GApp(nl, GVar(b)))), st
         case Proj(i, m):
-            ml, mt = _cps(m, env, names)
-            st = LSum(cps_type(mt.left), cps_type(mt.right))
-            ti = mt.left if i == 1 else mt.right
+            ml, st = _cps(m, env, names)
+            ti = st.left if i == 1 else st.right
             a = next(names)
-            return (GLam(a, cps_type(ti),
-                         GApp(ml, GInj(i, GVar(a), st))), ti)
+            return GLam(a, ti, GApp(ml, GInj(i, GVar(a), st))), ti
         case Mu(l, ty, b):
             bl, _ = _cps(b, env, names)
-            return GLam(_tlabel(l), cps_type(ty), GApp(bl, STAR)), ty
+            mt = cps_type(ty)
+            return GLam(_tlabel(l), mt, GApp(bl, STAR)), mt
         case Named(l, b):
             bl, _ = _cps(b, env, names)
             a = next(names)
-            return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), TBot()
+            return GLam(a, LUNIT, GApp(bl, GVar(_tlabel(l)))), LUNIT
     raise InternalError(f"bad term {t!r}")
 
 
@@ -296,7 +291,7 @@ def cps_term(t, env=None, lenv=None):
     env = env or {}
     lenv = lenv or {}
     typecheck(t, env, lenv)
-    scope = {x: (GVar(_tvar(x)), a) for x, a in env.items()}
+    scope = {x: (GVar(_tvar(x)), cps_type(a)) for x, a in env.items()}
     out, _ = _cps(t, scope, (f"a{i}" for i in count(1)))
     return out
 

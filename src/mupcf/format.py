@@ -13,7 +13,7 @@ equal object.  Every object prints through lambdamu.write, which reads the
 layout each syntax class declares next to its fields; logic, lambdamu and cps
 name it after the syntax they print (formula_sexp, term_sexp, ...) so that
 diagnostics there quote objects in this syntax.  This module re-exports those
-names next to the reader, proof_sexp and the declaration printers.
+names next to the reader, proof_sexp and the term declaration printer.
 """
 
 import re
@@ -576,12 +576,6 @@ def parse_file(path):
         return parse_source(src)
     except UserError as ex:
         raise UserError(f"{path}:{ex}") from None
-
-
-def proof_decl(name, goal, proof):
-    return (f"(proof {name}\n"
-            f"  (goal {formula_sexp(goal.concl)})\n"
-            f"  {proof_sexp(proof)})\n")
 
 
 def term_decl(name, term):

@@ -16,9 +16,9 @@ from .lambdamu import freshen
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, Forall,
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, _scheme_params,
-    alpha_eq, check_proof, collect_names, f_rel, formula_sexp, fv_formula,
-    rel_pred, relativized_counterpart, subst_var, zero_ind,
+    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, alpha_eq, check_proof,
+    collect_names, f_rel, formula_sexp, fv_formula, rel_pred,
+    relativized_counterpart, subst_var, zero_ind,
 )
 
 
@@ -83,9 +83,11 @@ class _Relativizer:
 
     # ---- axiom leaves ----
 
-    def _derive_closure(self, goal, src_formula, src_proof):
+    def _derive_closure(self, goal, src_formula, src_proof, core=None):
         """Derive a guarded closure from its unguarded counterpart by
-        discarding the guards."""
+        discarding the guards. Once both closures are peeled, a goal that is
+        not the source is core(goal, source, proof of source) if core is
+        given."""
         if alpha_eq(goal, src_formula):
             return src_proof
         match goal:
@@ -98,9 +100,11 @@ class _Relativizer:
                 if src_formula.var != x:  # x for x changes no well-formed body
                     src_body = subst_var(src_body, src_formula.var, xv)
                 inner = self._derive_closure(
-                    rest, src_body, ForallElim(src_proof, xv))
+                    rest, src_body, ForallElim(src_proof, xv), core)
                 return ForallIntro(x, sort, ImpIntro(self.fresh(f"r_{x}"),
                                                      guard, inner))
+        if core is not None:
+            return core(goal, src_formula, src_proof)
         raise InternalError(
             "axiom replay failed at " + formula_sexp(goal))
 
@@ -120,39 +124,24 @@ class _Relativizer:
         its predecessor."""
         b, x, y, z = args
         sigma = y.sort
-        b_r = rel_formula(b)
+        self.avoid.update(fv_formula(b))  # no fresh name may be a parameter
         a_guarded = And(rel_pred(IVar(z.name, sigma), sigma),
-                        And(rel_pred(IVar(y.name, sigma), sigma), b_r))
+                        And(rel_pred(IVar(y.name, sigma), sigma),
+                            rel_formula(b)))
         args_r = (a_guarded, x, y, z)
 
-        target = rel_formula(self.theory.instantiate("dc", args))
-        cawr_inst = self.rtheory.instantiate("dc", args_r)
-        params = _scheme_params(fv_formula(b), {x.name, y.name, z.name})
+        def core(goal, src, dc_elim):
+            # goal: p1r -> x_neg -> bot; src: arg1 -> arg2 -> bot
+            p1r, x_neg = goal.left, goal.right.left
+            p_h, c_h = self.fresh("p"), self.fresh("c")
+            s1 = self._dc_s1(src.left, p1r, p_h, x, y, z, sigma)
+            out = ImpElim(ImpElim(dc_elim, s1),
+                          self._dc_s2(src.right.left, c_h, x))
+            return ImpIntro(p_h, p1r, ImpIntro(c_h, x_neg, out))
 
-        # peel the parameter closures off both statements in lockstep
-        cur_t, cur_c = target, cawr_inst
-        dc_elim = Ax("dc", args_r)
-        outer = []
-        for d, ds in params:
-            guard = cur_t.body.left
-            outer.append((d, ds, self.fresh(f"r_{d}"), guard))
-            cur_t = cur_t.body.right
-            cur_c = cur_c.body
-            dc_elim = ForallElim(dc_elim, IVar(d, ds))
-
-        p1r, c_rel = cur_t.left, cur_t.right
-        x_neg = c_rel.left  # forall w (R(w) -> not forall x (r(x) -> B step))
-        arg1, arg2 = cur_c.left, cur_c.right.left
-
-        p_h = self.fresh("p")
-        c_h = self.fresh("c")
-        core = ImpElim(ImpElim(dc_elim,
-                               self._dc_s1(arg1, p1r, p_h, x, y, z, sigma)),
-                       self._dc_s2(arg2, c_h, x))
-        out = ImpIntro(p_h, p1r, ImpIntro(c_h, x_neg, core))
-        for d, ds, rd, guard in reversed(outer):
-            out = ForallIntro(d, ds, ImpIntro(rd, guard, out))
-        return out
+        return self._derive_closure(
+            rel_formula(self.theory.instantiate("dc", args)),
+            self.rtheory.instantiate("dc", args_r), Ax("dc", args_r), core)
 
     def _dc_s1(self, arg1, p1r, p_h, x, y, z, sigma):
         """First premise of the guarded axiom: the guarded step function.

@@ -37,8 +37,8 @@ same string.
 from mupcf import logic
 from mupcf.cps import (
     GApp, GCase, GConst, GInj, GLam, GPair, GProj, GUnit, GVar, LArr, LBase,
-    LProd, LR, LSum, LUNIT, LUnit, STAR, _const_label, _tlabel, _tvar,
-    cps_type, typecheck_lam,
+    LProd, LR, LSum, LUNIT, LUnit, STAR, _tlabel, _tvar, cps_type,
+    typecheck_lam,
 )
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
@@ -414,8 +414,10 @@ class _SubstCps:
             case LVar(n):
                 return GVar(_tvar(n)), env[n]
             case Num() | Prim():
-                ty = NAT if isinstance(t, Num) else prim_type(t)
-                return GConst(_const_label(t), cps_type(ty)), ty
+                if isinstance(t, Num):
+                    return GConst(str(t.value), cps_type(NAT)), NAT
+                ty = prim_type(t)
+                return GConst(t.op, cps_type(ty)), ty
             case Lam(x, ty, b):
                 a = self.fresh()
                 bl, bt = self.go(b, {**env, x: ty}, lenv)

@@ -675,6 +675,22 @@ def test_cps_accepts_proofs_and_terms(capsys):
     assert payload["term"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_cps_names_what_it_picks_from(capsys, tmp_path, fmt):
+    """cps runs one proof or term of a file, and its errors say so."""
+    none, two = tmp_path / "none.term", tmp_path / "two.term"
+    none.write_text("(theory paw)\n")
+    two.write_text("(term a 0)\n(term b 1)\n")
+    for argv, message in [
+            ([str(none)], "the file declares no proof or term"),
+            ([str(two)], "several proofs or terms declared (a, b); "
+                         "pick one with --name"),
+            ([str(two), "--name", "c"], "no proof or term named c "
+                                        "(known: a, b)")]:
+        result = _run(capsys, ["cps", *argv, "--format", fmt])
+        _expect_user_error(fmt, *result, message)
+
+
 # ------------------------------------------------------------------- eval
 
 def test_eval_omega_exhausts_fuel(capsys):

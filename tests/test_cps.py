@@ -14,7 +14,7 @@ from mupcf.cps import (
 from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBOT,
-    TProd, typecheck,
+    TProd, prim_type, typecheck,
 )
 from mupcf.format import parse_file
 from mupcf.logic import THEORIES, check_proof
@@ -306,6 +306,7 @@ def test_translation_prints_as_the_substitution_on_every_source():
     assert {name for name, *_ in sources} >= {"add0-total", "omega", "dc-succ"}
     for name, t, env, lenv in sources:
         _agrees_with_substitution(t, env, lenv, name)
+    _agrees_with_substitution(_nest(300), {}, {}, "nest")
 
 
 def test_translation_prints_as_the_substitution_on_random_terms():
@@ -328,6 +329,14 @@ def test_translation_of_shadowing_binders():
         _agrees_with_substitution(t, {"x": NAT}, {})
 
 
+def _nest(depth):
+    """(lam (x0 nat) … (lam (x<depth-1> nat) (app succ x0)))"""
+    nest = LApp(Prim("succ"), LVar("x0"))
+    for i in reversed(range(depth)):
+        nest = Lam(f"x{i}", NAT, nest)
+    return nest
+
+
 def _term_nodes(t):
     match t:
         case LVar() | Num() | Prim():
@@ -347,9 +356,7 @@ def test_translation_visits_each_source_node_once(monkeypatch, capsys):
     ws = parse_file(path)
     goal, proof = ws.proofs["add0-total"]
     nodes = _term_nodes(interp_proof(proof, ws.theory, goal))
-    nest = LApp(Prim("succ"), LVar("x0"))
-    for i in reversed(range(300)):
-        nest = Lam(f"x{i}", NAT, nest)
+    nest = _nest(300)
     calls = Counter()
     for name in ("_cps", "g_subst"):
         _count(monkeypatch, calls, cps, name)
@@ -360,6 +367,49 @@ def test_translation_visits_each_source_node_once(monkeypatch, capsys):
     cps_term(nest)
     nodes = _term_nodes(nest)
     assert calls["_cps"] == nodes and calls["g_subst"] == 0, (nodes, calls)
+
+
+def _type_nodes(a):
+    match a:
+        case TArr(l, r) | TProd(l, r):
+            return 1 + _type_nodes(l) + _type_nodes(r)
+    return 1
+
+
+def _stated_type_nodes(t):
+    """The nodes of the types that t states: its λ and μ annotations and the
+    types of its primitives."""
+    match t:
+        case LVar() | Num():
+            return 0
+        case Prim():
+            return _type_nodes(prim_type(t))
+        case Lam(_, ty, b) | Mu(_, ty, b):
+            return _type_nodes(ty) + _stated_type_nodes(b)
+        case Proj(_, b) | Named(_, b):
+            return _stated_type_nodes(b)
+        case LApp(f, a) | Pair(f, a):
+            return _stated_type_nodes(f) + _stated_type_nodes(a)
+    raise AssertionError(t)
+
+
+def test_translation_translates_only_the_stated_types(monkeypatch):
+    """Each translated type is built from its parts, so cps_term visits
+    cps_type once per node of the types the term and its free variables
+    state (re-translating the type of each λ took 339 visits on add0-total
+    and 90 604 on a 300-deep nest)."""
+    terms = {name: (t, env, lenv) for name, t, env, lenv in _source_terms()}
+    terms["nest"] = _nest(300), {}, {}
+    calls, stated = Counter(), {}
+    _count(monkeypatch, calls, cps, "cps_type")
+    for name, (t, env, lenv) in terms.items():
+        calls.clear()
+        cps_term(t, env, lenv)
+        stated[name] = (_stated_type_nodes(t)
+                        + sum(map(_type_nodes, env.values())))
+        assert calls["cps_type"] == stated[name], (name, calls, stated)
+    assert (stated["add0-total"], stated["dc-succ"], stated["nest"]) == (
+        151, 21, 303)
 
 
 # ------------------------------- the typed normalizer, against retyping

@@ -11,7 +11,7 @@ from mupcf.errors import UserError
 from mupcf.format import (
     _parse_declarations, _read_all, _read_plain, formula_sexp, parse_file,
     parse_formula, parse_individual, parse_sort, parse_source, parse_term,
-    parse_type, proof_decl, term_decl, term_sexp, type_sexp,
+    parse_type, proof_sexp, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
@@ -25,6 +25,13 @@ from mupcf.logic import (
 
 import corpus_files
 from termgen import gen_term, rand_type
+
+
+def _proof_decl(name, goal, proof):
+    """The source of a proof declaration."""
+    return (f"(proof {name}\n"
+            f"  (goal {formula_sexp(goal.concl)})\n"
+            f"  {proof_sexp(proof)})\n")
 
 
 def _parse_formula(src):
@@ -63,7 +70,7 @@ def test_corpus_entry_reads_its_own_file(monkeypatch):
 @pytest.mark.parametrize("name", [e.name for e in corpus_files.entries()])
 def test_corpus_entries_round_trip(name):
     e = corpus_files.entry(name)
-    src = f"(theory {e.theory})\n" + proof_decl(e.name, e.goal, e.proof)
+    src = f"(theory {e.theory})\n" + _proof_decl(e.name, e.goal, e.proof)
     ws = parse_source(src)
     goal, pf = ws.proofs[e.name]
     assert ws.theory_name == e.theory
@@ -440,7 +447,7 @@ def _preorder(nodes):
 
 def _canonical_sources():
     for e in corpus_files.entries():
-        yield f"(theory {e.theory})\n" + proof_decl(e.name, e.goal, e.proof)
+        yield f"(theory {e.theory})\n" + _proof_decl(e.name, e.goal, e.proof)
     rng = random.Random(20261018)
     for i in range(40):
         yield term_decl(f"t{i}", gen_term(rng, rand_type(rng, 3), depth=5))

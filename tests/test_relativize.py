@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mupcf.errors import UserError
+from mupcf.format import proof_sexp
 from mupcf.logic import (
     And, Ax, BOT, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar,
     Id, Imp, ImpElim, SUCC, Sequent, THEORIES, ZERO, alpha_eq, arrow,
@@ -136,10 +137,38 @@ def test_vanishing_higher_sort_variable():
     check_proof(pr, rth, rgoal)
 
 
-def test_choice_axiom_with_parameter():
-    d = IVar("d", IOTA)
+# The relativized proof of dc at B := z = k d e, with two parameters, as
+# the replay printed it when it peeled the parameter closures itself.
+DC_TWO_PARAMS = r"""
+(forall-intro (d iota) (imp-intro (r_d (rel d)) (forall-intro (e iota)
+(imp-intro (r_e (rel e)) (imp-intro (p (all (x iota) (-> (rel x) (all (y
+iota) (-> (rel y) (-> (all (z iota) (-> (rel z) (-> (-> (neq z ((k iota
+iota) d e)) bot) bot))) bot)))))) (imp-intro (c (all (w (-> iota iota))
+(-> (all (v iota) (-> (rel v) (rel (w v)))) (-> (all (x iota) (-> (rel
+x) (-> (neq (w (S x)) ((k iota iota) d e)) bot))) bot)))) (imp-elim
+(imp-elim (forall-elim (forall-elim (ax dc (/\ (rel z) (/\ (rel y) (->
+(neq z ((k iota iota) d e)) bot))) (x iota) (y iota) (z iota)) d) e)
+(forall-intro (x iota) (imp-intro (r_x (rel x)) (forall-intro (y iota)
+(imp-intro (r_y (rel y)) (imp-intro (hna (all (z iota) (-> (/\ (rel z)
+(/\ (rel y) (-> (neq z ((k iota iota) d e)) bot))) bot))) (forall-intro
+(x' iota) (and-intro (id r_y) (and-intro (id r_y) (bot-elim (dead (->
+(neq y ((k iota iota) d e)) bot)) (imp-elim (imp-elim (forall-elim
+(imp-elim (forall-elim (id p) x) (id r_x)) y) (id r_y)) (forall-intro (z
+iota) (imp-intro (r_z (rel z)) (imp-intro (hb (-> (neq z ((k iota iota)
+d e)) bot)) (imp-elim (forall-elim (id hna) z) (and-intro (id r_z)
+(and-intro (id r_y) (id hb)))))))))))))))))) (forall-intro (w (-> iota
+iota)) (imp-intro (hstep (all (x iota) (-> (rel x) (/\ (rel (w (S x)))
+(/\ (rel (w x)) (-> (neq (w (S x)) ((k iota iota) d e)) bot))))))
+(imp-elim (imp-elim (forall-elim (id c) w) (forall-intro (v iota)
+(imp-intro (r_v (rel v)) (and-elim 1 (and-elim 2 (imp-elim (forall-elim
+(id hstep) v) (id r_v))))))) (forall-intro (x iota) (imp-intro (rs_x
+(rel x)) (and-elim 2 (and-elim 2 (imp-elim (forall-elim (id hstep) x)
+(id rs_x))))))))))))))))
+"""
+
+
+def _relativize_dc(b):
     x, y, z = IVar("x", IOTA), IVar("y", IOTA), IVar("z", IOTA)
-    b = f_eq(z, IApp(SUCC, d))
     proof = Ax("dc", (b, x, y, z))
     goal = Sequent(concl=CAW.instantiate("dc", (b, x, y, z)))
     check_proof(proof, CAW, goal)
@@ -147,6 +176,18 @@ def test_choice_axiom_with_parameter():
     assert rth.name == "cawr"
     check_proof(pr, rth, rgoal)
     assert alpha_eq(rgoal.concl, rel_formula(goal.concl))
+    return pr
+
+
+def test_choice_axiom_with_parameter():
+    z, d, e = IVar("z", IOTA), IVar("d", IOTA), IVar("e", IOTA)
+    _relativize_dc(f_eq(z, IApp(SUCC, d)))
+    k = IConst("k", (IOTA, IOTA))
+    pr = _relativize_dc(f_eq(z, IApp(IApp(k, d), e)))
+    assert proof_sexp(pr) == " ".join(DC_TWO_PARAMS.split())
+    # a parameter named like the eigenvariable of the second premise
+    v = IVar("v", arrow(IOTA, IOTA))
+    _relativize_dc(f_eq(z, IApp(v, d)))
 
 
 def test_rejects_open_conclusion():
