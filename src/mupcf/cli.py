@@ -103,12 +103,26 @@ def _pick(table, kind, name, kinds=None):
     )
 
 
-def _emit(args, payload, text_lines):
+def _emit(args, payload, lines=None):
+    """Print a command's result: in structured mode the payload as one JSON
+    line; in text mode the given lines, else one `field: value` line per
+    field after command and name and one `key=value ...` line per row of a
+    list field."""
     if args.format == "structured":
         print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    if lines is None:
+        lines = []
+        for key, value in payload.items():
+            if key in ("command", "name"):
+                continue
+            if isinstance(value, list):
+                lines += [" ".join(f"{k}={v}" for k, v in row.items())
+                          for row in value]
+            else:
+                lines.append(f"{key}: {value}")
+    for line in lines:
+        print(line)
 
 
 def _cmd_check(ws, args):
@@ -131,18 +145,9 @@ def _cmd_relativize(ws, args):
     name = _pick(ws.proofs, "proof", args.name)
     goal, pf = ws.proofs[name]
     rpf, rtheory, rgoal = rel_proof(pf, ws.theory, goal)
-    payload = {
-        "command": "relativize",
-        "name": name,
-        "theory": rtheory.name,
-        "goal": formula_sexp(rgoal.concl),
-        "proof": proof_sexp(rpf),
-    }
-    _emit(args, payload, [
-        f"theory: {payload['theory']}",
-        f"goal: {payload['goal']}",
-        f"proof: {payload['proof']}",
-    ])
+    _emit(args, {"command": "relativize", "name": name,
+                 "theory": rtheory.name, "goal": formula_sexp(rgoal.concl),
+                 "proof": proof_sexp(rpf)})
     return 0
 
 
@@ -152,14 +157,8 @@ def _cmd_interp(ws, args):
     t = interp_proof(pf, ws.theory, goal)
     env, lenv = interp_envs(goal)
     ty = typecheck(t, env, lenv)
-    payload = {
-        "command": "interp",
-        "name": name,
-        "term": term_sexp(t),
-        "type": type_sexp(ty),
-    }
-    _emit(args, payload,
-          [f"term: {payload['term']}", f"type: {payload['type']}"])
+    _emit(args, {"command": "interp", "name": name, "term": term_sexp(t),
+                 "type": type_sexp(ty)})
     return 0
 
 
@@ -171,9 +170,8 @@ def _cmd_eval(ws, args):
         raise UserError(
             f"eval runs a program of type nat, not {type_sexp(ty)}")
     value, steps = eval_nat(t, args.fuel)
-    payload = {"command": "eval", "name": name, "value": value,
-               "steps": steps}
-    _emit(args, payload, [f"value: {value}", f"steps: {steps}"])
+    _emit(args, {"command": "eval", "name": name, "value": value,
+                 "steps": steps})
     return 0
 
 
@@ -188,35 +186,18 @@ def _cmd_cps(ws, args):
         t, env, lenv = ws.terms[name], {}, {}
     g = cps_term(t, env, lenv)
     ty = typecheck_lam(g, cps_envs(env, lenv))
-    payload = {
-        "command": "cps",
-        "name": name,
-        "term": lam_term_str(g),
-        "type": lam_type_str(ty),
-    }
-    _emit(args, payload,
-          [f"term: {payload['term']}", f"type: {payload['type']}"])
+    _emit(args, {"command": "cps", "name": name, "term": lam_term_str(g),
+                 "type": lam_type_str(ty)})
     return 0
 
 
 def _cmd_extract(ws, args):
     name = _pick(ws.proofs, "proof", args.name)
     goal, pf = ws.proofs[name]
-    report = run_extraction(pf, ws.theory, goal, args.inputs, args.fuel)
-    rows = report.rows()
-    payload = {
-        "command": "extract",
-        "name": name,
-        "program": term_sexp(report.program),
-        "rows": rows,
-    }
-    lines = [f"program: {payload['program']}"]
-    lines += [
-        f"input={r['input']} witness={r['witness']} "
-        f"verdict={r['verdict']} steps={r['steps']}"
-        for r in rows
-    ]
-    _emit(args, payload, lines)
+    program, rows = run_extraction(pf, ws.theory, goal, args.inputs,
+                                   args.fuel)
+    _emit(args, {"command": "extract", "name": name,
+                 "program": term_sexp(program), "rows": rows})
     verdicts = {r["verdict"] for r in rows}
     if FAIL in verdicts:
         return 1
@@ -225,13 +206,15 @@ def _cmd_extract(ws, args):
     return 0
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "relativize": _cmd_relativize,
-    "interp": _cmd_interp,
-    "eval": _cmd_eval,
-    "cps": _cmd_cps,
-    "extract": _cmd_extract,
+_COMMANDS = {  # name: (handler, help)
+    "check": (_cmd_check, "check every proof in a file"),
+    "relativize": (_cmd_relativize,
+                   "translate a proof into the relativized theory"),
+    "interp": (_cmd_interp, "compile a proof to a control term"),
+    "eval": (_cmd_eval, "run a program down to a numeral"),
+    "cps": (_cmd_cps,
+            "translate a proof or program into the target calculus"),
+    "extract": (_cmd_extract, "extract and run a witness program"),
 }
 
 
@@ -264,14 +247,7 @@ def _build_parser():
                     "extract witness programs.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for cmd, help_ in [
-        ("check", "check every proof in a file"),
-        ("relativize", "translate a proof into the relativized theory"),
-        ("interp", "compile a proof to a control term"),
-        ("eval", "run a program down to a numeral"),
-        ("cps", "translate a proof or program into the target calculus"),
-        ("extract", "extract and run a witness program"),
-    ]:
+    for cmd, (_, help_) in _COMMANDS.items():
         s = sub.add_parser(cmd, help=help_)
         s.add_argument("file", help="declaration file")
         s.add_argument("--name", help="declaration to operate on "
@@ -354,7 +330,7 @@ def _main(argv):
         ws = parse_file(args.file)
         if args.theory:
             ws.theory_name = args.theory
-        return _COMMANDS[args.command](ws, args)
+        return _COMMANDS[args.command][0](ws, args)
     except RecursionError:
         # the reader, the checker and the translations recurse once per
         # nesting level of the object they walk

@@ -12,7 +12,7 @@ both sides; higher-sort equations are reported unverified.
 from .errors import FuelExhausted, InternalError, UserError
 from .interp import const_realizer, interp_proof, rel_type
 from .lambdamu import (
-    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, Term, eval_nat,
+    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, eval_nat,
     freshen, typecheck,
 )
 from .logic import (
@@ -39,25 +39,6 @@ class Pi02Goal(Node):
     rhs: Individual
     eq_sort: Sort
     prepared: bool  # True when the matrix double negation is already gone
-
-
-class WitnessRecord(Node):
-    input: int
-    witness: int | None
-    verdict: str
-    steps: int
-
-
-class ExtractionReport(Node):
-    program: Term
-    records: tuple
-
-    def rows(self):
-        return [
-            {"input": r.input, "witness": r.witness, "verdict": r.verdict,
-             "steps": r.steps}
-            for r in self.records
-        ]
 
 
 def pi02_goal(concl):
@@ -192,6 +173,8 @@ def verify_witness(goal, n, m, fuel):
 
 def run_extraction(proof, theory, goal, inputs, fuel):
     """Extract and run the program on each input, verifying every witness.
+    Returns the program and one row per input: a dict of the input, the
+    witness (None on a timeout), the verdict and the steps taken.
 
     Inputs must range over the base sort, where evidence for an input n is
     the numeral n itself."""
@@ -202,13 +185,14 @@ def run_extraction(proof, theory, goal, inputs, fuel):
             f"got {sort_sexp(g.x_sort)}"
         )
     e = extract_program(proof, theory, goal)
-    records = []
+    rows = []
     for n in inputs:
         try:
             m, steps = eval_nat(LApp(e, Num(n)), fuel)
         except FuelExhausted as ex:
-            records.append(WitnessRecord(n, None, TIMEOUT, ex.steps))
-            continue
-        records.append(WitnessRecord(n, m, verify_witness(g, n, m, fuel),
-                                     steps))
-    return ExtractionReport(e, tuple(records))
+            m, verdict, steps = None, TIMEOUT, ex.steps
+        else:
+            verdict = verify_witness(g, n, m, fuel)
+        rows.append({"input": n, "witness": m, "verdict": verdict,
+                     "steps": steps})
+    return e, rows

@@ -18,7 +18,7 @@ from .logic import (
     ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
     ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, alpha_eq, check_proof,
     collect_names, f_rel, formula_sexp, fv_formula, rel_pred,
-    relativized_counterpart, subst_var, zero_ind,
+    relativized_counterpart, zero_ind,
 )
 
 
@@ -93,14 +93,13 @@ class _Relativizer:
         match goal:
             case Forall(x, sort, Imp(guard, rest)) if alpha_eq(
                     guard, rel_pred(IVar(x, sort), sort)):
-                if not isinstance(src_formula, Forall) or src_formula.sort != sort:
+                # one scheme names the binders of both closures alike
+                if (not isinstance(src_formula, Forall)
+                        or src_formula.var != x or src_formula.sort != sort):
                     raise InternalError("axiom replay shape mismatch")
-                xv = IVar(x, sort)
-                src_body = src_formula.body
-                if src_formula.var != x:  # x for x changes no well-formed body
-                    src_body = subst_var(src_body, src_formula.var, xv)
                 inner = self._derive_closure(
-                    rest, src_body, ForallElim(src_proof, xv), core)
+                    rest, src_formula.body,
+                    ForallElim(src_proof, IVar(x, sort)), core)
                 return ForallIntro(x, sort, ImpIntro(self.fresh(f"r_{x}"),
                                                      guard, inner))
         if core is not None:

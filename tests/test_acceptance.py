@@ -213,14 +213,15 @@ def test_acceptance_end_to_end_extraction():
     }
     for name, fn in expected.items():
         e = corpus_files.entry(name)
-        report = run_extraction(
+        program, rows = run_extraction(
             e.proof, THEORIES[e.theory], e.goal, range(11), 10 ** 5)
-        assert typecheck(report.program) == TArr(NAT, NAT), name
-        assert len(report.records) == 11
-        for rec in report.records:
-            assert rec.verdict == PASS, f"{name} input {rec.input}"
-            assert rec.witness == fn(rec.input), f"{name} input {rec.input}"
-            assert rec.steps < 10 ** 5, f"{name} input {rec.input}"
+        assert typecheck(program) == TArr(NAT, NAT), name
+        assert len(rows) == 11
+        for row in rows:
+            where = f"{name} input {row['input']}"
+            assert row["verdict"] == PASS, where
+            assert row["witness"] == fn(row["input"]), where
+            assert row["steps"] < 10 ** 5, where
     _report("end-to-end extraction, inputs 0..10")
 
 

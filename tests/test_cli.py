@@ -555,7 +555,8 @@ def test_memory_error_is_a_user_error(capsys, monkeypatch, fmt):
     def exhaust(ws, args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._COMMANDS, "check", exhaust)
+    monkeypatch.setitem(cli._COMMANDS, "check",
+                        (exhaust, cli._COMMANDS["check"][1]))
     limit = sys.getrecursionlimit()
     code, out, err = _run(capsys, ["check", str(CORPUS / "dne.proof"),
                                    "--format", fmt])
@@ -574,13 +575,13 @@ def test_memory_error_is_a_user_error(capsys, monkeypatch, fmt):
 def test_main_raises_the_recursion_limit_and_restores_it(capsys,
                                                          monkeypatch):
     seen = []
-    check = cli._COMMANDS["check"]
+    check, help_ = cli._COMMANDS["check"]
 
     def spy(ws, args):
         seen.append(sys.getrecursionlimit())
         return check(ws, args)
 
-    monkeypatch.setitem(cli._COMMANDS, "check", spy)
+    monkeypatch.setitem(cli._COMMANDS, "check", (spy, help_))
     limit = sys.getrecursionlimit()
     assert _run(capsys, ["check", str(CORPUS / "dne.proof")])[0] == 0
     assert seen == [max(limit, 50000)]
@@ -862,6 +863,28 @@ def test_extract_rejects_non_pi02_goal(capsys):
     code, _, err = _run(capsys, ["extract", str(CORPUS / "dne.proof")])
     assert code == 1
     assert err.startswith("error[user-error]:")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("matrix,message", [
+    ("(exists (x iota) (= x x))",
+     "input and witness variables must be distinct"),
+    ("(exists (y iota) (= ((k iota iota) x) y))",
+     "equation sides have different sorts"),
+], ids=["shadowed-input", "sorts-differ"])
+def test_extract_rejects_a_malformed_pi02_goal(capsys, tmp_path, matrix,
+                                               message, fmt):
+    """The goal is refused before its proof is looked at."""
+    bad = tmp_path / "bad.proof"
+    bad.write_text(f"(proof bad (goal (all (x iota) {matrix})) (id h))\n")
+    code, out, err = _run(capsys, ["extract", str(bad), "--format", fmt])
+    assert code == 1
+    if fmt == "text":
+        assert (out, err) == ("", f"error[user-error]: {message}\n")
+    else:
+        assert err == ""
+        assert json.loads(out) == {"error": {
+            "category": "user-error", "message": message}}
 
 
 _SUCC_HYP = "(all (y iota) (-> (-> (neq y (S x)) bot) bot))"

@@ -566,10 +566,24 @@ def test_normal_forms_agree_with_the_retyping_normalizer_on_target_terms(
         return out
     monkeypatch.setattr(cps, "_fold_case", counted_fold)
     rng = random.Random(20261023)
+    inputs = []
     for i in range(1000):
         ty = R if i % 2 else rand_target_type(rng, 2)
         ctx = dict(TARGET_CTX)
-        g = gen_target(rng, ty, ctx, 5)
+        inputs.append((gen_target(rng, ty, ctx, 5), ctx, ty))
+    # Two fold branches that the random terms miss. Injections at one index
+    # whose bodies differ do not fold; a case pair whose parts fold folds
+    # into a new case, here case z (c) (k z) (j c).
+    b, c, z, k, j = GVar("b"), GVar("c"), GVar("z"), GVar("k"), GVar("j")
+    zt, nn = TARGET_CTX["z"], LSum(LNAT, LNAT)
+    inputs.append((GCase(GVar("x"), "b", GInj(1, GVar("n"), nn),
+                         GInj(1, GProj(2, GVar("y")), nn)),
+                   dict(TARGET_CTX), nn))
+    inputs.append((GCase(z, "b",
+                         GCase(z, "c", GApp(k, GInj(1, b, zt)), GApp(j, c)),
+                         GCase(z, "c", GApp(k, GInj(2, b, zt)), GApp(j, c))),
+                   {**TARGET_CTX, "k": LArr(zt), "j": LArr(zt.right)}, R))
+    for i, (g, ctx, ty) in enumerate(inputs):
         assert typecheck_lam(g, ctx) == ty, i
         assert normalize_lam(g, ctx) == reference.normalize_lam(g, ctx), i
     assert calls["freshen"] > 100 and calls["filled"] > 10, calls

@@ -419,6 +419,14 @@ def test_verify_witness_decides_base_equations():
     assert verify_witness(g, 3, 5, 10000) == FAIL
 
 
+def test_verify_witness_times_out_when_a_side_runs_out_of_fuel():
+    # add0-total's left side, add 0 x, takes 181 steps at x = 5
+    _, _, goal = _entry("add0-total")
+    g = pi02_goal(goal.concl)
+    assert verify_witness(g, 5, 5, 10000) == PASS
+    assert verify_witness(g, 5, 5, 10) == TIMEOUT
+
+
 def test_verify_witness_flags_higher_sort_equations():
     s = arrow(IOTA, IOTA)
     kc = IConst("k", (IOTA, IOTA))
@@ -441,23 +449,21 @@ EXPECTED = {
 @pytest.mark.parametrize("name", PI02)
 def test_end_to_end_extraction_on_corpus(name):
     proof, th, goal = _entry(name)
-    rep = run_extraction(proof, th, goal, range(11), 100000)
+    _, rows = run_extraction(proof, th, goal, range(11), 100000)
     f = EXPECTED[name]
-    for r in rep.records:
-        assert r.verdict == PASS
-        assert r.witness == f(r.input)
-        assert r.steps < 100000
-    rows = rep.rows()
+    for r in rows:
+        assert r["verdict"] == PASS
+        assert r["witness"] == f(r["input"])
+        assert r["steps"] < 100000
     assert [row["input"] for row in rows] == list(range(11))
     assert set(rows[0]) == {"input", "witness", "verdict", "steps"}
 
 
 def test_run_extraction_reports_timeouts_per_input():
     proof, th, goal = _entry("add0-total")
-    rep = run_extraction(proof, th, goal, [10], 5)
-    (r,) = rep.records
-    assert r.verdict == TIMEOUT
-    assert r.witness is None
+    _, (r,) = run_extraction(proof, th, goal, [10], 5)
+    assert r["verdict"] == TIMEOUT
+    assert r["witness"] is None
 
 
 def test_run_extraction_requires_base_sort_inputs():
