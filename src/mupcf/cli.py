@@ -23,7 +23,7 @@ from .extract import FAIL, TIMEOUT, run_extraction
 from .format import (
     digits_error, formula_sexp, parse_file, proof_sexp, term_sexp, type_sexp,
 )
-from .interp import interp_envs, interp_proof
+from .interp import interp_envs, interp_proof, interp_type
 from .lambdamu import NAT, eval_nat, typecheck
 from .logic import check_proof
 from .relativize import rel_proof
@@ -107,7 +107,7 @@ def _emit(args, payload, lines=None):
     """Print a command's result: in structured mode the payload as one JSON
     line; in text mode the given lines, else one `field: value` line per
     field after command and name and one `key=value ...` line per row of a
-    list field."""
+    list field, where a missing value (None) reads null, as in JSON."""
     if args.format == "structured":
         print(json.dumps(payload))
         return
@@ -117,8 +117,8 @@ def _emit(args, payload, lines=None):
             if key in ("command", "name"):
                 continue
             if isinstance(value, list):
-                lines += [" ".join(f"{k}={v}" for k, v in row.items())
-                          for row in value]
+                lines += [" ".join(f"{k}={'null' if v is None else v}"
+                                   for k, v in row.items()) for row in value]
             else:
                 lines.append(f"{key}: {value}")
     for line in lines:
@@ -155,10 +155,8 @@ def _cmd_interp(ws, args):
     name = _pick(ws.proofs, "proof", args.name)
     goal, pf = ws.proofs[name]
     t = interp_proof(pf, ws.theory, goal)
-    env, lenv = interp_envs(goal)
-    ty = typecheck(t, env, lenv)
     _emit(args, {"command": "interp", "name": name, "term": term_sexp(t),
-                 "type": type_sexp(ty)})
+                 "type": type_sexp(interp_type(goal.concl))})
     return 0
 
 

@@ -26,9 +26,9 @@ from .lambdamu import (
     TProd, term_sexp, type_sexp, write,
 )
 from .logic import (
-    And, AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, Forall,
-    ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp, ImpElim,
-    ImpIntro, MAX_DEPTH, REL_AXIOMS, SArrow, SCHEME_KINDS, Sequent, SUCC,
+    And, AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, CONSTANTS,
+    Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
+    ImpElim, ImpIntro, MAX_DEPTH, SArrow, SCHEME_KINDS, Sequent, SUCC,
     THEORIES, ZERO, formula_sexp,
 )
 
@@ -205,9 +205,11 @@ def parse_sort(node, depth=0):
 
 # ----------------------------------------------------------- individuals
 
-# constant -> number of sort arguments, for the constants that take some
+# constant -> number of sort arguments, for the constants that take some;
+# the others are atoms that read as their one shared node
 _CONST_SORT_ARITY = {c: len(SCHEME_KINDS[ax])
-                     for c, ax in REL_AXIOMS.items() if SCHEME_KINDS[ax]}
+                     for c, (ax, _) in CONSTANTS.items() if SCHEME_KINDS[ax]}
+_NULLARY = {c: IConst(c) for c in CONSTANTS if c not in _CONST_SORT_ARITY}
 
 # a numeral individual is read as that many nested S applications
 _MAX_IND_NUMERAL = 10000
@@ -216,10 +218,9 @@ _MAX_IND_NUMERAL = 10000
 def parse_individual(node, scope, depth=0):
     _check_depth(node, depth)
     if isinstance(node, str):
-        if node == "0":
-            return ZERO
-        if node == "S":
-            return SUCC
+        const = _NULLARY.get(node)
+        if const is not None:
+            return const
         if _is_numeral(node):
             digits = node.lstrip("0") or "0"
             # the length test keeps a long digit string away from int()
@@ -268,7 +269,7 @@ def _parse_binder(node, what, depth):
     if not isinstance(node, list) or len(node) != 2:
         _err(node, f"expected a (name sort) binder for {what}")
     name = _sym(node[0], "a variable name")
-    if name in REL_AXIOMS or _is_numeral(name):  # a constant's name
+    if name in CONSTANTS or _is_numeral(name):  # a constant's name
         _err(node[0], f"{name} is reserved and cannot be bound")
     return name, parse_sort(node[1], depth)
 

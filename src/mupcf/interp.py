@@ -19,8 +19,8 @@ from .lambdamu import (
 )
 from .logic import (
     And, Atom, Ax, AndElim, AndIntro, BaseSort, Bot, BotElim, BotIntro,
-    Forall, ForallElim, ForallIntro, IConst, Id, Imp, ImpElim, ImpIntro,
-    KAPPA, REL_AXIOMS, SArrow, check_proof,
+    CONSTANTS, Forall, ForallElim, ForallIntro, IConst, Id, Imp, ImpElim,
+    ImpIntro, KAPPA, SArrow, check_proof,
 )
 
 
@@ -96,7 +96,7 @@ def const_realizer(c):
 
 
 # evidence axiom name -> its constant
-_REL_CONSTANTS = {ax: c for c, ax in REL_AXIOMS.items()}
+_REL_CONSTANTS = {ax: c for c, (ax, _) in CONSTANTS.items()}
 
 
 @lru_cache(maxsize=256)

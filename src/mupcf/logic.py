@@ -186,32 +186,34 @@ def iapp(fn, *args):
     return out
 
 
-_SUCC_SORT = SArrow(IOTA, IOTA)
+# Scheme argument kinds: s = sort, f = formula, v = sorted variable.
+SCHEME_KINDS = {
+    "refl": "s", "leib": "fvv", "s-neq-0": "", "ind": "fv",
+    "def-s": "sss", "def-k": "ss", "def-rec-0": "s", "def-rec-s": "s",
+    "rel-0": "", "rel-succ": "", "rel-k": "ss", "rel-s": "sss",
+    "rel-rec": "s", "dc": "fvvv",
+}
 
-
-# the sort of each combinator family at its sort arguments, whose number is
-# that of its evidence axiom (REL_AXIOMS, SCHEME_KINDS)
-_FAMILY_SORTS = {
-    "k": lambda a, b: arrow(a, b, a),
-    "s": lambda a, b, c: arrow(arrow(a, b, c), arrow(a, b), a, c),
-    "rec": lambda a: arrow(a, arrow(IOTA, a, a), IOTA, a),
+# The constants: each one's evidence axiom (its realizability predicate at
+# the sort arguments the axiom is given, as many as the axiom's
+# SCHEME_KINDS entry lists) and its sort at those arguments. Its program is
+# interp.const_realizer.
+CONSTANTS = {
+    "0": ("rel-0", lambda: IOTA),
+    "S": ("rel-succ", lambda: SArrow(IOTA, IOTA)),
+    "k": ("rel-k", lambda a, b: arrow(a, b, a)),
+    "s": ("rel-s", lambda a, b, c: arrow(arrow(a, b, c), arrow(a, b), a, c)),
+    "rec": ("rel-rec", lambda a: arrow(a, arrow(IOTA, a, a), IOTA, a)),
 }
 
 
 def const_sort(c):
-    """Sort of a constant instance; combinator families carry sort arguments.
-    Sorts are interned, so every instance of one constant shares one sort
-    object."""
-    name, sort_args = c.name, c.sort_args
-    if not sort_args:
-        if name == "0":
-            return IOTA
-        if name == "S":
-            return _SUCC_SORT
-    if name not in _FAMILY_SORTS \
-            or len(sort_args) != len(SCHEME_KINDS[REL_AXIOMS[name]]):
+    """Sort of a constant instance. Sorts are interned, so every instance of
+    one constant shares one sort object."""
+    entry = CONSTANTS.get(c.name)
+    if entry is None or len(c.sort_args) != len(SCHEME_KINDS[entry[0]]):
         raise UserError(f"unknown constant {ind_sexp(c)}")
-    return _FAMILY_SORTS[name](*sort_args)
+    return entry[1](*c.sort_args)
 
 
 ZERO = IConst("0")
@@ -740,20 +742,7 @@ def collect_names(p):
 # ---------- theories ----------
 
 
-# Scheme argument kinds: s = sort, f = formula, v = sorted variable.
-SCHEME_KINDS = {
-    "refl": "s", "leib": "fvv", "s-neq-0": "", "ind": "fv",
-    "def-s": "sss", "def-k": "ss", "def-rec-0": "s", "def-rec-s": "s",
-    "rel-0": "", "rel-succ": "", "rel-k": "ss", "rel-s": "sss",
-    "rel-rec": "s", "dc": "fvvv",
-}
-
 _KINDS = {"s": (Sort, "sort"), "f": (Formula, "formula"), "v": (IVar, "variable")}
-
-# The evidence axiom of each constant: its realizability predicate, at the
-# sort arguments the axiom is given.
-REL_AXIOMS = {"0": "rel-0", "S": "rel-succ", "k": "rel-k", "s": "rel-s",
-              "rec": "rel-rec"}
 
 
 @dataclass(eq=False)  # hashes by identity, as the instance memo needs
@@ -933,7 +922,8 @@ def _mk_theories():
     paw = Theory("paw", False, base)
     caw = Theory("caw", False, {**base, "dc": _ax_dc_plain})
     pawr = Theory("pawr", True, {
-        **base, **{ax: partial(_ax_rel, c) for c, ax in REL_AXIOMS.items()}})
+        **base,
+        **{ax: partial(_ax_rel, c) for c, (ax, _) in CONSTANTS.items()}})
     cawr = Theory("cawr", True, {**pawr.schemes, "dc": _ax_dc_rel})
     return {"paw": paw, "caw": caw, "pawr": pawr, "cawr": cawr}
 

@@ -14,9 +14,9 @@ canonical instance at the root instead.
 from .errors import InternalError, UserError
 from .lambdamu import freshen
 from .logic import (
-    And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, Forall,
-    ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id, Imp,
-    ImpElim, ImpIntro, KAPPA, REL_AXIOMS, Sequent, alpha_eq, check_proof,
+    And, AndElim, AndIntro, Atom, Ax, Bot, BotElim, BotIntro, CONSTANTS,
+    Forall, ForallElim, ForallIntro, Formula, IApp, IConst, IOTA, IVar, Id,
+    Imp, ImpElim, ImpIntro, KAPPA, Sequent, alpha_eq, check_proof,
     collect_names, f_rel, formula_sexp, fv_formula, rel_pred,
     relativized_counterpart, zero_ind,
 )
@@ -78,7 +78,7 @@ class _Relativizer:
             self.dummies[name] = (sort, hyp)
             return Id(hyp)
         if cls is IConst:
-            return Ax(REL_AXIOMS[t.name], t.sort_args)
+            return Ax(CONSTANTS[t.name][0], t.sort_args)
         raise InternalError(f"bad individual {t!r}")
 
     # ---- axiom leaves ----

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mupcf
-from mupcf import cli, format
+from mupcf import cli, extract, format
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -87,13 +87,16 @@ def test_structured_errors_go_to_stdout(capsys, tmp_path):
     assert "message" in payload["error"]
 
 
-@pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_deep_nesting_is_a_user_error(capsys, tmp_path, fmt):
+@pytest.mark.parametrize("cmd,fmt", [
+    ("eval", "text"), ("eval", "structured"),
+    ("check", "text"), ("check", "structured"),
+], ids=["text", "structured", "check-text", "check-structured"])
+def test_deep_nesting_is_a_user_error(capsys, tmp_path, cmd, fmt):
     depth = 60000
     deep = tmp_path / "deep.term"
     deep.write_text("(term t " + "(app succ " * depth + "0" + ")" * depth
                     + ")\n")
-    code, out, err = _run(capsys, ["eval", str(deep), "--format", fmt])
+    code, out, err = _run(capsys, [cmd, str(deep), "--format", fmt])
     assert code == 1
     if fmt == "text":
         assert out == ""
@@ -820,6 +823,41 @@ def test_extract_timeout_exit_code(capsys):
          "--inputs", "9..10", "--fuel", "5"])
     assert code == 2
     assert "verdict=fail-with-timeout" in out
+    # a row without a witness reads null in both formats
+    argv = ["extract", str(CORPUS / "add0-total.proof"), "--inputs", "3..3",
+            "--fuel", "50"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "input=3 witness=null verdict=fail-with-timeout steps=50")
+    code, payload = _run_json(capsys, argv)
+    assert code == 2
+    assert payload["rows"] == [{"input": 3, "witness": None,
+                                "verdict": "fail-with-timeout", "steps": 50}]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_extract_exits_1_on_a_failed_row(capsys, monkeypatch, fmt):
+    """Only a wrong witness fails a row, so the extraction is swapped for
+    one that reports a wrong witness for every input."""
+    real = cli.run_extraction
+
+    def wrong(*args):
+        program, rows = real(*args)
+        return program, [{**r, "witness": r["witness"] + 1,
+                          "verdict": extract.FAIL} for r in rows]
+
+    monkeypatch.setattr(cli, "run_extraction", wrong)
+    code, out, err = _run(capsys, [
+        "extract", str(CORPUS / "succ-total.proof"), "--inputs", "2..2",
+        "--format", fmt])
+    assert code == 1 and err == ""
+    if fmt == "text":
+        assert out.splitlines()[-1].startswith(
+            "input=2 witness=4 verdict=fail steps=")
+    else:
+        (row,) = json.loads(out)["rows"]
+        assert (row["witness"], row["verdict"]) == (4, "fail")
 
 
 def test_extract_add0_at_default_fuel(capsys, monkeypatch):
@@ -927,6 +965,13 @@ def test_bad_inputs_flag(capsys):
         ["extract", str(CORPUS / "succ-total.proof"), "--inputs", "5"])
     assert code == 1
     assert "a..b" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_an_empty_inputs_range_is_a_user_error(capsys, fmt):
+    code, out, err = _run(capsys, ["extract", str(CORPUS / "succ-total.proof"),
+                                   "--inputs", "5..3", "--format", fmt])
+    _expect_user_error(fmt, code, out, err, "--inputs range is empty: 5..3")
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -7,7 +7,7 @@ from mupcf.lambdamu import (
     typecheck,
 )
 from mupcf.logic import (
-    And, Forall, IConst, IOTA, IVar, Imp, REL_AXIOMS, SUCC, THEORIES, ZERO,
+    And, CONSTANTS, Forall, IConst, IOTA, IVar, Imp, SUCC, THEORIES, ZERO,
     arrow, f_eq, f_neq, f_rel,
 )
 
@@ -76,7 +76,7 @@ def test_axiom_realizers_typed(thname, ax, args):
     assert typecheck(t) == interp_type(th.instantiate(ax, args))
 
 
-CONSTANTS = [
+INSTANCES = [
     ZERO, SUCC, IConst("k", (IOTA, arrow(IOTA, IOTA))),
     IConst("s", (arrow(IOTA, IOTA), IOTA, IOTA)),
     IConst("rec", (arrow(IOTA, IOTA),)),
@@ -86,10 +86,10 @@ CONSTANTS = [
 def test_constant_programs_are_their_evidence_realizers():
     """An individual runs as the realizers of the evidence axioms of its
     constants."""
-    assert [c.name for c in CONSTANTS] == list(REL_AXIOMS)
-    for c in CONSTANTS:
+    assert [c.name for c in INSTANCES] == list(CONSTANTS)
+    for c in INSTANCES:
         assert individual_to_term(c) == axiom_realizer(
-            PAWR, REL_AXIOMS[c.name], c.sort_args), c
+            PAWR, CONSTANTS[c.name][0], c.sort_args), c
 
 
 def test_dc_realizers_typed():

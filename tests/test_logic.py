@@ -79,6 +79,12 @@ def test_alpha_eq_binders():
     assert not alpha_eq(f, Forall("y", IOTA, f_neq(ZERO, IVar("y", IOTA))))
 
 
+def test_alpha_eq_compares_the_sort_of_each_bound_occurrence():
+    x, fn = IVar("x", IOTA), IVar("x", arrow(IOTA, IOTA))
+    f = Forall("x", IOTA, f_neq(x, x))
+    assert not alpha_eq(f, Forall("x", IOTA, f_neq(x, fn)))
+
+
 def test_polarity_classes():
     neq = f_neq(ZERO, ZERO)
     rel = f_rel(ZERO)

@@ -127,6 +127,36 @@ def test_vanishing_term_variable_is_discharged():
     assert alpha_eq(rgoal.concl, rel_formula(goal.concl))
 
 
+def _junk_twice(first, second):
+    """A proof that instantiates with the vanishing variable junk twice,
+    at the two given sorts."""
+    inner = ForallElim(ForallIntro("p", first, Ax("refl", (IOTA,))),
+                       IVar("junk", first))
+    return ForallElim(ForallIntro("q", second, inner), IVar("junk", second))
+
+
+_REFL_GOAL = Sequent(concl=Forall("x", IOTA, f_eq(IVar("x", IOTA),
+                                                  IVar("x", IOTA))))
+
+
+def test_vanishing_variable_used_twice_shares_its_evidence():
+    proof = _junk_twice(IOTA, IOTA)
+    pr, rth, rgoal = rel_proof(proof, PAW, _REFL_GOAL)
+    check_proof(pr, rth, rgoal)
+    # one hypothesis, discharged once at the root, serves both uses
+    text = proof_sexp(pr)
+    assert text.count("(imp-intro (r0_junk (rel junk))") == 1
+    assert text.count("(id r0_junk)") == 2
+
+
+def test_vanishing_variable_at_two_sorts_is_a_user_error():
+    proof = _junk_twice(arrow(IOTA, IOTA), IOTA)
+    check_proof(proof, PAW, _REFL_GOAL)
+    with pytest.raises(UserError, match="variable junk used at two sorts "
+                                        "across the proof"):
+        rel_proof(proof, PAW, _REFL_GOAL)
+
+
 def test_vanishing_higher_sort_variable():
     s = arrow(IOTA, IOTA)
     inner = Ax("refl", (IOTA,))
