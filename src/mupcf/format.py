@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .errors import InternalError, UserError
 from .lambdamu import (
-    LApp, Lam, LVar, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBOT,
-    TProd, term_sexp, type_sexp, write,
+    LApp, Lam, LVar, Mu, NAT, Named, Num, PRED_T, Pair, Prim, Proj, SUCC_T,
+    TArr, TBOT, TProd, term_sexp, type_sexp, write,
 )
 from .logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BotElim, BotIntro, CONSTANTS,
@@ -70,6 +70,9 @@ class _NeedPositions(Exception):
 # A token within one line that has had its comment cut off: a parenthesis
 # or an atom.  Space, tab and CR separate tokens; LF ends the line.
 _TOKEN = re.compile(r"[()]|[^ \t\r();]+")
+_COMMENT = re.compile(r";[^\n]*")
+# the other whitespace characters, each as a space
+_TO_SPACE = str.maketrans("\t\r\n", "   ")
 
 
 def _err(node, msg):
@@ -81,24 +84,26 @@ def _err(node, msg):
 def _read_plain(src):
     """The declarations of src as nested lists of str atoms; _NeedPositions
     on an unmatched or unclosed parenthesis."""
+    if ";" in src:
+        src = _COMMENT.sub("", src)
+    # with each parenthesis padded, splitting at the space cuts exactly at
+    # FORMAT.md's whitespace, where str.split() would cut at more
+    toks = src.translate(_TO_SPACE).replace("(", " ( ").replace(")", " ) ")
     nodes = items = []
     # the enclosing items of each list still open, innermost last
     open_lists = []
-    findall = _TOKEN.findall
-    for text in src.split("\n"):
-        cut = text.find(";")
-        for tok in findall(text, 0, len(text) if cut < 0 else cut):
-            if tok == "(":
-                open_lists.append(items)
-                items = []
-            elif tok == ")":
-                if not open_lists:
-                    raise _NeedPositions
-                outer = open_lists.pop()
-                outer.append(items)
-                items = outer
-            else:
-                items.append(tok)
+    for tok in filter(None, toks.split(" ")):
+        if tok == "(":
+            open_lists.append(items)
+            items = []
+        elif tok == ")":
+            if not open_lists:
+                raise _NeedPositions
+            outer = open_lists.pop()
+            outer.append(items)
+            items = outer
+        else:
+            items.append(tok)
     if open_lists:
         raise _NeedPositions
     return nodes
@@ -180,16 +185,17 @@ def _arity(node, n):
 # its constructors refuse trees deeper than the same bound (logic.MAX_DEPTH).
 
 
-def _check_depth(node, depth):
-    if depth > MAX_DEPTH:
-        _err(node, f"nests more than {MAX_DEPTH} levels deep")
+# Each parse function tests its depth argument against MAX_DEPTH first, and
+# refuses a node past it with this message.
+_TOO_DEEP = f"nests more than {MAX_DEPTH} levels deep"
 
 
 # ----------------------------------------------------------------- sorts
 
 
 def parse_sort(node, depth=0):
-    _check_depth(node, depth)
+    if depth > MAX_DEPTH:
+        _err(node, _TOO_DEEP)
     if isinstance(node, str):
         if node == "iota":
             return IOTA
@@ -216,44 +222,50 @@ _MAX_IND_NUMERAL = 10000
 
 
 def parse_individual(node, scope, depth=0):
-    _check_depth(node, depth)
+    if depth > MAX_DEPTH:
+        _err(node, _TOO_DEEP)
     if isinstance(node, str):
         const = _NULLARY.get(node)
         if const is not None:
             return const
-        if _is_numeral(node):
-            digits = node.lstrip("0") or "0"
-            # the length test keeps a long digit string away from int()
-            if len(digits) > len(str(_MAX_IND_NUMERAL)) \
-                    or int(digits) > _MAX_IND_NUMERAL:
-                _err(node, f"numeral individuals are limited to "
-                           f"{_MAX_IND_NUMERAL}")
-            n = int(digits)
-            _check_depth(node, depth + n)
-            out = ZERO
-            for _ in range(n):
-                out = IApp(SUCC, out)
-            return out
-        if node not in scope:
+        # a binder refuses a numeral, so no numeral is in scope
+        sort = scope.get(node)
+        if sort is IOTA:
+            return IVar(node, IOTA)
+        if sort is not None:
+            if depth + 1 + sort._depth > MAX_DEPTH:
+                _err(node, _TOO_DEEP)
+            return IVar(node, sort)
+        if not (node.isdigit() and node.isascii()):
             _err(node, f"unknown identifier {node}")
-        sort = scope[node]
-        if sort is not IOTA:
-            _check_depth(node, depth + 1 + sort._depth)
-        return IVar(node, sort)
+        digits = node.lstrip("0") or "0"
+        # the length test keeps a long digit string away from int()
+        if len(digits) > len(str(_MAX_IND_NUMERAL)) \
+                or int(digits) > _MAX_IND_NUMERAL:
+            _err(node, f"numeral individuals are limited to "
+                       f"{_MAX_IND_NUMERAL}")
+        n = int(digits)
+        if depth + n > MAX_DEPTH:
+            _err(node, _TOO_DEEP)
+        out = ZERO
+        for _ in range(n):
+            out = IApp(SUCC, out)
+        return out
     if not node:
         _err(node, "expected an individual")
     first = node[0]
-    if isinstance(first, str) and first in _CONST_SORT_ARITY:
-        want = _CONST_SORT_ARITY[first]
-        if len(node) != want + 1:
-            _err(node, f"constant {first} takes {want} sort "
-                       f"argument(s)")
-        return IConst(first,
-                      tuple([parse_sort(a, depth + 1) for a in node[1:]]))
-    if len(node) == 1:
-        _err(node, "empty application")
     # (f a1 .. an) is n nested applications, f innermost
     n = len(node) - 1
+    if isinstance(first, str):
+        want = _CONST_SORT_ARITY.get(first)
+        if want is not None:
+            if n != want:
+                _err(node, f"constant {first} takes {want} sort "
+                           f"argument(s)")
+            return IConst(first,
+                          tuple([parse_sort(a, depth + 1) for a in node[1:]]))
+    if not n:
+        _err(node, "empty application")
     out = parse_individual(first, scope, depth + n)
     for i in range(1, n + 1):
         out = IApp(out, parse_individual(node[i], scope, depth + n + 1 - i))
@@ -275,28 +287,14 @@ def _parse_binder(node, what, depth):
 
 
 def parse_formula(node, scope, depth=0):
-    _check_depth(node, depth)
+    if depth > MAX_DEPTH:
+        _err(node, _TOO_DEEP)
     if isinstance(node, str):
         if node == "bot":
             return BOT
     elif node and isinstance(node[0], str):
         head = node[0]
         n = len(node) - 1
-        if head == "neq":
-            if n != 2:
-                _err(node, "neq takes two individuals")
-            return Atom("neq", (parse_individual(node[1], scope, depth + 1),
-                                parse_individual(node[2], scope, depth + 1)))
-        if head == "=":
-            if n != 2:
-                _err(node, "= takes two individuals")
-            return Imp(Atom("neq", (
-                parse_individual(node[1], scope, depth + 2),
-                parse_individual(node[2], scope, depth + 2))), BOT)
-        if head == "rel":
-            if n != 1:
-                _err(node, "rel takes one individual")
-            return Atom("rel", (parse_individual(node[1], scope, depth + 1),))
         if head == "->":
             if n < 2:
                 _err(node, "formula arrow needs at least two arguments")
@@ -304,15 +302,11 @@ def parse_formula(node, scope, depth=0):
             for i in range(n - 1, 0, -1):
                 out = Imp(parse_formula(node[i], scope, depth + i), out)
             return out
-        if head == "not":
-            if n != 1:
-                _err(node, "not takes one formula")
-            return Imp(parse_formula(node[1], scope, depth + 1), BOT)
-        if head == "/\\":
+        if head == "neq":
             if n != 2:
-                _err(node, "/\\ takes two formulas")
-            return And(parse_formula(node[1], scope, depth + 1),
-                       parse_formula(node[2], scope, depth + 1))
+                _err(node, "neq takes two individuals")
+            return Atom("neq", (parse_individual(node[1], scope, depth + 1),
+                                parse_individual(node[2], scope, depth + 1)))
         if head == "all" or head == "exists":
             if n != 2:
                 _err(node, f"{head} takes a binder and a body")
@@ -325,6 +319,25 @@ def parse_formula(node, scope, depth=0):
             if not ex:
                 return Forall(name, sort, body)
             return Imp(Forall(name, sort, Imp(body, BOT)), BOT)
+        if head == "not":
+            if n != 1:
+                _err(node, "not takes one formula")
+            return Imp(parse_formula(node[1], scope, depth + 1), BOT)
+        if head == "=":
+            if n != 2:
+                _err(node, "= takes two individuals")
+            return Imp(Atom("neq", (
+                parse_individual(node[1], scope, depth + 2),
+                parse_individual(node[2], scope, depth + 2))), BOT)
+        if head == "/\\":
+            if n != 2:
+                _err(node, "/\\ takes two formulas")
+            return And(parse_formula(node[1], scope, depth + 1),
+                       parse_formula(node[2], scope, depth + 1))
+        if head == "rel":
+            if n != 1:
+                _err(node, "rel takes one individual")
+            return Atom("rel", (parse_individual(node[1], scope, depth + 1),))
     _err(node, "expected a formula")
 
 
@@ -363,11 +376,17 @@ def _parse_ax(node, scope):
 def parse_proof(node, scope):
     head = _head(node, "proof")
     match head:
+        case "imp-elim":
+            _arity(node, 2)
+            return ImpElim(parse_proof(node[1], scope),
+                           parse_proof(node[2], scope))
+        case "forall-elim":
+            _arity(node, 2)
+            return ForallElim(parse_proof(node[1], scope),
+                              parse_individual(node[2], scope))
         case "id":
             _arity(node, 1)
             return Id(_sym(node[1], "a hypothesis name"))
-        case "ax":
-            return _parse_ax(node, scope)
         case "imp-intro":
             _arity(node, 2)
             b = node[1]
@@ -376,10 +395,25 @@ def parse_proof(node, scope):
             h = _sym(b[0], "a hypothesis name")
             f = parse_formula(b[1], scope)
             return ImpIntro(h, f, parse_proof(node[2], scope))
-        case "imp-elim":
+        case "ax":
+            return _parse_ax(node, scope)
+        case "forall-intro":
             _arity(node, 2)
-            return ImpElim(parse_proof(node[1], scope),
-                           parse_proof(node[2], scope))
+            name, sort = _parse_binder(node[1], "forall-intro", 0)
+            body = parse_proof(node[2], {**scope, name: sort})
+            return ForallIntro(name, sort, body)
+        case "bot-elim":
+            _arity(node, 2)
+            b = node[1]
+            if not isinstance(b, list) or len(b) != 2:
+                _err(b, "expected a (label formula) binder")
+            lab = _sym(b[0], "a label name")
+            f = parse_formula(b[1], scope)
+            return BotElim(lab, f, parse_proof(node[2], scope))
+        case "bot-intro":
+            _arity(node, 2)
+            return BotIntro(_sym(node[1], "a label name"),
+                            parse_proof(node[2], scope))
         case "and-intro":
             _arity(node, 2)
             return AndIntro(parse_proof(node[1], scope),
@@ -390,27 +424,6 @@ def parse_proof(node, scope):
             if i not in ("1", "2"):
                 _err(node[1], "and-elim index must be 1 or 2")
             return AndElim(int(i), parse_proof(node[2], scope))
-        case "forall-intro":
-            _arity(node, 2)
-            name, sort = _parse_binder(node[1], "forall-intro", 0)
-            body = parse_proof(node[2], {**scope, name: sort})
-            return ForallIntro(name, sort, body)
-        case "forall-elim":
-            _arity(node, 2)
-            return ForallElim(parse_proof(node[1], scope),
-                              parse_individual(node[2], scope))
-        case "bot-intro":
-            _arity(node, 2)
-            return BotIntro(_sym(node[1], "a label name"),
-                            parse_proof(node[2], scope))
-        case "bot-elim":
-            _arity(node, 2)
-            b = node[1]
-            if not isinstance(b, list) or len(b) != 2:
-                _err(b, "expected a (label formula) binder")
-            lab = _sym(b[0], "a label name")
-            f = parse_formula(b[1], scope)
-            return BotElim(lab, f, parse_proof(node[2], scope))
     _err(node, f"unknown proof form {head}")
 
 
@@ -420,15 +433,18 @@ proof_sexp = write
 # -------------------------------------------------------------- programs
 
 _RESERVED_TERM_NAMES = {"succ", "pred", "star"}
+# the atoms that read as one shared node
+_TYPE_ATOMS = {"nat": NAT, "bot": TBOT}
+_PRIM_ATOMS = {"succ": SUCC_T, "pred": PRED_T}
 
 
 def parse_type(node, depth=0):
-    _check_depth(node, depth)
+    if depth > MAX_DEPTH:
+        _err(node, _TOO_DEEP)
     if isinstance(node, str):
-        if node == "nat":
-            return NAT
-        if node == "bot":
-            return TBOT
+        ty = _TYPE_ATOMS.get(node)
+        if ty is not None:
+            return ty
     elif node and isinstance(node[0], str):
         head = node[0]
         if head == "->":
@@ -448,14 +464,12 @@ def parse_type(node, depth=0):
 
 def parse_term(node):
     if isinstance(node, str):
-        if _is_numeral(node):
+        if node.isdigit() and node.isascii():
             msg = digits_error(node)
             if msg:
                 _err(node, "numeral " + msg)
             return Num(int(node))
-        if node == "succ" or node == "pred":
-            return Prim(node)
-        return LVar(node)
+        return _PRIM_ATOMS.get(node) or LVar(node)
     if node and isinstance(node[0], str):
         head = node[0]
         if head == "app":
@@ -469,18 +483,18 @@ def parse_term(node):
             _arity(node, 2)
             name, ty = _parse_term_binder(node[1])
             return Lam(name, ty, parse_term(node[2]))
-        if head == "ifz" or head == "fix":
-            _arity(node, 1)
-            return Prim(head, parse_type(node[1]))
-        if head == "pair":
-            _arity(node, 2)
-            return Pair(parse_term(node[1]), parse_term(node[2]))
         if head == "proj":
             _arity(node, 2)
             i = _sym(node[1], "a projection index")
             if i not in ("1", "2"):
                 _err(node[1], "proj index must be 1 or 2")
             return Proj(int(i), parse_term(node[2]))
+        if head == "ifz" or head == "fix":
+            _arity(node, 1)
+            return Prim(head, parse_type(node[1]))
+        if head == "pair":
+            _arity(node, 2)
+            return Pair(parse_term(node[1]), parse_term(node[2]))
         if head == "mu":
             _arity(node, 2)
             name, ty = _parse_term_binder(node[1])
@@ -569,7 +583,7 @@ def _parse_declarations(nodes):
 
 def parse_file(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             src = fh.read()
     except (OSError, UnicodeDecodeError) as ex:
         raise UserError(f"cannot read {path}: {ex}") from None

@@ -99,11 +99,25 @@ def write(node):
     return "".join(out)
 
 
+class _KeyRef(ref):
+    """A weak reference to an interned node that holds the node's key in
+    its class's table."""
+    __slots__ = ("key",)
+
+
 def _intern(cls, names, parts):
     """Give cls its own table and a hash-consing constructor (see Node),
     and compile the source parts with it."""
     table = cls._table = {}  # field tuple -> weak reference to its node
-    ns = {"get": table.get, "table": table, "new": object.__new__, "ref": ref}
+    get = table.get
+
+    def gone(r):
+        # the key may map to a newer node's reference by now
+        if get(r.key) is r:
+            del table[r.key]
+
+    ns = {"get": get, "table": table, "new": object.__new__, "ref": _KeyRef,
+          "gone": gone}
     params = []
     for f in fields(cls):
         if f.default is MISSING:
@@ -123,10 +137,9 @@ def _intern(cls, names, parts):
          "    node = new(cls)\n"
          f"{sets}"
          "    node._facts()\n"
-         "    def gone(r, key=key):\n"
-         "        if get(key) is r:\n"
-         "            del table[key]\n"
-         "    table[key] = ref(node, gone)\n"
+         "    r = ref(node, gone)\n"
+         "    r.key = key\n"
+         "    table[key] = r\n"
          "    return node\n" + parts, f"<{cls.__qualname__}.__new__>",
          "exec"), ns)
     cls.__new__ = staticmethod(ns["__new__"])

@@ -139,6 +139,22 @@ def test_undecodable_file_is_a_user_error(capsys, tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, fmt):
+    bom = b"\xef\xbb\xbf"
+    plain, marked = tmp_path / "plain.term", tmp_path / "marked.term"
+    plain.write_bytes(b"(theory paw)\n(term t (app succ 2))\n")
+    marked.write_bytes(bom + plain.read_bytes())
+    want = _run(capsys, ["eval", str(plain), "--format", fmt])
+    assert want[0] == 0
+    assert _run(capsys, ["eval", str(marked), "--format", fmt]) == want
+    # the mark takes no column
+    bad = tmp_path / "bad.term"
+    bad.write_bytes(bom + b"(theory nope)\n")
+    code, out, err = _run(capsys, ["eval", str(bad), "--format", fmt])
+    _expect_user_error(fmt, code, out, err, f"{bad}:1:9: unknown theory nope")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
 def test_non_ascii_digits_are_not_numerals(capsys, tmp_path, digit, fmt):
     term = tmp_path / "digit.term"

@@ -9,9 +9,9 @@ import pytest
 from mupcf import cli
 from mupcf.errors import UserError
 from mupcf.format import (
-    _parse_declarations, _read_all, _read_plain, formula_sexp, parse_file,
-    parse_formula, parse_individual, parse_sort, parse_source, parse_term,
-    parse_type, proof_sexp, term_decl, term_sexp, type_sexp,
+    _NeedPositions, _parse_declarations, _read_all, _read_plain, formula_sexp,
+    parse_file, parse_formula, parse_individual, parse_sort, parse_source,
+    parse_term, parse_type, proof_sexp, term_decl, term_sexp, type_sexp,
 )
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Pair, TArr, TBOT, TProd, mk_omega,
@@ -545,6 +545,34 @@ def test_both_readers_split_whitespace_edges_alike():
     assert plain == positioned == [["a\fb", "c\xa0d", "e"]]
     assert [(n.line, n.col) for n in _preorder(positioned)] \
         == [(1, 1), (1, 2), (1, 6), (1, 10)]
+    assert all(len(f"a{c}b".split()) == 2 for c in _SPLIT_ONLY)
+    rng = random.Random(20261020)
+    read, refused = 0, 0
+    for _ in range(3000):
+        src = "".join(rng.choices(_WHITESPACE_PIECES, k=rng.randrange(40)))
+        plain = _outcome_of(_read_plain, _NeedPositions, src)
+        assert plain == _outcome_of(_read_all, UserError, src), repr(src)
+        if plain is None:
+            refused += 1
+        elif any(c in src for c in _SPLIT_ONLY):
+            read += 1
+    assert read > 500 and refused > 500
+
+
+# what str.split() cuts at, but FORMAT.md makes atom characters
+_SPLIT_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+# each of FORMAT.md's separators, atoms, a comment start that lands at a
+# line's end or inside an atom, and parentheses that need not balance
+_WHITESPACE_PIECES = [" ", "\t", "\r", "\r\n", "\n", ";", "a", "b7", "(", ")",
+                      "()", *_SPLIT_ONLY]
+
+
+def _outcome_of(read, refusal, src):
+    """What read makes of src, or None when it raises refusal."""
+    try:
+        return read(src)
+    except refusal:
+        return None
 
 
 _MUTANTS = ["(", ")", "0", "iota", "99999", "-1"]

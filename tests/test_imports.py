@@ -244,6 +244,7 @@ SYNTAX_MODULES = ("lambdamu", "logic", "cps", "extract")
 # "module.Class" in a syntax module -> why it is not a syntax tree
 NOT_SYNTAX = {
     "logic.Theory": "a mutable table of axiom schemes",
+    "lambdamu._KeyRef": "a weak reference that holds its node's table key",
 }
 
 
