@@ -7,7 +7,9 @@ exhausted, 3 internal invariant breach.
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argument parser on the first call. Between calls the library keeps only
 bounded memos of pure values: that parser, each axiom instance and its
-realizer, and the quantifier instances of logic.subst_var.
+realizer, the quantifier instances of logic.subst_var, the guarded
+formulas of relativize.rel_formula, the realizability predicates of
+logic.rel_pred and the answers of logic.alpha_eq on two distinct formulas.
 """
 
 import argparse

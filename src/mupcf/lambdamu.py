@@ -47,20 +47,30 @@ class Node:
         super().__init_subclass__(**kwargs)
         # else dataclass builds a __doc__ with inspect.signature, at import
         cls.__doc__ = cls.__doc__ or cls.__name__
-        dataclass(cls, eq=False, repr=False)
-        names = [f.name for f in fields(cls)]
+        dataclass(cls, init=False, eq=False, repr=False)
+        names, params, ns = [], [], {}
+        for f in fields(cls):
+            names.append(f.name)
+            if f.default is MISSING:
+                params.append(f.name)
+            else:  # a default is a constant of the generated code
+                ns[f"_{f.name}"] = f.default
+                params.append(f"{f.name}=_{f.name}")
+        params = ", ".join(params)
         parts = _parts_source(cls, layout) if layout else ""
         if interned or hasattr(cls, "_table"):
-            _intern(cls, names, parts)
+            _intern(cls, names, params, ns, parts)
             return
         mine = "".join(f"self.{n}," for n in names)
         theirs = "".join(f"other.{n}," for n in names)
-        ns = {}
-        exec("def __eq__(self, other):\n"
+        sets = "".join(f"    self.{n} = {n}\n" for n in names)
+        exec(f"def __init__(self, {params}):\n{sets or '    pass'}\n"
+             "def __eq__(self, other):\n"
              "    if other.__class__ is self.__class__:\n"
              f"        return ({mine}) == ({theirs})\n"
              "    return NotImplemented\n"
              f"def __hash__(self):\n    return hash(({mine}))\n{parts}", ns)
+        cls.__init__ = ns["__init__"]
         cls.__eq__ = ns["__eq__"]
         cls.__hash__ = ns["__hash__"]
         if parts:
@@ -105,9 +115,10 @@ class _KeyRef(ref):
     __slots__ = ("key",)
 
 
-def _intern(cls, names, parts):
-    """Give cls its own table and a hash-consing constructor (see Node),
-    and compile the source parts with it."""
+def _intern(cls, names, params, ns, parts):
+    """Give cls its own table and a hash-consing constructor (see Node)
+    with the parameters params, whose defaults ns holds, and compile the
+    source parts with it."""
     table = cls._table = {}  # field tuple -> weak reference to its node
     get = table.get
 
@@ -116,18 +127,11 @@ def _intern(cls, names, parts):
         if get(r.key) is r:
             del table[r.key]
 
-    ns = {"get": get, "table": table, "new": object.__new__, "ref": _KeyRef,
-          "gone": gone}
-    params = []
-    for f in fields(cls):
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            ns[f"_{f.name}"] = f.default
-            params.append(f"{f.name}=_{f.name}")
+    ns.update(get=get, table=table, new=object.__new__, ref=_KeyRef,
+              gone=gone)
     sets = "".join(f"    node.{n} = {n}\n" for n in names)
     exec(compile(
-         f"def __new__(cls, {', '.join(params)}):\n"
+         f"def __new__(cls, {params}):\n"
          f"    key = ({''.join(f'{n},' for n in names)})\n"
          "    old = get(key)\n"
          "    if old is not None:\n"
@@ -145,7 +149,6 @@ def _intern(cls, names, parts):
     cls.__new__ = staticmethod(ns["__new__"])
     if parts:
         cls._parts = ns["_parts"]
-    del cls.__init__  # object.__init__ then accepts the constructor's arguments
 
 
 # ---------- types ----------

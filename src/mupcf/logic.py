@@ -484,8 +484,14 @@ def _subst(f, x, t):
 
 def alpha_eq(f, g):
     """Alpha equivalence of formulas (individuals compare structurally)."""
-    if f is g:  # equal formulas are one interned node
-        return True
+    # equal formulas are one interned node
+    return f is g or _alpha_walk(f, g)
+
+
+@lru_cache(maxsize=256)
+def _alpha_walk(f, g):
+    """alpha_eq(f, g) for two distinct nodes, by a walk of both. A bounded
+    pure memo, like subst_var: the key hashes by identity."""
 
     def go(f, g, fb, gb, depth):
         # fb and gb map the bound names in scope to the depth of their
@@ -608,9 +614,16 @@ def polarity(f):
     return "negative" if f._neg else "positive"
 
 
+@lru_cache(maxsize=256)
 def rel_pred(t, sort):
     """Realizability predicate at a sort: atomic at iota, at arrow sorts the
-    pointwise closure forall x (r(x) -> r(t x))."""
+    pointwise closure forall x (r(x) -> r(t x)). A bounded pure memo, like
+    subst_var: t and sort are interned, so the key hashes by identity."""
+    return _rel_pred(t, sort)
+
+
+def _rel_pred(t, sort):
+    """rel_pred(t, sort) without the memo."""
     cls = sort.__class__
     if cls is BaseSort:
         return f_rel(t)
@@ -619,8 +632,8 @@ def rel_pred(t, sort):
         avoid = set(ind_free_vars(t))
         x = freshen("v", avoid)
         xv = IVar(x, a)
-        return Forall(x, a, Imp(rel_pred(xv, a),
-                                rel_pred(IApp(t, xv), sort.right)))
+        return Forall(x, a, Imp(_rel_pred(xv, a),
+                                _rel_pred(IApp(t, xv), sort.right)))
     raise InternalError(f"bad sort {sort!r}")
 
 

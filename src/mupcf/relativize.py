@@ -11,6 +11,8 @@ guarded theory. Terms mentioning variables that appear in no formula get a
 canonical instance at the root instead.
 """
 
+from functools import lru_cache
+
 from .errors import InternalError, UserError
 from .lambdamu import freshen
 from .logic import (
@@ -22,11 +24,20 @@ from .logic import (
 )
 
 
+@lru_cache(maxsize=256)
 def rel_formula(f):
-    """Guard every quantifier with the realizability predicate."""
+    """Guard every quantifier with the realizability predicate. A bounded
+    pure memo, like logic.subst_var: f is interned, so the key hashes by
+    identity, and a formula refused (one that holds rel) raises again on
+    every call."""
+    return _rel_formula(f)
+
+
+def _rel_formula(f):
+    """rel_formula(f) without the memo."""
     cls = f.__class__
     if cls is Imp:
-        return Imp(rel_formula(f.left), rel_formula(f.right))
+        return Imp(_rel_formula(f.left), _rel_formula(f.right))
     if cls is Atom:
         if f.pred == "neq":
             return f
@@ -37,9 +48,9 @@ def rel_formula(f):
     elif cls is Forall:
         x, sort = f.var, f.sort
         xv = IVar(x, sort)
-        return Forall(x, sort, Imp(rel_pred(xv, sort), rel_formula(f.body)))
+        return Forall(x, sort, Imp(rel_pred(xv, sort), _rel_formula(f.body)))
     elif cls is And:
-        return And(rel_formula(f.left), rel_formula(f.right))
+        return And(_rel_formula(f.left), _rel_formula(f.right))
     raise InternalError(f"bad formula {f!r}")
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mupcf
-from mupcf import extract, interp, logic, relativize
+from mupcf import cli, extract, interp, logic, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
@@ -177,7 +177,8 @@ def test_clear_memos_finds_the_memos_the_source_declares():
                       for name, _ in _declared_memos(p))
     assert found == declared
     assert {"logic.Theory.instantiate", "logic.subst_var",
-            "interp.axiom_realizer"} <= set(_memos())
+            "interp.axiom_realizer", "logic.rel_pred", "logic._alpha_walk",
+            "relativize.rel_formula"} <= set(_memos())
 
 
 def _on_build(monkeypatch, record):
@@ -330,8 +331,28 @@ def test_a_second_extraction_builds_nothing():
         now, was = memo.cache_info(), before[key]
         assert now.misses == was.misses, key
     for key in ("logic.Theory.instantiate", "logic.subst_var",
-                "interp.axiom_realizer"):
+                "interp.axiom_realizer", "logic.rel_pred",
+                "logic._alpha_walk", "relativize.rel_formula"):
         assert memos[key].cache_info().hits > before[key].hits, key
+
+
+def test_a_third_extract_command_misses_no_relativization_memo(monkeypatch):
+    """Each cli.main call reads its file again, so its nodes are interned
+    anew; the memos of rel_formula, rel_pred and alpha_eq keep the nodes
+    of the last call alive, and a third identical command finds every
+    relativized formula, realizability predicate and alpha comparison in
+    them."""
+    monkeypatch.chdir(ROOT)
+    argv = ["extract", "corpus/add0-total.proof", "--inputs", "6..6"]
+    memos = (relativize.rel_formula, logic.rel_pred, logic._alpha_walk)
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    before = [m.cache_info() for m in memos]
+    assert cli.main(argv) == 0
+    for memo, was in zip(memos, before):
+        now = memo.cache_info()
+        assert now.misses == was.misses, memo.__name__
+        assert now.hits > was.hits, memo.__name__
 
 
 def test_a_rejected_instantiation_raises_on_every_call():

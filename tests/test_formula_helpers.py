@@ -664,8 +664,9 @@ def test_alpha_eq_agrees_with_de_bruijn_forms():
                   _rename_binders(f, lambda: rng.choice(_NAMES)),
                   _mutate(f, rng)):
             want = _canon(f) == _canon(g)
-            assert alpha_eq(f, g) == want, (seed, f, g)
-            assert alpha_eq(g, f) == want, (seed, g, f)
+            for _ in range(2):  # the second round may answer from the memo
+                assert alpha_eq(f, g) == want, (seed, f, g)
+                assert alpha_eq(g, f) == want, (seed, g, f)
             equal += want
             unequal += not want
     assert equal >= 4000 and unequal >= 1000, (equal, unequal)

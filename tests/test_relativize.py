@@ -31,6 +31,18 @@ def test_rel_formula_guards_quantifiers():
     assert r == Forall("x", IOTA, Imp(f_rel(x), f_neq(IApp(SUCC, x), ZERO)))
 
 
+def test_a_relativized_formula_is_refused_on_every_call():
+    """rel_formula is memoized, its errors are not: a formula that holds
+    rel is refused each time it is asked for, and leaves nothing in the
+    memo."""
+    f = Forall("x", IOTA, Imp(f_rel(IVar("x", IOTA)), BOT))
+    size = rel_formula.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UserError, match="already relativized"):
+            rel_formula(f)
+    assert rel_formula.cache_info().currsize == size
+
+
 def test_rel_formula_higher_sort_guard():
     s = arrow(IOTA, IOTA)
     f = Forall("g", s, f_neq(IApp(IVar("g", s), ZERO), ZERO))
