@@ -9,7 +9,11 @@ argument parser on the first call. Between calls the library keeps only
 bounded memos of pure values: that parser, each axiom instance and its
 realizer, the quantifier instances of logic.subst_var, the guarded
 formulas of relativize.rel_formula, the realizability predicates of
-logic.rel_pred and the answers of logic.alpha_eq on two distinct formulas.
+logic.rel_pred, the answers of logic.alpha_eq on two distinct formulas,
+and the three proof stages: the checked goals of logic.check_proof, the
+relativized proofs of relativize.rel_proof and the terms of
+interp.interp_proof. Proofs are interned, so a command that reads a proof
+these memos hold meets the same node and finds each stage's result.
 """
 
 import argparse
@@ -128,9 +132,10 @@ def _emit(args, payload, lines=None):
 
 
 def _cmd_check(ws, args):
-    names = [args.name] if args.name else list(ws.proofs)
-    if args.name:
-        _pick(ws.proofs, "proof", args.name)
+    if args.name is not None:
+        names = [_pick(ws.proofs, "proof", args.name)]
+    else:
+        names = list(ws.proofs)
     if not names:
         raise UserError("the file declares no proof")
     results = []

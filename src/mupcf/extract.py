@@ -123,7 +123,9 @@ def extract_program(proof, theory, goal):
     The proof is checked once, by rel_proof on the stripped proof, where the
     input is the first subproof the checker walks; interp_proof then checks
     the relativized proof. M is closed, as it was checked in an empty
-    context, so the names d and w capture nothing."""
+    context, so the names d and w capture nothing. Both stages answer from
+    their memos when the same proof comes again; the program around M is
+    built and typechecked on every call, and kept by no memo."""
     g = pi02_goal(goal.concl)
     stripped, sgoal = prepare_goal(proof, goal)
     rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal)

@@ -126,10 +126,13 @@ def axiom_realizer(theory, name, args):
     raise InternalError(f"no realizer for axiom {name}")
 
 
+@lru_cache(maxsize=256)
 def interp_proof(proof, theory, goal):
     """Translate a checked proof into a term. Hypothesis names become term
     variables at the types of their formulas, labels become mu labels; the
-    output channel label stays reserved for extraction."""
+    output channel label stays reserved for extraction. A bounded pure
+    memo, like logic.check_proof: terms are immutable, and a refused proof
+    raises again on every call."""
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
     check_proof(proof, theory, goal)

@@ -9,8 +9,9 @@ universal quantification, and two atom families (inequality at every sort,
 negative; a unary realizability predicate at the base sort, positive).
 Negation, disjunction, existentials and equality are derived and never stored.
 
-Sorts, individuals and formulas are interned (see lambdamu.Node): equal
-trees are one object, and each node carries facts computed once from its
+Sorts, individuals, formulas and proofs are interned (see lambdamu.Node):
+equal trees are one object, so a memo keyed by one hashes it by identity.
+Each sort, individual and formula carries facts computed once from its
 children's. The facts answer every question about well-formed syntax; the
 walks below run only to word an error.
 """
@@ -652,8 +653,12 @@ class Sequent(Node):
     concl: Formula = BOT
 
 
-class Proof(Node):
-    pass
+class Proof(Node, interned=True):
+    """A proof carries no facts: it is interned so that the memos of
+    check_proof and of the translations hash it by identity."""
+
+    def _facts(self):
+        pass
 
 
 class Id(Proof, layout="(id {hyp})"):
@@ -962,10 +967,14 @@ def _check_label_formula(f, has_rel):
             f"label formula must be negative, got positive: {formula_sexp(f)}")
 
 
+@lru_cache(maxsize=256)
 def check_proof(proof, theory, goal):
     """Check a proof of goal.concl. Hypotheses may go unused (weakening is
     implicit); eigenvariable conditions are checked against the hypotheses
-    and labels a subproof actually uses. Returns the goal."""
+    and labels a subproof actually uses. Returns the goal. A bounded pure
+    memo, like subst_var: the proof and the goal's conclusion are interned
+    and a theory hashes by identity, so the key hashes without a walk, and
+    a rejected proof raises again on every call."""
     wf_formula(goal.concl, theory.has_rel)
     concl = _check_node(proof, theory, {}, {})[0]
     if not alpha_eq(concl, goal.concl):

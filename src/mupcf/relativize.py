@@ -263,9 +263,12 @@ class _Relativizer:
         raise InternalError(f"bad proof node {p!r}")
 
 
+@lru_cache(maxsize=256)
 def rel_proof(proof, theory, goal):
     """Translate a closed proof into the guarded theory. Returns the new
-    proof, the guarded theory, and the new goal."""
+    proof, the guarded theory, and the new goal. A bounded pure memo, like
+    logic.check_proof: the fresh names come from the proof alone, and a
+    refused proof raises again on every call."""
     if fv_formula(goal.concl):
         raise UserError("relativization expects a closed conclusion")
     check_proof(proof, theory, goal)

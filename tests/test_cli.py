@@ -107,6 +107,23 @@ def test_deep_nesting_is_a_user_error(capsys, tmp_path, cmd, fmt):
             "category": "user-error", "message": "input nests too deeply"}}
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_deep_proof_is_refused_by_every_proof_command(capsys, tmp_path,
+                                                         fmt):
+    """A proof nested 40 000 levels deep goes through the memo of each
+    proof stage: its key hashes by identity, as the proof is interned, and
+    never walks the tree, so each command reports the unknown hypothesis
+    at the bottom of the nest."""
+    depth = 40000
+    deep = tmp_path / "deep.proof"
+    deep.write_text("(proof p (goal (all (x iota) (exists (y iota) (= x y))))"
+                    + " (and-elim 1" * depth + " (id h)" + ")" * depth
+                    + ")\n")
+    for cmd in ("check", "relativize", "interp", "cps", "extract"):
+        result = _run(capsys, [cmd, str(deep), "--format", fmt])
+        _expect_user_error(fmt, *result, "unknown hypothesis h")
+
+
 def test_deep_term_still_evaluates(capsys, tmp_path):
     depth = 30000
     deep = tmp_path / "deep.term"
@@ -647,6 +664,18 @@ def test_unknown_name_lists_candidates(capsys):
         capsys, ["check", str(CORPUS / "dne.proof"), "--name", "zzz"])
     assert code == 1
     assert "zzz" in err and "dne" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_every_proof_command_refuses_an_empty_name(capsys, fmt):
+    """--name "" names no declaration: check refuses it as the other
+    commands that run one proof do, rather than checking every proof."""
+    for cmd, kind in (("check", "proof"), ("relativize", "proof"),
+                      ("interp", "proof"), ("cps", "proof or term"),
+                      ("extract", "proof")):
+        result = _run(capsys, [cmd, str(CORPUS / "dne.proof"), "--name", "",
+                               "--format", fmt])
+        _expect_user_error(fmt, *result, f"no {kind} named  (known: dne)")
 
 
 # -------------------------------------------------------------- relativize

@@ -262,7 +262,9 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     substitutions are counted as misses of that memo. A substitution
     renames a binder only where it would capture (514 _subst visits when
     every binder free in the individual was renamed). A second extraction
-    substitutes nothing."""
+    substitutes nothing. Proofs are interned too: the extraction asks for
+    249 distinct proof nodes (the stripped input and the relativized proof),
+    and a second one builds none, as the memo of rel_proof keeps them."""
     entry = _entry("add0-total")  # read before counting
     calls = Counter()
     instances = set()
@@ -270,8 +272,20 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     for name in ("wf_formula", "_subst", *_ERROR_PATH):
         _count(monkeypatch, calls, logic, name)
     for cls in vars(logic).values():
-        if isinstance(cls, type) and "_facts" in vars(cls):
+        if (isinstance(cls, type) and "_facts" in vars(cls)
+                and cls is not logic.Proof):
             _count(monkeypatch, calls, cls, "_facts")
+    # proof nodes carry no facts and are pinned apart: the distinct nodes
+    # the extraction asks for, and how many of them it builds anew (fewer
+    # when other tests keep some alive)
+    proofs, asked = Counter(), set()
+    _count(monkeypatch, proofs, logic.Proof, "_facts")
+    for cls in logic.Proof.__subclasses__():
+        def ask(cls, *args, new=cls.__new__):
+            node = new(cls, *args)
+            asked.add(node)
+            return node
+        monkeypatch.setattr(cls, "__new__", staticmethod(ask))
 
     def build(*key):
         instances.add(key)
@@ -287,11 +301,15 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
         logic.subst_var.cache_info()
     assert calls["_subst"] <= 439, calls
     assert calls["_facts"] <= 448, calls
+    assert len(asked) == 249, len(asked)
+    assert proofs["_facts"] <= len(asked), proofs
     assert not any(calls[name] for name in _ERROR_PATH), calls
     calls.clear()
+    proofs.clear()
+    asked.clear()
     misses = logic.subst_var.cache_info().misses
     extract_program(*entry)
-    assert calls["build"] == calls["_subst"] == 0
+    assert calls["build"] == calls["_subst"] == proofs["_facts"] == 0
     assert logic.subst_var.cache_info().misses == misses
 
 
@@ -317,36 +335,63 @@ def test_the_corpus_never_takes_the_error_path(monkeypatch):
 
 
 def test_a_second_extraction_builds_nothing():
-    """Sorts, instances, quantifier instances and realizers depend on their
-    arguments alone, so a second extraction of the same proof finds all of
-    them in the memos: no memo misses, and the checker's and the
-    compiler's memos hit. (Constant sorts are asked for only when a constant
-    is built anew, so whether that memo hits depends on what is alive.)"""
+    """Sorts, instances, quantifier instances, realizers and the results of
+    the proof stages depend on their arguments alone, so a second
+    extraction of the same proof finds its relativized proof and its term
+    in the memos of rel_proof and interp_proof, and the stages run again
+    without those memos (by __wrapped__) find everything else: no memo
+    misses, and the checker's and the compiler's memos hit. (Constant sorts
+    are asked for only when a constant is built anew, so whether that memo
+    hits depends on what is alive.)"""
     _clear_memos()
-    first = extract_program(*_entry("add0-total"))
+    proof, theory, goal = _entry("add0-total")
+    first = extract_program(proof, theory, goal)
     memos = _memos()
     before = {key: m.cache_info() for key, m in memos.items()}
     assert extract_program(*_entry("add0-total")) == first
+    for key in ("relativize.rel_proof", "interp.interp_proof"):
+        assert memos[key].cache_info().hits > before[key].hits, key
+    # the stages again without their own memos: every memo inside them hits
+    stripped, sgoal = prepare_goal(proof, goal)
+    check_proof.__wrapped__(stripped, theory, sgoal)
+    rpf, rtheory, rgoal = rel_proof.__wrapped__(stripped, theory, sgoal)
+    interp_proof.__wrapped__(rpf, rtheory, rgoal)
     for key, memo in memos.items():
         now, was = memo.cache_info(), before[key]
         assert now.misses == was.misses, key
     for key in ("logic.Theory.instantiate", "logic.subst_var",
                 "interp.axiom_realizer", "logic.rel_pred",
-                "logic._alpha_walk", "relativize.rel_formula"):
+                "logic._alpha_walk", "relativize.rel_formula",
+                "logic.check_proof", "relativize.rel_proof",
+                "interp.interp_proof"):
         assert memos[key].cache_info().hits > before[key].hits, key
 
 
 def test_a_third_extract_command_misses_no_relativization_memo(monkeypatch):
     """Each cli.main call reads its file again, so its nodes are interned
-    anew; the memos of rel_formula, rel_pred and alpha_eq keep the nodes
-    of the last call alive, and a third identical command finds every
-    relativized formula, realizability predicate and alpha comparison in
-    them."""
+    anew; the memos keep the nodes of the last call alive, so a third
+    identical command meets the same proof and finds its relativization
+    and its term in the memos of rel_proof and interp_proof. Run without
+    those two memos, a fourth command finds every relativized formula,
+    realizability predicate and alpha comparison in the memos of
+    rel_formula, rel_pred and alpha_eq."""
     monkeypatch.chdir(ROOT)
     argv = ["extract", "corpus/add0-total.proof", "--inputs", "6..6"]
+    stages = (relativize.rel_proof, interp.interp_proof)
     memos = (relativize.rel_formula, logic.rel_pred, logic._alpha_walk)
     for _ in range(2):
         assert cli.main(argv) == 0
+    before = [m.cache_info() for m in stages + memos]
+    assert cli.main(argv) == 0
+    for memo, was in zip(stages + memos, before):
+        now = memo.cache_info()
+        assert now.misses == was.misses, memo.__name__
+        if memo in stages:
+            assert now.hits > was.hits, memo.__name__
+    # a fourth command without the stage memos finds the rest in the others
+    monkeypatch.setattr(extract, "rel_proof", relativize.rel_proof.__wrapped__)
+    monkeypatch.setattr(extract, "interp_proof",
+                        interp.interp_proof.__wrapped__)
     before = [m.cache_info() for m in memos]
     assert cli.main(argv) == 0
     for memo, was in zip(memos, before):
@@ -368,6 +413,27 @@ def test_a_rejected_instantiation_raises_on_every_call():
                 PAW.instantiate(name, args)
             messages.append(str(ex.value))
         assert len(set(messages)) == 1, (name, messages)
+
+
+def test_a_rejected_proof_raises_on_every_call():
+    """The proof stages memoize only what they return: a rejected proof is
+    rejected by each stage with the same message each time, and leaves
+    nothing in any of the three memos. The last case passes the check and
+    is refused by the relativizer alone."""
+    stages = (check_proof, rel_proof, interp_proof)
+    unknown = (Id("h"), PAW, Sequent(concl=BOT))
+    arith = _entry("rel-arith")
+    check_proof(*arith)  # the one result the cases below may store
+    cases = [(stage, unknown, "unknown hypothesis h") for stage in stages]
+    cases.append((rel_proof, arith,
+                  "theory pawr has no relativized counterpart"))
+    sizes = [m.cache_info().currsize for m in stages]
+    for stage, args, message in cases:
+        for _ in range(3):
+            with pytest.raises(UserError) as ex:
+                stage(*args)
+            assert str(ex.value) == message, stage.__name__
+    assert [m.cache_info().currsize for m in stages] == sizes
 
 
 def test_a_substitution_past_the_depth_bound_raises_on_every_call():

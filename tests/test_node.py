@@ -2,11 +2,11 @@
 
 Node classes keep the semantics of the frozen dataclasses they replaced:
 class-exact field-wise equality, the hash of the field tuple, the dataclass
-repr and class patterns. The sorts, individuals and formulas of `logic` are
-interned instead: equal fields give the same node, whose hash is the
-identity hash. Every node is a dataclass instance whose `vars()` are exactly
-its fields (bench/spans.count_nodes counts nodes that way), so the facts an
-interned node carries stay out of them."""
+repr and class patterns. The sorts, individuals, formulas and proofs of
+`logic` are interned instead: equal fields give the same node, whose hash is
+the identity hash. Every node is a dataclass instance whose `vars()` are
+exactly its fields (bench/spans.count_nodes counts nodes that way), so the
+facts an interned node carries stay out of them."""
 
 import dataclasses
 import gc
@@ -17,8 +17,9 @@ from mupcf import cps, extract, lambdamu, logic
 from mupcf.errors import UserError
 from mupcf.lambdamu import NAT, TArr, TBOT, TProd, Node
 from mupcf.logic import (
-    And, Atom, BOT, BaseSort, Bot, Forall, IApp, IConst, IOTA, IVar, Imp,
-    SArrow, SUCC, ZERO, arrow, f_neq,
+    And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, Bot, BotElim, BotIntro,
+    Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
+    ImpElim, ImpIntro, SArrow, SUCC, ZERO, arrow, f_neq,
 )
 
 MODULES = (lambdamu, logic, cps, extract)
@@ -35,8 +36,18 @@ SAMPLES = {
     Imp: ([BOT, BOT], [f_neq(ZERO, ZERO), BOT]),
     And: ([BOT, BOT], [BOT, f_neq(ZERO, ZERO)]),
     Forall: (["x", IOTA, BOT], ["y", IOTA, BOT]),
+    Id: (["h"], ["g"]),
+    Ax: (["refl", (IOTA,)], ["refl", ()]),
+    ImpIntro: (["h", BOT, Id("h")], ["h", BOT, Id("g")]),
+    ImpElim: ([Id("f"), Id("a")], [Id("a"), Id("f")]),
+    AndIntro: ([Id("l"), Id("r")], [Id("l"), Id("l")]),
+    AndElim: ([1, Id("p")], [2, Id("p")]),
+    ForallIntro: (["x", IOTA, Id("h")], ["x", arrow(IOTA, IOTA), Id("h")]),
+    ForallElim: ([Id("h"), ZERO], [Id("h"), IApp(SUCC, ZERO)]),
+    BotIntro: (["a", Id("h")], ["b", Id("h")]),
+    BotElim: (["a", BOT, Id("h")], ["a", f_neq(ZERO, ZERO), Id("h")]),
 }
-INTERNED_BASES = (logic.Sort, logic.Individual, logic.Formula)
+INTERNED_BASES = (logic.Sort, logic.Individual, logic.Formula, logic.Proof)
 
 
 def _node_classes():
@@ -117,10 +128,11 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(t) == hash((t.left, t.right))
     assert hash(t.right) == hash((NAT, TBOT))
     assert hash(lambdamu.TNat()) == hash(())
-    p = logic.ImpIntro("h", BOT, logic.Id("h"))
-    assert hash(p) == hash(("h", BOT, p.body))
+    lam = lambdamu.Lam("h", NAT, lambdamu.LVar("h"))
+    assert hash(lam) == hash(("h", NAT, lam.body))
     f = Imp(f_neq(IApp(SUCC, IVar("x", IOTA)), ZERO), BOT)
-    for n in (f, f.left, f.left.args[0], BOT, IOTA):
+    p = ImpIntro("h", f, Id("h"))
+    for n in (f, f.left, f.left.args[0], BOT, IOTA, p, p.body):
         assert hash(n) == object.__hash__(n)
 
 
@@ -168,14 +180,17 @@ def test_intern_tables_hold_only_live_nodes():
         b = BaseSort(f"b{i}")
         f = IVar(f"f{i}", SArrow(b, IOTA))
         x = IVar(f"x{i}", b)
-        built.append(Forall(
-            f"x{i}", b,
-            Imp(And(f_neq(IApp(f, x), ZERO), BOT),
-                Atom("neq", (IConst(f"c{i}"), x)))))
+        g = Forall(f"x{i}", b,
+                   Imp(And(f_neq(IApp(f, x), ZERO), BOT),
+                       Atom("neq", (IConst(f"c{i}"), x))))
+        h = Id(f"hyp{i}")  # h1, h2, ... may be alive in other tests
+        built.append(BotElim(f"l{i}", g, ImpIntro(f"hyp{i}", g, ForallIntro(
+            f"x{i}", b, ForallElim(AndElim(1, AndIntro(h, BotIntro(
+                f"l{i}", ImpElim(h, Ax(f"a{i}"))))), x)))))
     grown = {cls for cls, t, n in zip(classes, tables, before)
              if len(t) - n >= 10000}
     assert grown == set(SAMPLES) - {Bot}
-    del built, b, f, x
+    del built, b, f, x, g, h
     gc.collect()
     assert [len(t) for t in tables] == before
 
