@@ -7,13 +7,11 @@ exhausted, 3 internal invariant breach.
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argument parser on the first call. Between calls the library keeps only
 bounded memos of pure values: that parser, each axiom instance and its
-realizer, the quantifier instances of logic.subst_var, the guarded
-formulas of relativize.rel_formula, the realizability predicates of
-logic.rel_pred, the answers of logic.alpha_eq on two distinct formulas,
-and the three proof stages: the checked goals of logic.check_proof, the
-relativized proofs of relativize.rel_proof and the terms of
-interp.interp_proof. Proofs are interned, so a command that reads a proof
-these memos hold meets the same node and finds each stage's result.
+realizer, the quantifier instances of logic.subst_var, and the three
+proof stages: the checked goals of logic.check_proof, the relativized
+proofs of relativize.rel_proof and the terms of interp.interp_proof.
+Proofs are interned, so a command that reads a proof these memos hold
+meets the same node and finds each stage's result.
 """
 
 import argparse

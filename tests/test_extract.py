@@ -177,8 +177,7 @@ def test_clear_memos_finds_the_memos_the_source_declares():
                       for name, _ in _declared_memos(p))
     assert found == declared
     assert {"logic.Theory.instantiate", "logic.subst_var",
-            "interp.axiom_realizer", "logic.rel_pred", "logic._alpha_walk",
-            "relativize.rel_formula"} <= set(_memos())
+            "interp.axiom_realizer"} <= set(_memos())
 
 
 def _on_build(monkeypatch, record):
@@ -264,7 +263,11 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     every binder free in the individual was renamed). A second extraction
     substitutes nothing. Proofs are interned too: the extraction asks for
     249 distinct proof nodes (the stripped input and the relativized proof),
-    and a second one builds none, as the memo of rel_proof keeps them."""
+    and a second one builds none, as the memo of rel_proof keeps them.
+    Guarding formulas (rel_formula), building realizability predicates
+    (rel_pred) and comparing two distinct formulas (alpha_eq) keep no memo:
+    246, 119 and 49 calls, recursive ones included, and none in a second
+    extraction, which finds the stages' results in their memos."""
     entry = _entry("add0-total")  # read before counting
     calls = Counter()
     instances = set()
@@ -287,6 +290,15 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
             return node
         monkeypatch.setattr(cls, "__new__", staticmethod(ask))
 
+    _count(monkeypatch, calls, relativize, "rel_formula")
+    for mod in (logic, relativize):
+        _count(monkeypatch, calls, mod, "rel_pred")
+
+        def alpha(f, g, fn=mod.alpha_eq):
+            calls["alpha_eq"] += f is not g
+            return fn(f, g)
+        monkeypatch.setattr(mod, "alpha_eq", alpha)
+
     def build(*key):
         instances.add(key)
         calls["build"] += 1
@@ -304,12 +316,16 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     assert len(asked) == 249, len(asked)
     assert proofs["_facts"] <= len(asked), proofs
     assert not any(calls[name] for name in _ERROR_PATH), calls
+    assert calls["rel_formula"] <= 246, calls
+    assert calls["rel_pred"] <= 119, calls
+    assert calls["alpha_eq"] <= 49, calls
     calls.clear()
     proofs.clear()
     asked.clear()
     misses = logic.subst_var.cache_info().misses
     extract_program(*entry)
     assert calls["build"] == calls["_subst"] == proofs["_facts"] == 0
+    assert calls["rel_formula"] == calls["rel_pred"] == calls["alpha_eq"] == 0
     assert logic.subst_var.cache_info().misses == misses
 
 
@@ -360,10 +376,8 @@ def test_a_second_extraction_builds_nothing():
         now, was = memo.cache_info(), before[key]
         assert now.misses == was.misses, key
     for key in ("logic.Theory.instantiate", "logic.subst_var",
-                "interp.axiom_realizer", "logic.rel_pred",
-                "logic._alpha_walk", "relativize.rel_formula",
-                "logic.check_proof", "relativize.rel_proof",
-                "interp.interp_proof"):
+                "interp.axiom_realizer", "logic.check_proof",
+                "relativize.rel_proof", "interp.interp_proof"):
         assert memos[key].cache_info().hits > before[key].hits, key
 
 
@@ -371,30 +385,15 @@ def test_a_third_extract_command_misses_no_relativization_memo(monkeypatch):
     """Each cli.main call reads its file again, so its nodes are interned
     anew; the memos keep the nodes of the last call alive, so a third
     identical command meets the same proof and finds its relativization
-    and its term in the memos of rel_proof and interp_proof. Run without
-    those two memos, a fourth command finds every relativized formula,
-    realizability predicate and alpha comparison in the memos of
-    rel_formula, rel_pred and alpha_eq."""
+    and its term in the memos of rel_proof and interp_proof."""
     monkeypatch.chdir(ROOT)
     argv = ["extract", "corpus/add0-total.proof", "--inputs", "6..6"]
     stages = (relativize.rel_proof, interp.interp_proof)
-    memos = (relativize.rel_formula, logic.rel_pred, logic._alpha_walk)
     for _ in range(2):
         assert cli.main(argv) == 0
-    before = [m.cache_info() for m in stages + memos]
+    before = [m.cache_info() for m in stages]
     assert cli.main(argv) == 0
-    for memo, was in zip(stages + memos, before):
-        now = memo.cache_info()
-        assert now.misses == was.misses, memo.__name__
-        if memo in stages:
-            assert now.hits > was.hits, memo.__name__
-    # a fourth command without the stage memos finds the rest in the others
-    monkeypatch.setattr(extract, "rel_proof", relativize.rel_proof.__wrapped__)
-    monkeypatch.setattr(extract, "interp_proof",
-                        interp.interp_proof.__wrapped__)
-    before = [m.cache_info() for m in memos]
-    assert cli.main(argv) == 0
-    for memo, was in zip(memos, before):
+    for memo, was in zip(stages, before):
         now = memo.cache_info()
         assert now.misses == was.misses, memo.__name__
         assert now.hits > was.hits, memo.__name__
