@@ -14,8 +14,8 @@ from functools import lru_cache
 from .errors import InternalError
 from .lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, PRED_T, Pair, Proj, SUCC_T, TArr,
-    TBOT, TProd, lams, lapp, mk_barrec, mk_fix, mk_ifz, mk_ind, mk_len,
-    mk_nil, mk_rec, mk_omega, t_list, tarr, zero_term,
+    TBOT, TProd, lams, lapp, mk_barrec, mk_fix, mk_ifz, mk_nil, mk_rec,
+    mk_omega, t_list, tarr, zero_term,
 )
 from .logic import (
     And, Atom, Ax, AndElim, AndIntro, BaseSort, Bot, BotElim, BotIntro,
@@ -65,9 +65,9 @@ def _dc_realizer_rel(a_formula, z_sort):
     a_ty = tarr(NAT, r_t, TArr(ia, TBOT), ia)
     b_ty = TArr(TArr(NAT, ia), TBOT)
     s = LVar("s")
-    len_s = LApp(mk_len(ia), s)
+    len_s = Proj(1, s)
     prev = lapp(mk_ifz(r_t), len_s, zero_term(r_t),
-                Proj(1, lapp(mk_ind(ia), s, LApp(PRED_T, len_s))))
+                Proj(1, LApp(Proj(2, s), LApp(PRED_T, len_s))))
     d = lams([("s", t_list(ia)), ("k", TArr(ia, TBOT))],
              lapp(LVar("a"), len_s, prev, LVar("k")))
     return lams([("a", a_ty), ("b", b_ty)],

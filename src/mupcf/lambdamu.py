@@ -517,11 +517,6 @@ def mk_len(a):
     return Lam("s", t_list(a), Proj(1, LVar("s")))
 
 
-def mk_ind(a):
-    return lams([("s", t_list(a)), ("n", NAT)],
-                LApp(Proj(2, LVar("s")), LVar("n")))
-
-
 def mk_ife(a):
     """ife m n x y: x when the numerals m and n are equal, else y."""
     ty = tarr(NAT, NAT, a, a, a)
@@ -549,36 +544,24 @@ def mk_ifl(a):
     return LApp(mk_fix(ty), Lam("f", ty, body))
 
 
-def mk_extend(a):
-    """Append one element to a finite sequence."""
-    s, x, n = LVar("s"), LVar("x"), LVar("n")
-    len_s = LApp(mk_len(a), s)
-    return lams(
-        [("s", t_list(a)), ("x", a)],
-        Pair(LApp(SUCC_T, len_s),
-             Lam("n", NAT,
-                 lapp(mk_ife(a), n, len_s, x, lapp(mk_ind(a), s, n)))))
-
-
-def mk_concat(a):
-    """Pad a finite sequence out to an infinite one with a constant value."""
-    s, x, n = LVar("s"), LVar("x"), LVar("n")
-    return lams(
-        [("s", t_list(a)), ("x", a), ("n", NAT)],
-        lapp(mk_ifl(a), n, LApp(mk_len(a), s),
-             lapp(mk_ind(a), s, n), x))
-
-
 def mk_barrec(a, b):
     """Bar recursion: d picks the next element from the sequence so far and
-    the continuation, e consumes a completed infinite sequence."""
+    the continuation, e consumes a completed infinite sequence. The sequence
+    operations (Berger-Oliva) are built in place, on the loop's own s, x and
+    n, so the term holds no administrative redex: s extended by x is
+    <S (len s), lambda n. ife n (len s) x (s n)>, and s padded out with the
+    next pick is lambda n. ifl n (len s) (s n) pick."""
     d_ty = tarr(t_list(a), TArr(a, b), a)
     e_ty = TArr(tarr(NAT, a), b)
     c_ty = TArr(t_list(a), b)
-    d, e, c, s, x = LVar("d"), LVar("e"), LVar("c"), LVar("s"), LVar("x")
-    pick = lapp(d, s, Lam("x", a, LApp(c, lapp(mk_extend(a), s, x))))
-    loop = Lam("c", c_ty, Lam("s", t_list(a),
-                              LApp(e, lapp(mk_concat(a), s, pick))))
+    d, e, c, s, x, n = (LVar("d"), LVar("e"), LVar("c"), LVar("s"),
+                        LVar("x"), LVar("n"))
+    len_s, s_n = Proj(1, s), LApp(Proj(2, s), n)
+    extend = Pair(LApp(SUCC_T, len_s),
+                  Lam("n", NAT, lapp(mk_ife(a), n, len_s, x, s_n)))
+    pick = lapp(d, s, Lam("x", a, LApp(c, extend)))
+    pad = Lam("n", NAT, lapp(mk_ifl(a), n, len_s, s_n, pick))
+    loop = Lam("c", c_ty, Lam("s", t_list(a), LApp(e, pad)))
     return lams([("d", d_ty), ("e", e_ty)], LApp(mk_fix(c_ty), loop))
 
 

@@ -6,6 +6,12 @@ control rules of de Groote's lambda-mu machine (1998), which keep the mu
 binder and retype it as the surrounding frame is absorbed. eval_nat, the
 environment machine, is checked against it.
 
+mk_ind, mk_extend and mk_concat are the sequence operations of Berger and
+Oliva (2005) as λ-abstracted combinators, and barrec is bar recursion built
+by applying them, as mupcf.lambdamu.mk_barrec was before it built each
+operation in place. The library's bar recursion must compute the same
+values.
+
 g_alpha_eq compares target terms of mupcf.cps up to the names of their
 binders. cps_term is the CPS translation of mupcf.cps as it was before it
 bound each λ variable to its projection: the translation of an abstraction
@@ -42,8 +48,9 @@ from mupcf.cps import (
 )
 from mupcf.errors import InternalError, UserError
 from mupcf.lambdamu import (
-    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, TArr, TBot, TNat,
-    TProd, freshen, lapp, prim_type, typecheck,
+    LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, SUCC_T, TArr,
+    TBot, TNat, TProd, freshen, lams, lapp, mk_fix, mk_ife, mk_ifl, mk_len,
+    prim_type, t_list, tarr, typecheck,
 )
 from mupcf.logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, Bot, BotElim, BotIntro,
@@ -254,6 +261,46 @@ def whnf_step(t):
             s = whnf_step(body)
             return None if s is None else Mu(l, ty, s)
     return None
+
+
+# ---------- the sequence operations as combinators ----------
+
+
+def mk_ind(a):
+    return lams([("s", t_list(a)), ("n", NAT)],
+                LApp(Proj(2, LVar("s")), LVar("n")))
+
+
+def mk_extend(a):
+    """Append one element to a finite sequence."""
+    s, x, n = LVar("s"), LVar("x"), LVar("n")
+    len_s = LApp(mk_len(a), s)
+    return lams(
+        [("s", t_list(a)), ("x", a)],
+        Pair(LApp(SUCC_T, len_s),
+             Lam("n", NAT,
+                 lapp(mk_ife(a), n, len_s, x, lapp(mk_ind(a), s, n)))))
+
+
+def mk_concat(a):
+    """Pad a finite sequence out to an infinite one with a constant value."""
+    s, x, n = LVar("s"), LVar("x"), LVar("n")
+    return lams(
+        [("s", t_list(a)), ("x", a), ("n", NAT)],
+        lapp(mk_ifl(a), n, LApp(mk_len(a), s),
+             lapp(mk_ind(a), s, n), x))
+
+
+def barrec(a, b):
+    """Bar recursion that applies the combinators above."""
+    d_ty = tarr(t_list(a), TArr(a, b), a)
+    e_ty = TArr(tarr(NAT, a), b)
+    c_ty = TArr(t_list(a), b)
+    d, e, c, s, x = LVar("d"), LVar("e"), LVar("c"), LVar("s"), LVar("x")
+    pick = lapp(d, s, Lam("x", a, LApp(c, lapp(mk_extend(a), s, x))))
+    loop = Lam("c", c_ty, Lam("s", t_list(a),
+                              LApp(e, lapp(mk_concat(a), s, pick))))
+    return lams([("d", d_ty), ("e", e_ty)], LApp(mk_fix(c_ty), loop))
 
 
 # ---------- target terms up to binder names ----------

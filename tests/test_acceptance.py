@@ -18,8 +18,7 @@ from mupcf.extract import PASS, run_extraction
 from mupcf.interp import interp_envs, interp_proof, interp_type
 from mupcf.lambdamu import (
     Lam, LApp, LVar, Mu, NAT, Named, Num, SUCC_T, TArr, TBOT, eval_nat, lams,
-    lapp, mk_barrec, mk_concat, mk_extend, mk_ifz, mk_ind, mk_len, mk_nil,
-    mk_rec, t_list, typecheck,
+    lapp, mk_barrec, mk_ifz, mk_len, mk_nil, mk_rec, t_list, typecheck,
 )
 from mupcf.logic import (
     Atom, BotElim, BotIntro, Id, Imp, ImpElim, ImpIntro, Sequent, THEORIES,
@@ -28,7 +27,7 @@ from mupcf.logic import (
 from mupcf.relativize import rel_formula, rel_proof
 
 import corpus_files
-from reference import whnf_step
+from reference import mk_concat, mk_extend, mk_ind, whnf_step
 from termgen import gen_term, rand_type
 from test_cps import EQUATIONS, _same
 
@@ -229,8 +228,8 @@ def test_acceptance_end_to_end_extraction():
 
 # Steps of `extract tests/dc-succ.proof` on inputs 0..10 under the
 # environment machine; they grow faster than quadratically in the input.
-DC_SUCC_STEPS = [505, 1085, 1942, 3112, 4631, 6535, 8860, 11642, 14917,
-                 18721, 23090]
+DC_SUCC_STEPS = [395, 797, 1360, 2104, 3049, 4215, 5622, 7290, 9239, 11489,
+                 14060]
 
 
 def test_acceptance_dependent_choice_runs_end_to_end(capsys):

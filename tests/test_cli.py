@@ -914,6 +914,19 @@ def test_extract_add0_at_default_fuel(capsys, monkeypatch):
     assert "input=60 witness=60 verdict=pass" in out
 
 
+def test_extract_dc_succ_at_default_fuel(capsys, monkeypatch):
+    """Dependent choice by bar recursion at n = 60 fits the default fuel
+    (993 885 steps); it timed out while bar recursion applied each sequence
+    operation as a combinator."""
+    monkeypatch.delenv("MUPCF_FUEL", raising=False)
+    code, payload = _run_json(
+        capsys, ["extract", str(Path(__file__).resolve().parent
+                                / "dc-succ.proof"), "--inputs", "60..60"])
+    assert code == 0
+    assert payload["rows"] == [{"input": 60, "witness": 61,
+                                "verdict": "pass", "steps": 993885}]
+
+
 @pytest.mark.parametrize("path,n", [
     (CORPUS / "add0-total.proof", 800),
     (Path(__file__).resolve().parent / "dc-succ.proof", 80),
