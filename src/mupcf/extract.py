@@ -1,9 +1,10 @@
 """Witness extraction for provable statements of the form forall x exists y
 (t = u).
 
-The pipeline: strip the double negation that the exists/= encodings leave on
-the matrix, relativize the proof, compile it to a control term, then wrap it
-with a catch on the reserved output channel.  Running the wrapped program on
+The pipeline: relativize the proof, compile it to a control term, then wrap
+it with a catch on the reserved output channel, applied to a continuation
+that throws the witness there and absorbs the double negation that the
+exists/= encodings leave on the matrix.  Running the wrapped program on
 a numeral input either escapes through the channel with a witness numeral or
 runs out of fuel.  Witnesses for base-sort equations are checked by evaluating
 both sides; higher-sort equations are reported unverified.
@@ -12,13 +13,12 @@ both sides; higher-sort equations are reported unverified.
 from .errors import FuelExhausted, InternalError, UserError
 from .interp import const_realizer, interp_proof, rel_type
 from .lambdamu import (
-    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, eval_nat,
-    freshen, typecheck,
+    LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, TBOT, eval_nat,
+    typecheck,
 )
 from .logic import (
-    Atom, Bot, Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id,
-    Imp, ImpElim, ImpIntro, Individual, KAPPA, Sequent, Sort, collect_names,
-    f_not, formula_sexp, ind_free_vars, ind_sexp, infer_sort, sort_sexp,
+    Atom, Bot, Forall, IApp, IConst, IOTA, IVar, Imp, Individual, KAPPA, Sort,
+    formula_sexp, ind_free_vars, ind_sexp, infer_sort, sort_sexp,
 )
 # not called here (rel_proof checks the input), but bench/spans.py wraps it
 from .logic import check_proof  # noqa: F401
@@ -86,57 +86,30 @@ def pi02_goal(concl):
     return Pi02Goal(x, xs, y, lhs, rhs, eq_sort, prepared)
 
 
-def prepare_goal(proof, goal):
-    """Strip the matrix double negation: from a proof of
-    forall x not forall y not not (t != u), derive one of
-    forall x not forall y (t != u).  Pass-through when already stripped."""
-    g = pi02_goal(goal.concl)
-    if g.prepared:
-        return proof, goal
-    neq = Atom("neq", (g.lhs, g.rhs))
-    avoid = collect_names(proof) | {g.x, g.y}
-    h = freshen("h", avoid)
-    nn = freshen("g", avoid | {h})
-    xv, yv = IVar(g.x, g.x_sort), IVar(g.y, IOTA)
-    # For each y, turn a hypothetical t != u into the doubly negated matrix
-    # the original proof expects.
-    inner = ForallIntro(
-        g.y, IOTA,
-        ImpIntro(nn, f_not(neq),
-                 ImpElim(Id(nn), ForallElim(Id(h), yv))))
-    stripped = ForallIntro(
-        g.x, g.x_sort,
-        ImpIntro(h, Forall(g.y, IOTA, neq),
-                 ImpElim(ForallElim(proof, xv), inner)))
-    concl = Forall(g.x, g.x_sort, f_not(Forall(g.y, IOTA, neq)))
-    return stripped, Sequent(concl=concl)
-
-
 def extract_program(proof, theory, goal):
     """Compile a closed proof of forall x exists y (t = u) into a program
     from input evidence to witness numerals.
 
-    The result is lam d. mu kappa. M d (lam w. [kappa] w) where M is the
-    compiled relativized proof; it typechecks at |r_sigma| -> nat, which is
-    nat -> nat when the input sort is the base sort.
+    The result is lam d. mu kappa. M d K, where M is the compiled
+    relativized proof and the continuation K throws the witness to the
+    output channel kappa: K = lam w. lam k. k ([kappa] w) absorbs the
+    double negation of the raw matrix not not (t != u), and
+    K = lam w. [kappa] w serves the stripped matrix t != u. It typechecks
+    at |r_sigma| -> nat, which is nat -> nat at the base input sort.
 
-    The proof is checked once, by rel_proof on the stripped proof, where the
-    input is the first subproof the checker walks; interp_proof then checks
+    The input proof is checked once, by rel_proof; interp_proof then checks
     the relativized proof. M is closed, as it was checked in an empty
-    context, so the names d and w capture nothing. Both stages answer from
-    their memos when the same proof comes again; the program around M is
-    built and typechecked on every call, and kept by no memo."""
+    context, so the names d, w and k capture nothing. Both stages answer
+    from their memos when the same proof comes again; the program around M
+    is built and typechecked on every call, and kept by no memo."""
     g = pi02_goal(goal.concl)
-    stripped, sgoal = prepare_goal(proof, goal)
-    rpf, rtheory, rgoal = rel_proof(stripped, theory, sgoal)
-    m = interp_proof(rpf, rtheory, rgoal)
+    m = interp_proof(*rel_proof(proof, theory, goal))
+    throw = Named(KAPPA, LVar("w"))
+    if not g.prepared:
+        throw = Lam("k", TArr(TBOT, TBOT), LApp(LVar("k"), throw))
     e = Lam("d", rel_type(g.x_sort),
-            Mu(KAPPA, NAT,
-               LApp(LApp(m, LVar("d")),
-                    Lam("w", NAT, Named(KAPPA, LVar("w"))))))
-    want = TArr(rel_type(g.x_sort), NAT)
-    got = typecheck(e)
-    if got != want:
+            Mu(KAPPA, NAT, LApp(LApp(m, LVar("d")), Lam("w", NAT, throw))))
+    if typecheck(e) != TArr(rel_type(g.x_sort), NAT):
         raise InternalError("extracted program has the wrong type")
     return e
 

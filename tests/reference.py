@@ -32,6 +32,13 @@ re-validates the conclusion at every quantifier introduction and substitutes
 at every elimination, by the bound variable too. The library's checker must
 give the same conclusion or the same error.
 
+prepare_goal is the preparation mupcf.extract ran before the output
+continuation absorbed the double negation on the equation: from a proof of
+forall x not forall y not not (t != u) it builds one of
+forall x not forall y (t != u) around the input. Extraction from the
+stripped proof must give the same witnesses and verdicts as from the input,
+in more steps.
+
 sort_sexp, ind_sexp, formula_sexp, proof_sexp, type_sexp, term_sexp,
 lam_type_str and lam_term_str are the printers of mupcf.logic, mupcf.format,
 mupcf.lambdamu and mupcf.cps as they were before one writer printed every
@@ -47,6 +54,7 @@ from mupcf.cps import (
     typecheck_lam,
 )
 from mupcf.errors import InternalError, UserError
+from mupcf.extract import pi02_goal
 from mupcf.lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, Pair, Prim, Proj, SUCC_T, TArr,
     TBot, TNat, TProd, freshen, lams, lapp, mk_fix, mk_ife, mk_ifl, mk_len,
@@ -54,9 +62,9 @@ from mupcf.lambdamu import (
 )
 from mupcf.logic import (
     And, AndElim, AndIntro, Atom, Ax, BOT, BaseSort, Bot, BotElim, BotIntro,
-    Forall, ForallElim, ForallIntro, IApp, IConst, IVar, Id, Imp, ImpElim,
-    ImpIntro, KAPPA, SArrow, alpha_eq, fv_formula, infer_sort, polarity,
-    wf_formula,
+    Forall, ForallElim, ForallIntro, IApp, IConst, IOTA, IVar, Id, Imp,
+    ImpElim, ImpIntro, KAPPA, SArrow, Sequent, alpha_eq, collect_names, f_not,
+    fv_formula, infer_sort, polarity, wf_formula,
 )
 
 
@@ -701,6 +709,35 @@ def check_node(p, theory, gamma, delta, instances):
                 + formula_sexp(c))
         return f, uh, ul - {label}
     raise InternalError(f"bad proof node {p!r}")
+
+
+# ---------- the stripped Pi02 proof ----------
+
+
+def prepare_goal(proof, goal):
+    """Strip the matrix double negation: from a proof of
+    forall x not forall y not not (t != u), derive one of
+    forall x not forall y (t != u).  Pass-through when already stripped."""
+    g = pi02_goal(goal.concl)
+    if g.prepared:
+        return proof, goal
+    neq = Atom("neq", (g.lhs, g.rhs))
+    avoid = collect_names(proof) | {g.x, g.y}
+    h = freshen("h", avoid)
+    nn = freshen("g", avoid | {h})
+    xv, yv = IVar(g.x, g.x_sort), IVar(g.y, IOTA)
+    # For each y, turn a hypothetical t != u into the doubly negated matrix
+    # the original proof expects.
+    inner = ForallIntro(
+        g.y, IOTA,
+        ImpIntro(nn, f_not(neq),
+                 ImpElim(Id(nn), ForallElim(Id(h), yv))))
+    stripped = ForallIntro(
+        g.x, g.x_sort,
+        ImpIntro(h, Forall(g.y, IOTA, neq),
+                 ImpElim(ForallElim(proof, xv), inner)))
+    concl = Forall(g.x, g.x_sort, f_not(Forall(g.y, IOTA, neq)))
+    return stripped, Sequent(concl=concl)
 
 
 # ---------- the recursive printers ----------

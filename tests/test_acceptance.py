@@ -228,8 +228,8 @@ def test_acceptance_end_to_end_extraction():
 
 # Steps of `extract tests/dc-succ.proof` on inputs 0..10 under the
 # environment machine; they grow faster than quadratically in the input.
-DC_SUCC_STEPS = [395, 797, 1360, 2104, 3049, 4215, 5622, 7290, 9239, 11489,
-                 14060]
+DC_SUCC_STEPS = [384, 782, 1340, 2078, 3016, 4174, 5572, 7230, 9168, 11406,
+                 13964]
 
 
 def test_acceptance_dependent_choice_runs_end_to_end(capsys):

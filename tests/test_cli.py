@@ -916,7 +916,7 @@ def test_extract_add0_at_default_fuel(capsys, monkeypatch):
 
 def test_extract_dc_succ_at_default_fuel(capsys, monkeypatch):
     """Dependent choice by bar recursion at n = 60 fits the default fuel
-    (993 885 steps); it timed out while bar recursion applied each sequence
+    (991 864 steps); it timed out while bar recursion applied each sequence
     operation as a combinator."""
     monkeypatch.delenv("MUPCF_FUEL", raising=False)
     code, payload = _run_json(
@@ -924,7 +924,7 @@ def test_extract_dc_succ_at_default_fuel(capsys, monkeypatch):
                                 / "dc-succ.proof"), "--inputs", "60..60"])
     assert code == 0
     assert payload["rows"] == [{"input": 60, "witness": 61,
-                                "verdict": "pass", "steps": 993885}]
+                                "verdict": "pass", "steps": 991864}]
 
 
 @pytest.mark.parametrize("path,n", [
@@ -1001,20 +1001,23 @@ _SUCC_REFL = "(forall-elim (ax refl iota) (S x))"
     # a proof of succ-total against the goal of ident-total
     ("(all (x iota) (-> (all (y iota) (-> (-> (neq y x) bot) bot)) bot))",
      _SUCC_USE, _SUCC_REFL,
-     "argument proves (all (y iota) (-> (-> (neq y x) bot) bot)) but "
-     "(all (y iota) (-> (-> (neq y (S x)) bot) bot)) is required"),
+     "proof concludes (all (x iota) (-> (all (y iota) (-> (-> (neq y (S x)) "
+     "bot) bot)) bot)) but the goal is (all (x iota) (-> (all (y iota) "
+     "(-> (-> (neq y x) bot) bot)) bot))"),
 ], ids=["unknown-hypothesis", "bad-axiom-argument", "eigenvariable",
         "wrong-conclusion"])
 def test_extract_reports_errors_in_the_input_proof(capsys, tmp_path, goal,
                                                    use, refl, message):
+    """extract checks the input proof itself, so it words each error as
+    check does."""
     bad = tmp_path / "bad.proof"
     bad.write_text(
         f"(proof bad (goal {goal}) (forall-intro (x iota) "
         f"(imp-intro (h {_SUCC_HYP}) (imp-elim {use} {refl}))))\n")
-    code, out, err = _run(capsys, ["extract", str(bad)])
-    assert code == 1
-    assert out == ""
-    assert err == f"error[user-error]: {message}\n"
+    for command in ("extract", "check"):
+        code, out, err = _run(capsys, [command, str(bad)])
+        assert (code, out, err) == (1, "", f"error[user-error]: {message}\n"), \
+            command
 
 
 def test_bad_inputs_flag(capsys):

@@ -11,9 +11,9 @@ from mupcf import cli, extract, interp, logic, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
-    pi02_goal, prepare_goal, run_extraction, verify_witness,
+    pi02_goal, run_extraction, verify_witness,
 )
-from mupcf.format import parse_file
+from mupcf.format import formula_sexp, parse_file, proof_sexp
 from mupcf.interp import interp_proof, rel_type
 from mupcf.lambdamu import LApp, NAT, Num, TArr, eval_nat, typecheck
 from mupcf.logic import (
@@ -31,10 +31,21 @@ PAW = THEORIES["paw"]
 
 PI02 = ["succ-total", "ident-total", "add0-total", "skk-total"]
 
+TESTS = Path(__file__).resolve().parent
+
 
 def _entry(name):
     e = corpus_files.entry(name)
     return e.proof, THEORIES[e.theory], e.goal
+
+
+def _pi02_entry(name):
+    """A Pi02 corpus entry, or the dc-succ proof of tests/."""
+    if name != "dc-succ":
+        return _entry(name)
+    ws = parse_file(TESTS / "dc-succ.proof")
+    (goal, proof), = ws.proofs.values()
+    return proof, ws.theory, goal
 
 
 # ------------------------------------------------------------ goal shape
@@ -79,11 +90,11 @@ def test_pi02_goal_rejects_foreign_variables():
         pi02_goal(bad)
 
 
-# ---------------------------------------------------------- preparation
+# ------------------------------------------- the spec of the stripped proof
 
 def test_prepare_goal_yields_a_checkable_stripped_proof():
     proof, th, goal = _entry("succ-total")
-    stripped, sgoal = prepare_goal(proof, goal)
+    stripped, sgoal = reference.prepare_goal(proof, goal)
     check_proof(stripped, th, sgoal)
     x, y = IVar("x", IOTA), IVar("y", IOTA)
     want = Forall("x", IOTA,
@@ -93,15 +104,57 @@ def test_prepare_goal_yields_a_checkable_stripped_proof():
 
 def test_prepare_goal_is_a_pass_through_on_stripped_input():
     proof, th, goal = _entry("succ-total")
-    stripped, sgoal = prepare_goal(proof, goal)
-    again, agoal = prepare_goal(stripped, sgoal)
+    stripped, sgoal = reference.prepare_goal(proof, goal)
+    again, agoal = reference.prepare_goal(stripped, sgoal)
     assert again is stripped and agoal is sgoal
 
 
 def test_prepare_goal_rejects_wrong_shapes():
     proof, _, _ = _entry("succ-total")
     with pytest.raises(UserError, match="shape"):
-        prepare_goal(proof, Sequent(concl=f_eq(ZERO, ZERO)))
+        reference.prepare_goal(proof, Sequent(concl=f_eq(ZERO, ZERO)))
+
+
+# Steps on inputs 0..10 of the programs extracted from the stripped proofs,
+# which the output continuation lam w. [kappa] w serves: the steps of every
+# extraction while extract_program compiled the stripped proof itself.
+PREPARED_STEPS = {
+    "succ-total": [34] * 11,
+    "ident-total": [31] * 11,
+    "add0-total": [46, 198, 354, 514, 678, 846, 1018, 1194, 1374, 1558, 1746],
+    "skk-total": [44] * 11,
+    "dc-succ": [395, 797, 1360, 2104, 3049, 4215, 5622, 7290, 9239, 11489,
+                14060],
+}
+
+
+@pytest.mark.parametrize("name", [*PI02, "dc-succ"])
+def test_the_output_continuation_absorbs_the_double_negation(name):
+    """Extraction from the input proof, whose continuation absorbs the
+    matrix double negation, and from the spec's stripped proof give the same
+    witnesses and verdicts; the stripped proof takes the steps pinned above,
+    and the input proof strictly fewer, as it runs no stripping steps."""
+    proof, theory, goal = _pi02_entry(name)
+    sproof, sgoal = reference.prepare_goal(proof, goal)
+    assert not pi02_goal(goal.concl).prepared
+    assert pi02_goal(sgoal.concl).prepared
+    _, raw = run_extraction(proof, theory, goal, range(11), 10 ** 5)
+    _, stripped = run_extraction(sproof, theory, sgoal, range(11), 10 ** 5)
+    assert [(r["input"], r["witness"], r["verdict"]) for r in raw] == \
+        [(r["input"], r["witness"], r["verdict"]) for r in stripped]
+    assert {r["verdict"] for r in raw} == {PASS}
+    assert [r["steps"] for r in stripped] == PREPARED_STEPS[name]
+    assert all(r["steps"] < s["steps"] for r, s in zip(raw, stripped))
+
+
+def test_the_stripped_succ_total_file_is_the_spec_output():
+    """tests/succ-total-stripped.proof, which runs extract's branch for the
+    stripped goal from a file, is the spec's stripped succ-total proof."""
+    proof, _, goal = _entry("succ-total")
+    sproof, sgoal = reference.prepare_goal(proof, goal)
+    assert (TESTS / "succ-total-stripped.proof").read_text() == (
+        "(theory paw)\n\n(proof succ-total-stripped\n"
+        f"  (goal {formula_sexp(sgoal.concl)})\n  {proof_sexp(sproof)})\n")
 
 
 # ---------------------------------------------------- individual embedding
@@ -192,10 +245,9 @@ def _on_build(monkeypatch, record):
 
 
 def test_extraction_checks_each_proof_once_per_role(monkeypatch):
-    """The input proof is checked once (by rel_proof, on the stripped proof)
-    and the relativized proof once (by interp_proof). From empty memos,
-    each distinct instance is built once per extraction, and never by the
-    compilation itself."""
+    """The input proof is checked once (by rel_proof) and the relativized
+    proof once (by interp_proof). From empty memos, each distinct instance
+    is built once per extraction, and never by the compilation itself."""
     entered = []  # passes in the order they start
     running = []  # the passes running, innermost last
     built = []    # (pass, theory, axiom, args) per instance built
@@ -262,8 +314,9 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     renames a binder only where it would capture (514 _subst visits when
     every binder free in the individual was renamed). A second extraction
     substitutes nothing. Proofs are interned too: the extraction asks for
-    249 distinct proof nodes (the stripped input and the relativized proof),
-    and a second one builds none, as the memo of rel_proof keeps them.
+    226 distinct proof nodes (those of the relativized proof; 249 when the
+    input was wrapped in a stripped proof), and a second one builds none,
+    as the memo of rel_proof keeps them.
     Guarding formulas (rel_formula), building realizability predicates
     (rel_pred) and comparing two distinct formulas (alpha_eq) keep no memo:
     246, 119 and 49 calls, recursive ones included, and none in a second
@@ -313,7 +366,7 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
         logic.subst_var.cache_info()
     assert calls["_subst"] <= 439, calls
     assert calls["_facts"] <= 448, calls
-    assert len(asked) == 249, len(asked)
+    assert len(asked) == 226, len(asked)
     assert proofs["_facts"] <= len(asked), proofs
     assert not any(calls[name] for name in _ERROR_PATH), calls
     assert calls["rel_formula"] <= 246, calls
@@ -368,9 +421,8 @@ def test_a_second_extraction_builds_nothing():
     for key in ("relativize.rel_proof", "interp.interp_proof"):
         assert memos[key].cache_info().hits > before[key].hits, key
     # the stages again without their own memos: every memo inside them hits
-    stripped, sgoal = prepare_goal(proof, goal)
-    check_proof.__wrapped__(stripped, theory, sgoal)
-    rpf, rtheory, rgoal = rel_proof.__wrapped__(stripped, theory, sgoal)
+    check_proof.__wrapped__(proof, theory, goal)
+    rpf, rtheory, rgoal = rel_proof.__wrapped__(proof, theory, goal)
     interp_proof.__wrapped__(rpf, rtheory, rgoal)
     for key, memo in memos.items():
         now, was = memo.cache_info(), before[key]
@@ -397,6 +449,21 @@ def test_a_third_extract_command_misses_no_relativization_memo(monkeypatch):
         now = memo.cache_info()
         assert now.misses == was.misses, memo.__name__
         assert now.hits > was.hits, memo.__name__
+
+
+def test_extract_after_relativize_relativizes_nothing_again(monkeypatch):
+    """relativize and extract relativize the same input proof, so in one
+    process an extract after a relativize finds the relativized proof in
+    the memo of rel_proof and checks only that relativized proof anew:
+    the soundness check of relativization."""
+    monkeypatch.chdir(ROOT)
+    _clear_memos()
+    proof = "corpus/add0-total.proof"
+    memos = (rel_proof, check_proof)
+    assert cli.main(["relativize", proof]) == 0
+    before = [m.cache_info().misses for m in memos]
+    assert cli.main(["extract", proof, "--inputs", "0..0"]) == 0
+    assert [m.cache_info().misses - b for m, b in zip(memos, before)] == [0, 1]
 
 
 def test_a_rejected_instantiation_raises_on_every_call():
@@ -456,14 +523,7 @@ def test_the_compiled_core_is_closed(name):
     """The relativized proof is checked in an empty context, so its
     compilation has no free variable that the names d and w of the
     extracted program could capture."""
-    if name == "dc-succ":
-        ws = parse_file(Path(__file__).resolve().parent / "dc-succ.proof")
-        (goal, proof), = ws.proofs.values()
-        theory = ws.theory
-    else:
-        proof, theory, goal = _entry(name)
-    stripped, sgoal = prepare_goal(proof, goal)
-    m = interp_proof(*rel_proof(stripped, theory, sgoal))
+    m = interp_proof(*rel_proof(*_pi02_entry(name)))
     assert reference.free_vars(m) == set()
 
 
