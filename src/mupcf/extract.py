@@ -11,7 +11,7 @@ both sides; higher-sort equations are reported unverified.
 """
 
 from .errors import FuelExhausted, InternalError, UserError
-from .interp import const_realizer, interp_proof, rel_type
+from .interp import const_realizer, interp_proof, interp_type, rel_type
 from .lambdamu import (
     LApp, Lam, LVar, Mu, NAT, Named, Node, Num, TArr, TBOT, eval_nat,
     typecheck,
@@ -98,20 +98,26 @@ def extract_program(proof, theory, goal):
     at |r_sigma| -> nat, which is nat -> nat at the base input sort.
 
     The input proof is checked once, by rel_proof; interp_proof then checks
-    the relativized proof. M is closed, as it was checked in an empty
-    context, so the names d, w and k capture nothing. Both stages answer
-    from their memos when the same proof comes again; the program around M
-    is built and typechecked on every call, and kept by no memo."""
+    the relativized proof and typechecks M at the interpreted type of the
+    relativized goal. M is closed, as it was checked in an empty context,
+    so the names d, w and k capture nothing. Both stages answer from their
+    memos when the same proof comes again. The wrapper is built on every
+    call and kept by no memo; only K is typechecked, and the program's
+    type follows from K's and M's, so M is never walked again."""
     g = pi02_goal(goal.concl)
-    m = interp_proof(*rel_proof(proof, theory, goal))
+    rpf, rtheory, rgoal = rel_proof(proof, theory, goal)
+    m = interp_proof(rpf, rtheory, rgoal)
     throw = Named(KAPPA, LVar("w"))
     if not g.prepared:
         throw = Lam("k", TArr(TBOT, TBOT), LApp(LVar("k"), throw))
-    e = Lam("d", rel_type(g.x_sort),
-            Mu(KAPPA, NAT, LApp(LApp(m, LVar("d")), Lam("w", NAT, throw))))
-    if typecheck(e) != TArr(rel_type(g.x_sort), NAT):
+    k = Lam("w", NAT, throw)
+    d_ty = rel_type(g.x_sort)
+    # M d K : bot under mu kappa exactly when M : |r_sigma| -> (K's type
+    # -> bot); then the program has type |r_sigma| -> nat
+    if interp_type(rgoal.concl) != TArr(
+            d_ty, TArr(typecheck(k, None, {KAPPA: NAT}), TBOT)):
         raise InternalError("extracted program has the wrong type")
-    return e
+    return Lam("d", d_ty, Mu(KAPPA, NAT, LApp(LApp(m, LVar("d")), k)))
 
 
 def individual_to_term(t, evidence=None):

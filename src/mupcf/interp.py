@@ -11,11 +11,11 @@ before relativization) get well-typed but computationally empty realizers.
 
 from functools import lru_cache
 
-from .errors import InternalError
+from .errors import InternalError, UserError
 from .lambdamu import (
     LApp, LVar, Lam, Mu, NAT, Named, Num, PRED_T, Pair, Proj, SUCC_T, TArr,
     TBOT, TProd, lams, lapp, mk_barrec, mk_fix, mk_ifz, mk_nil, mk_rec,
-    mk_omega, t_list, tarr, zero_term,
+    mk_omega, t_list, tarr, typecheck, zero_term,
 )
 from .logic import (
     And, Atom, Ax, AndElim, AndIntro, BaseSort, Bot, BotElim, BotIntro,
@@ -130,9 +130,12 @@ def axiom_realizer(theory, name, args):
 def interp_proof(proof, theory, goal):
     """Translate a checked proof into a term. Hypothesis names become term
     variables at the types of their formulas, labels become mu labels; the
-    output channel label stays reserved for extraction. A bounded pure
-    memo, like logic.check_proof: terms are immutable, and a refused proof
-    raises again on every call."""
+    output channel label stays reserved for extraction. The term is
+    typechecked once, here, in the contexts of interp_envs: a term that is
+    not of type interp_type(goal.concl) is an InternalError, so callers
+    trust the type of what this returns. A bounded pure memo, like
+    logic.check_proof: terms are immutable, and a refused proof raises
+    again on every call."""
     # the translation trusts the proof; on a relativized proof this check is
     # the soundness check of relativization
     check_proof(proof, theory, goal)
@@ -159,7 +162,14 @@ def interp_proof(proof, theory, goal):
             return Mu(p.label, interp_type(p.formula), go(p.body))
         raise InternalError(f"bad proof node {p!r}")
 
-    return go(proof)
+    t = go(proof)
+    try:
+        ty = typecheck(t, *interp_envs(goal))
+    except UserError as e:
+        raise InternalError(f"interpretation is ill-typed: {e}") from None
+    if ty != interp_type(goal.concl):
+        raise InternalError("interpretation has the wrong type")
+    return t
 
 
 def interp_envs(goal):

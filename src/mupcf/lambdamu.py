@@ -297,9 +297,10 @@ def prim_type(p):
 
 def typecheck(t, env=None, lenv=None):
     """Synthesize the type of t. env types term variables, lenv types labels.
-    Raises UserError on ill-typed input."""
-    return _typecheck(t, {} if env is None else env,
-                      {} if lenv is None else lenv)
+    Raises UserError on ill-typed input. The walk extends copies of env and
+    lenv in place, so the caller's mappings are left as they were."""
+    return _typecheck(t, {} if env is None else dict(env),
+                      {} if lenv is None else dict(lenv))
 
 
 def _typecheck(t, env, lenv):
@@ -321,8 +322,17 @@ def _typecheck(t, env, lenv):
             raise UserError(f"unbound variable {n}")
         return env[n]
     if cls is Lam:
-        ty = t.ty
-        return TArr(ty, _typecheck(t.body, {**env, t.var: ty}, lenv))
+        x, ty = t.var, t.ty
+        # one scope per walk: bind x, then restore what it shadowed (types
+        # are never None); on a raise the scope is a copy and goes with it
+        old = env.get(x)
+        env[x] = ty
+        bt = _typecheck(t.body, env, lenv)
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old
+        return TArr(ty, bt)
     if cls is Prim:
         return prim_type(t)
     if cls is Num:
@@ -341,8 +351,14 @@ def _typecheck(t, env, lenv):
             raise UserError(f"projected non-pair {term_sexp(b)}")
         return bt.left if i == 1 else bt.right
     if cls is Mu:
-        ty = t.ty
-        bt = _typecheck(t.body, env, {**lenv, t.label: ty})
+        l, ty = t.label, t.ty
+        old = lenv.get(l)
+        lenv[l] = ty
+        bt = _typecheck(t.body, env, lenv)
+        if old is None:
+            del lenv[l]
+        else:
+            lenv[l] = old
         if bt != TBOT:
             raise UserError("mu body must have the empty type")
         return ty

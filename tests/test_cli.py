@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import mupcf
-from mupcf import cli, extract, format
+from mupcf import cli, extract, format, interp
+from mupcf.lambdamu import Num
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -143,6 +144,35 @@ def _expect_user_error(fmt, code, out, err, message):
         assert err == ""
         assert json.loads(out) == {"error": {
             "category": "user-error", "message": message}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_an_ill_typed_interpretation_is_an_internal_error(capsys,
+                                                          monkeypatch, fmt):
+    """interp_proof typechecks the term it builds: a realizer of the wrong
+    type (here a numeral for induction) is a breach of an invariant in
+    every command that compiles the proof, not a term printed or a user
+    error."""
+    real = interp.axiom_realizer
+
+    def realizer(theory, name, args):
+        return Num(0) if name == "ind" else real(theory, name, args)
+
+    monkeypatch.setattr(interp, "axiom_realizer", realizer)
+    # the memo would answer with a term built before the patch; a refused
+    # term is not kept, so nothing ill-typed stays behind
+    interp.interp_proof.cache_clear()
+    message = "interpretation is ill-typed: applied non-function 0"
+    for cmd in ("interp", "cps", "extract"):
+        code, out, err = _run(capsys, [cmd, str(CORPUS / "add0-total.proof"),
+                                       "--format", fmt])
+        assert code == 3, cmd
+        if fmt == "text":
+            assert (out, err) == ("", f"error[internal-error]: {message}\n")
+        else:
+            assert err == ""
+            assert json.loads(out) == {"error": {
+                "category": "internal-error", "message": message}}
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mupcf
-from mupcf import cli, extract, interp, logic, relativize
+from mupcf import cli, extract, interp, lambdamu, logic, relativize
 from mupcf.errors import UserError
 from mupcf.extract import (
     FAIL, PASS, TIMEOUT, UNVERIFIABLE, extract_program, individual_to_term,
@@ -15,7 +15,7 @@ from mupcf.extract import (
 )
 from mupcf.format import formula_sexp, parse_file, proof_sexp
 from mupcf.interp import interp_proof, rel_type
-from mupcf.lambdamu import LApp, NAT, Num, TArr, eval_nat, typecheck
+from mupcf.lambdamu import LApp, NAT, Num, TArr, Term, eval_nat, typecheck
 from mupcf.logic import (
     Ax, BOT, BotElim, BotIntro, Forall, ForallElim, ForallIntro, IApp,
     IConst, IOTA, IVar, Id, ImpElim, ImpIntro, SUCC, Sequent, THEORIES, ZERO,
@@ -380,6 +380,51 @@ def test_extraction_call_counts_stay_pinned(monkeypatch):
     assert calls["build"] == calls["_subst"] == proofs["_facts"] == 0
     assert calls["rel_formula"] == calls["rel_pred"] == calls["alpha_eq"] == 0
     assert logic.subst_var.cache_info().misses == misses
+
+
+def _term_size(t):
+    """Nodes of a term, a shared subterm counted at each occurrence."""
+    n, todo = 0, [t]
+    while todo:
+        n += 1
+        todo.extend(v for v in vars(todo.pop()).values()
+                    if isinstance(v, Term))
+    return n
+
+
+def test_extraction_typechecks_the_compiled_proof_once(monkeypatch):
+    """The typechecker visits each node of the compiled proof M once, inside
+    interp_proof, which builds M; extract_program checks only the
+    continuation it wraps around M. A second extraction finds M in the memo
+    and visits only that continuation (before M was typed where it is
+    built, every extraction visited the whole program, about 500 nodes)."""
+    entry = _entry("add0-total")  # read before counting
+    visits = Counter()
+    inside = []
+    visit_fn, interp_fn = lambdamu._typecheck, extract.interp_proof
+
+    def visit(t, env, lenv):
+        visits["interp" if inside else "extract"] += 1
+        return visit_fn(t, env, lenv)
+
+    def interp_proof(*args):
+        inside.append(args)
+        try:
+            return interp_fn(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lambdamu, "_typecheck", visit)
+    monkeypatch.setattr(extract, "interp_proof", interp_proof)
+    _clear_memos()
+    program = extract_program(*entry)
+    m, k = program.body.body.fn.fn, program.body.body.arg
+    assert _term_size(m) > 400
+    assert _term_size(k) <= 6
+    assert visits == {"interp": _term_size(m), "extract": _term_size(k)}
+    visits.clear()
+    assert extract_program(*entry) == program
+    assert visits == {"extract": _term_size(k)}
 
 
 def test_the_corpus_never_takes_the_error_path(monkeypatch):

@@ -1,5 +1,7 @@
 import pytest
 
+from mupcf import interp
+from mupcf.errors import InternalError
 from mupcf.extract import individual_to_term
 from mupcf.interp import axiom_realizer, interp_envs, interp_proof, interp_type, rel_type
 from mupcf.lambdamu import (
@@ -7,8 +9,8 @@ from mupcf.lambdamu import (
     typecheck,
 )
 from mupcf.logic import (
-    And, CONSTANTS, Forall, IConst, IOTA, IVar, Imp, SUCC, THEORIES, ZERO,
-    arrow, f_eq, f_neq, f_rel,
+    And, Ax, CONSTANTS, Forall, ForallElim, IConst, IOTA, IVar, Imp, SUCC,
+    Sequent, THEORIES, ZERO, arrow, f_eq, f_neq, f_rel,
 )
 
 import corpus_files
@@ -109,6 +111,23 @@ def test_corpus_interpretation_is_typed():
         term = interp_proof(e.proof, th, e.goal)
         env, lenv = interp_envs(e.goal)
         assert typecheck(term, env, lenv) == interp_type(e.goal.concl), e.name
+
+
+def test_an_interpretation_of_another_type_is_an_internal_error(
+        monkeypatch):
+    """interp_proof checks the type of what it builds against the goal's
+    (an ill-typed term is test_cli's case): a well-typed realizer of another
+    type is a breach of an invariant, and the memo keeps no refused term."""
+    proof = ForallElim(Ax("refl", (IOTA,)), ZERO)
+    goal = Sequent(concl=f_eq(ZERO, ZERO))
+    monkeypatch.setattr(interp, "axiom_realizer", lambda *key: Num(0))
+    interp_proof.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InternalError) as info:
+            interp_proof(proof, PAW, goal)
+        assert str(info.value) == "interpretation has the wrong type"
+    monkeypatch.undo()
+    assert typecheck(interp_proof(proof, PAW, goal)) == TArr(TBOT, TBOT)
 
 
 def test_peirce_interpretation_shape():

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -41,6 +43,55 @@ def test_typecheck_mu_named():
         typecheck(Named("a", Num(0)))  # unbound label
     with pytest.raises(UserError):
         typecheck(Mu("a", NAT, Named("a", Lam("x", NAT, LVar("x")))))
+
+
+def test_typecheck_restores_shadowed_scopes():
+    """An inner binder of a name shadows the outer one only below it, and
+    the caller's contexts come back as they were, also after a refusal."""
+    inner = Lam("x", TArr(NAT, NAT), LVar("x"))
+    t = Lam("x", NAT, Pair(inner, LVar("x")))
+    assert typecheck(t) == TArr(
+        NAT, TProd(TArr(TArr(NAT, NAT), TArr(NAT, NAT)), NAT))
+    ident = Lam("y", NAT, LVar("y"))
+    t = Mu("a", NAT, Named("a", LApp(Mu("a", TArr(NAT, NAT),
+                                         Named("a", ident)),
+                                      Mu("b", NAT, Named("a", Num(0))))))
+    assert typecheck(t) == NAT
+    env, lenv = {"z": NAT}, {"a": NAT}
+    assert typecheck(Lam("z", TBOT, Mu("a", TBOT, Named("a", LVar("z")))),
+                     env, lenv) == TArr(TBOT, TBOT)
+    with pytest.raises(UserError):
+        typecheck(Lam("z", TBOT, Mu("a", NAT, Named("a", LVar("z")))),
+                  env, lenv)
+    assert (env, lenv) == ({"z": NAT}, {"a": NAT})
+
+
+def test_typecheck_scopes_grow_linearly():
+    """One scope per walk, extended and restored in place: the peak
+    allocation of typechecking a k-deep nest of binders is linear in k
+    (about 120 and 40 bytes a level). A walk that copied its scope at each
+    binder would keep k scopes of up to k entries alive at the bottom, about
+    57 MB here."""
+    k = 2000
+    lam = LVar("x0")
+    for i in reversed(range(k)):
+        lam = Lam(f"x{i}", NAT, lam)
+    mu = Num(0)
+    for i in range(k):
+        mu = Mu(f"a{i}", NAT, Named(f"a{i}", mu))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * k))
+    try:
+        for t in (lam, mu):
+            tracemalloc.start()
+            try:
+                typecheck(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1000 * k, peak
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_typecheck_errors():
